@@ -44,6 +44,7 @@ from .meanfield import (
     phase_boundary,
     selfconsistency_residual,
     solve,
+    solve_sweep,
 )
 from .validate import CheckResult, run_checks
 
@@ -68,6 +69,7 @@ __all__ = [
     "MeanFieldSolution",
     "PhaseDiagramGrid",
     "solve",
+    "solve_sweep",
     "action_per_atom",
     "selfconsistency_residual",
     "critical_inductance_at_zero_T",

@@ -56,14 +56,20 @@ class CircuitParams:
     def __post_init__(self):
         for name in ("L_J", "L_g", "C_J", "C_R0", "L_R0"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
+            # only an infinite L_J has a meaning (no junction); any other
+            # infinity zeroes the derived frequencies and impedances
+            if math.isinf(value) and name != "L_J":
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.L_g < self.L_J:
             raise ValueError(
                 f"L_g = {self.L_g} must be smaller than L_J = {self.L_J}: "
                 "the junction branch loses its restoring force otherwise"
             )
-        if self.N is not None and (not isinstance(self.N, int) or self.N < 1):
+        if self.N is not None and (
+            isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1
+        ):
             raise ValueError(f"N must be a positive integer or None, got {self.N!r}")
 
     @property

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import ed, fluct, meanfield, validate
 from .circuit import (
+    TWO_PI,
     CircuitParams,
     classical_critical_inductance,
     constrained_potential,
@@ -29,7 +30,6 @@ from .constants import PHI0, h
 from .errors import ConfigError, ConvergenceError
 
 GHZ = 1e9
-TWO_PI = 2.0 * math.pi
 
 _REFERENCE = {"L_J": 0.75e-9, "L_g": 0.45e-9, "C_J": 24e-15, "C_R0": 2e-15, "L_R0": 0.45e-9}
 
@@ -424,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt-max", type=float, default=200.0, metavar="GHZ")
     p.add_argument("--kt-steps", type=int, default=9, metavar="K")
     p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the grid")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads, one temperature row of the grid per task")
     p.add_argument("--max-evals", type=int, default=6000, help="solver evaluation budget per point")
     p.add_argument("--boundary", action="store_true",
                    help="emit the interpolated critical temperature per column instead of the grid")

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, meanfield
-from .circuit import CircuitParams, DerivedLinear, derive_linear, polariton_frequencies
+from .circuit import TWO_PI, CircuitParams, DerivedLinear, derive_linear, polariton_frequencies
 from .constants import PHI0
 from .errors import ConvergenceError
 from .meanfield import MeanFieldSolution
-
-TWO_PI = 2.0 * math.pi
 
 # Tolerated negative part of the squared lower mode, relative to omega_c^2.
 # Anything below this is a genuine instability and raises.
@@ -163,7 +161,11 @@ class FluctScan:
 
 
 def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
-    """Solve, renormalize and diagonalize the fluctuations at each L_R0."""
+    """Solve, renormalize and diagonalize the fluctuations at each L_R0.
+
+    The kT = 0 equilibria come from one :func:`meanfield.solve_sweep`, which
+    shares the coarse phi scan across the sweep.
+    """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
@@ -182,9 +184,9 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
         )
     }
     superradiant = np.empty(n, dtype=bool)
-    for i, L in enumerate(L_vals):
+    solutions = meanfield.solve_sweep(params, L_vals, 0.0, M=M)
+    for i, (L, sol) in enumerate(zip(L_vals, solutions)):
         p = params.replace(L_R0=float(L))
-        sol = meanfield.solve(p, 0.0, M=M)
         ren = renormalize(p, sol, M=M)
         der = derive_linear(p)
         w_plus, w_minus = fluctuation_spectrum(ren, der)

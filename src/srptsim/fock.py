@@ -11,7 +11,6 @@ the truncated flux operator.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .circuit import TWO_PI, CircuitParams, DerivedLinear
 from .constants import PHI0, hbar
@@ -116,6 +115,20 @@ def thermal_expectation(H: np.ndarray, A: np.ndarray, kT: float) -> float:
     return float(np.sum(weights * diag) / np.sum(weights))
 
 
+def free_energy(H: np.ndarray, kT: float) -> float:
+    """Helmholtz free energy of the truncated spectrum of H; the ground energy at kT = 0.
+
+    The Boltzmann weights are shifted so that the largest is 1, which keeps
+    the sum finite at any temperature; weights far above kT underflow to 0.
+    """
+    if kT < 0:
+        raise ValueError(f"kT must be non-negative, got {kT}")
+    w = np.linalg.eigvalsh(H)
+    if kT == 0.0:
+        return float(w[0])
+    return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
+
+
 def atom_partition_free_energy(
     ops: FockOperatorSet, params: CircuitParams, phi: float, kT: float
 ) -> float:
@@ -128,8 +141,7 @@ def atom_partition_free_energy(
     """
     if kT <= 0:
         raise ValueError(f"kT must be positive, got {kT}")
-    w = np.linalg.eigvalsh(effective_hamiltonian(ops, params, phi))
-    return float(w[0] - kT * logsumexp(-(w - w[0]) / kT))
+    return free_energy(effective_hamiltonian(ops, params, phi), kT)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from . import fock
-from .circuit import CircuitParams, constraint_slope, derive_linear
+from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear
 from .constants import PHI0, hbar
 from .minimize import golden_section
-
-SNAP_FRACTION = 1e-6
 
 # (ops, H_atom) pairs keyed by the branch parameters that define them.
 # L_R0 is deliberately absent from the key: resonator sweeps reuse the
@@ -45,23 +42,13 @@ def _atom_context(params: CircuitParams, M: int):
     return hit
 
 
-def _free_energy(H: np.ndarray, kT: float) -> float:
-    """Helmholtz free energy of the truncated spectrum; ground energy at kT = 0."""
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
-    w = np.linalg.eigvalsh(H)
-    if kT == 0.0:
-        return float(w[0])
-    return float(w[0] - kT * logsumexp(-(w - w[0]) / kT))
-
-
 def action_per_atom(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Free energy per branch at frozen resonator flux phi, joule."""
     ops, H_atom = _atom_context(params, M)
     H = H_atom - (phi / params.L_g) * ops.psi_op
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
     omega_c = derive_linear(params).omega_c
-    return u * phi**2 / 2.0 + hbar * omega_c / 2.0 + _free_energy(H, kT)
+    return u * phi**2 / 2.0 + hbar * omega_c / 2.0 + fock.free_energy(H, kT)
 
 
 def mean_branch_flux(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
@@ -94,7 +81,11 @@ class MeanFieldSolution:
     converged            : False when the evaluation budget truncated any
                            stage or the stationarity polish found no root
     residual             : self-consistency residual at phi_th, ampere
-    n_evaluations        : spectral evaluations spent
+    n_evaluations        : spectral evaluations (free energies and residuals)
+                           spent on this point: its refinement and packaging
+                           plus its share of a coarse scan shared across a
+                           solve_sweep, so a sweep's values sum to the
+                           evaluations it made
     """
 
     phi_th: float
@@ -117,15 +108,81 @@ def solve(
 ) -> MeanFieldSolution:
     """Minimize the per-branch free energy over phi >= 0.
 
+    The one-column case of :func:`solve_sweep`, at params.L_R0.
+    """
+    return solve_sweep(params, [params.L_R0], kT, M, coarse_points, max_evaluations)[0]
+
+
+def solve_sweep(
+    params: CircuitParams,
+    L_R0_values,
+    kT: float,
+    M: int = 60,
+    coarse_points: int = 256,
+    max_evaluations: int = 6000,
+) -> list[MeanFieldSolution]:
+    """Minimize the per-branch free energy over phi >= 0 at each L_R0, one temperature.
+
     Grid scan, then golden-section refinement of the best cell, then a
     bracketed root polish of the stationarity residual. The last step is
     needed because the free energy is flat to float precision near its
     minimum while the residual still carries a clean sign change. Minima
     below 1e-6 Phi0 are identified with the normal phase, phi_th = 0.
+
+    Only the resonator term of the action depends on L_R0, so the grid scan
+    is shared: the branch free energy is evaluated once on phi_i = i * step,
+    where step puts coarse_points samples across the narrowest column
+    window, and each column takes its argmin over the samples inside its
+    own window. No column is scanned more coarsely than coarse_points over
+    its window, and a lone column sees exactly that grid. Columns whose
+    windows differ by more than a factor two get separate grids, so the
+    sweep never costs more evaluations than solving its columns one by one.
+
+    Every column is charged the samples inside its window against
+    max_evaluations. Its n_evaluations reports an equal share of its grid's
+    samples instead, so the sweep's n_evaluations sum to the evaluations
+    made. Returns one MeanFieldSolution per L_R0 value, in order.
     """
     if kT < 0:
         raise ValueError(f"kT must be non-negative, got {kT}")
-    evals = 0
+    columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
+    if not columns:
+        raise ValueError("L_R0_values must not be empty")
+    npts = min(coarse_points, max_evaluations)
+    if npts < 3:
+        return [_package(p, 0.0, kT, M, converged=False, n_evaluations=0) for p in columns]
+    truncated = npts < coarse_points
+    windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
+    ops, H_atom = _atom_context(params, M)
+    solutions = [None] * len(columns)
+    order = sorted(range(len(columns)), key=windows.__getitem__)
+    while order:
+        step = windows[order[0]] / (npts - 1)
+        group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
+        order = order[len(group):]
+        # samples inside each window; the factor absorbs the rounding of
+        # step, so the narrowest window keeps exactly npts of them
+        counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
+        profile = np.array(
+            [fock.free_energy(H_atom - (i * step / params.L_g) * ops.psi_op, kT)
+             for i in range(max(counts))]
+        )
+        share, extra = divmod(profile.size, len(group))
+        for n, (k, count) in enumerate(zip(group, counts)):
+            solutions[k] = _refine(
+                columns[k], kT, M, profile[:count], step, windows[k],
+                max_evaluations, truncated, share + (n < extra),
+            )
+    return solutions
+
+
+def _refine(params, kT, M, profile, step, window, max_evaluations, truncated, shared):
+    """Refine one column from the branch free energy sampled at phi = i * step.
+
+    The column is charged len(profile) evaluations against max_evaluations
+    and reports `shared` of them in n_evaluations.
+    """
+    evals = profile.size
 
     def f(phi):
         nonlocal evals
@@ -137,20 +194,14 @@ def solve(
         evals += 1
         return selfconsistency_residual(phi, kT, params, M)
 
-    window = 1.5 * (PHI0 / 2.0) / constraint_slope(params)
-    truncated = False
+    def package(phi_th, converged):
+        n_evaluations = evals - profile.size + shared
+        return _package(params, phi_th, kT, M, converged=converged, n_evaluations=n_evaluations)
 
-    npts = min(coarse_points, max_evaluations)
-    if npts < 3:
-        return _package(params, 0.0, kT, M, converged=False, n_evaluations=evals)
-    if npts < coarse_points:
-        truncated = True
-    step = window / (npts - 1)
-    best_i, best_v = 0, math.inf
-    for i in range(npts):
-        v = f(i * step)
-        if v < best_v:
-            best_i, best_v = i, v
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
+    phi_grid = step * np.arange(profile.size)
+    omega_c = derive_linear(params).omega_c
+    best_i = int(np.argmin(u * phi_grid**2 / 2.0 + hbar * omega_c / 2.0 + profile))
     phi_hat = best_i * step
 
     remaining = max_evaluations - evals
@@ -163,7 +214,7 @@ def solve(
         truncated = True
 
     if phi_hat < SNAP_FRACTION * PHI0:
-        return _package(params, 0.0, kT, M, converged=not truncated, n_evaluations=evals)
+        return package(0.0, not truncated)
 
     # Polish: the action is quadratic around the minimum and numerically
     # flat over a relative width ~sqrt(eps), but its derivative changes
@@ -187,9 +238,8 @@ def solve(
         truncated = True
 
     if phi_hat < SNAP_FRACTION * PHI0:
-        return _package(params, 0.0, kT, M, converged=not truncated, n_evaluations=evals)
-    converged = polished and not truncated
-    return _package(params, float(phi_hat), kT, M, converged=converged, n_evaluations=evals)
+        return package(0.0, not truncated)
+    return package(float(phi_hat), polished and not truncated)
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
@@ -286,8 +336,9 @@ def phase_boundary(
 ) -> PhaseDiagramGrid:
     """Order parameter on the full (L_R0, kT) grid plus the interpolated boundary.
 
-    Grid points are independent, so the sweep parallelizes over a thread
-    pool; the dense solves release the interpreter lock. Results are
+    Each kT row is one :func:`solve_sweep` over the L_R0 columns. Rows are
+    independent, so the grid parallelizes over a thread pool, one row per
+    task; the dense solves release the interpreter lock. Results are
     placed by index and identical for any thread count.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
@@ -300,31 +351,19 @@ def phase_boundary(
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     _atom_context(params, M)  # build shared operators before forking workers
-    points = [(j, i) for j in range(T_vals.size) for i in range(L_vals.size)]
 
-    def work(point):
-        j, i = point
-        return solve(
-            params.replace(L_R0=float(L_vals[i])),
-            float(T_vals[j]),
-            M=M,
-            max_evaluations=max_evaluations,
-        )
+    def row(kT):
+        return solve_sweep(params, L_vals, float(kT), M=M, max_evaluations=max_evaluations)
 
     if threads == 1:
-        solutions = [work(p) for p in points]
+        rows = [row(kT) for kT in T_vals]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(work, points))
+            rows = list(pool.map(row, T_vals))
 
-    shape = (T_vals.size, L_vals.size)
-    amplitude = np.empty(shape)
-    phi = np.empty(shape)
-    converged = np.empty(shape, dtype=bool)
-    for (j, i), sol in zip(points, solutions):
-        amplitude[j, i] = sol.alpha_over_sqrt_n
-        phi[j, i] = sol.phi_th
-        converged[j, i] = sol.converged
+    amplitude = np.array([[sol.alpha_over_sqrt_n for sol in r] for r in rows])
+    phi = np.array([[sol.phi_th for sol in r] for r in rows])
+    converged = np.array([[sol.converged for sol in r] for r in rows], dtype=bool)
     boundary = np.array([_column_critical_kT(T_vals, amplitude[:, i]) for i in range(L_vals.size)])
     return PhaseDiagramGrid(
         L_R0_values=L_vals,
@@ -365,7 +404,7 @@ def free_energy_convergence_check(
     for M in M_values:
         ops, H_atom = _atom_context(params, int(M))
         H = H_atom - (phi / params.L_g) * ops.psi_op
-        values.append(_free_energy(H, kT))
+        values.append(fock.free_energy(H, kT))
     free_energies = np.array(values)
     increments = np.abs(np.diff(free_energies))
     passed = bool(np.all(np.diff(increments) < 0.0) and increments[-1] < 1e-8 * params.E_J)

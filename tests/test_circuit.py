@@ -101,6 +101,27 @@ def test_params_validation():
     assert p.replace(L_R0=0.6e-9).N == 3
 
 
+def test_params_reject_bools():
+    good = dict(L_J=0.75e-9, L_g=0.45e-9, C_J=24e-15, C_R0=2e-15, L_R0=0.45e-9)
+    for key in good:
+        with pytest.raises(ValueError):
+            CircuitParams(**{**good, key: True})
+    with pytest.raises(ValueError):
+        CircuitParams(**good, N=True)
+
+
+def test_params_reject_non_finite():
+    """Only L_J may be infinite (no junction); C_J = inf would give omega_a = Z_a = g = 0."""
+    good = dict(L_J=0.75e-9, L_g=0.45e-9, C_J=24e-15, C_R0=2e-15, L_R0=0.45e-9)
+    for key in good:
+        with pytest.raises(ValueError):
+            CircuitParams(**{**good, key: math.nan})
+        if key != "L_J":
+            with pytest.raises(ValueError):
+                CircuitParams(**{**good, key: math.inf})
+    assert math.isinf(CircuitParams(**{**good, "L_J": math.inf}).L_J)
+
+
 def test_josephson_energy_roundtrip(reference):
     E_J = reference.E_J
     p = CircuitParams.from_josephson_energy(

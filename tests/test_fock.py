@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, logsumexp
 
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
@@ -20,6 +20,7 @@ from srptsim.fock import (
     atom_spectrum,
     build_operators,
     effective_hamiltonian,
+    free_energy,
     phase_function,
     sin_operator,
     thermal_expectation,
@@ -285,6 +286,30 @@ def test_free_energy_truncation_convergence(linear, reference):
         F_lo = atom_partition_free_energy(build_operators(linear, M), reference, 0.0, kT)
         F_hi = atom_partition_free_energy(build_operators(linear, M + 10), reference, 0.0, kT)
         assert abs(F_lo - F_hi) < 1e-8 * reference.E_J
+
+
+def test_free_energy_matches_logsumexp_oracle(linear, reference):
+    """The shifted numpy sum against scipy's logsumexp on the same spectrum."""
+    ops = build_operators(linear, 60)
+    for phi in (0.0, 0.1 * PHI0):
+        w = np.linalg.eigvalsh(effective_hamiltonian(ops, reference, phi))
+        # 1e-3 GHz keeps only the ground weight and 1 GHz keeps 18 of 60:
+        # most weights underflow to 0 there
+        for kT_GHz in (1e-3, 1.0, 20.0, 1e4):
+            kT = h * kT_GHz * GHZ
+            oracle = w[0] - kT * logsumexp(-(w - w[0]) / kT)
+            F = atom_partition_free_energy(ops, reference, phi, kT)
+            assert F == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        weights = np.exp(-(w - w[0]) / (h * GHZ))
+        assert 1 < np.count_nonzero(weights) < w.size // 2
+
+
+def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
+    ops = build_operators(linear, 30)
+    H = effective_hamiltonian(ops, reference, 0.05 * PHI0)
+    assert free_energy(H, 0.0) == np.linalg.eigvalsh(H)[0]
+    with pytest.raises(ValueError):
+        free_energy(H, -h * GHZ)
 
 
 def test_free_energy_requires_positive_temperature(linear, reference):

@@ -9,10 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
-from srptsim import meanfield
+from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear
 from srptsim.constants import PHI0, h, hbar
+from srptsim.minimize import scan_then_refine
 
 GHZ = 1e9
 
@@ -22,6 +25,37 @@ REF_PHI_06 = 2.447378803730821e-16
 
 # bisection result for the zero-temperature onset, M = 60
 REF_L_CRIT = 3.38568115234375e-10
+
+# Oracle columns: their windows differ by 1.9x, so the shared coarse scan
+# gives each a different number of samples. Normal and superradiant points
+# both occur at every temperature but the highest.
+ORACLE_L = np.array([0.25e-9, 0.45e-9, 0.6e-9, 1.0e-9])
+ORACLE_KT = h * np.array([0.0, 50.0, 150.0]) * GHZ
+
+
+def per_point_solve(params, kT, coarse_points=256):
+    """Slow path: a coarse scan over this point's own window, refined and polished.
+
+    Returns (phi_th, psi_th, converged) with an ample evaluation budget.
+    """
+    window = 1.5 * (PHI0 / 2.0) / constraint_slope(params)
+    phi, _ = scan_then_refine(
+        lambda x: meanfield.action_per_atom(x, kT, params), 0.0, window, coarse_points
+    )
+    if phi < 1e-6 * PHI0:
+        return 0.0, 0.0, True
+
+    def g(x):
+        return meanfield.selfconsistency_residual(x, kT, params)
+
+    for fac in (1e-4, 1e-3, 1e-2, 1e-1):
+        a, b = phi * (1.0 - fac), phi * (1.0 + fac)
+        if g(a) * g(b) <= 0.0:
+            phi = brentq(g, a, b, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
+            break
+    else:
+        return phi, meanfield.mean_branch_flux(phi, kT, params), False
+    return phi, meanfield.mean_branch_flux(phi, kT, params), True
 
 
 def test_residual_vanishes_at_origin(reference):
@@ -172,6 +206,63 @@ def test_phase_boundary_interpolated_crossings(reference):
     assert h * 150 * GHZ < g.boundary[2] < h * 200 * GHZ
     # columns cool into the superradiant phase monotonically
     assert np.all(np.diff(g.amplitude, axis=0) <= 1e-12)
+
+
+def test_shared_scan_matches_per_point_oracle(reference):
+    oracle = np.array(
+        [[per_point_solve(reference.replace(L_R0=float(L)), float(kT)) for L in ORACLE_L]
+         for kT in ORACLE_KT]
+    )
+    phi, psi, converged = oracle[..., 0], oracle[..., 1], oracle[..., 2].astype(bool)
+    assert (phi > 0).any() and (phi == 0).any()
+
+    grid = meanfield.phase_boundary(reference, ORACLE_L, ORACLE_KT, threads=2)
+    assert_allclose(grid.phi, phi, rtol=1e-10, atol=0.0)
+    assert np.array_equal(grid.phi > 0, phi > 0)
+    assert np.array_equal(grid.converged, converged)
+    for j, kT in enumerate(ORACLE_KT):
+        row = meanfield.solve_sweep(reference, ORACLE_L, float(kT))
+        assert_allclose([s.psi_th for s in row], psi[j], rtol=1e-10, atol=0.0)
+        assert [s.superradiant for s in row] == list(phi[j] > 0)
+
+    scan = fluct.spectrum_scan(reference, ORACLE_L)
+    assert_allclose(scan.phi_th, phi[0], rtol=1e-10, atol=0.0)
+    assert np.array_equal(scan.superradiant, phi[0] > 0)
+
+
+def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
+    made = 0
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            nonlocal made
+            made += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(fock, "free_energy", counting(fock.free_energy))
+    monkeypatch.setattr(fock, "thermal_expectation", counting(fock.thermal_expectation))
+    # 0.05 nH has a window 3.6x narrower than the next column, so it gets a
+    # grid of its own; the other three share one
+    L = np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9])
+    kT = h * 50 * GHZ
+    sweep = meanfield.solve_sweep(reference, L, kT)
+    assert sum(s.n_evaluations for s in sweep) == made
+    assert all(s.converged for s in sweep)
+
+    singles = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
+    assert sum(s.n_evaluations for s in sweep) < sum(s.n_evaluations for s in singles)
+    # a column alone on its grid is exactly the single-point solve
+    assert sweep[0] == singles[0]
+
+
+def test_sweep_budget_charges_each_column_its_own_window(reference):
+    # the 0.25 nH window holds the 256 coarse samples; the 1.0 nH window,
+    # 1.9x wider, holds 493 of the same grid, beyond a budget of 450
+    narrow, wide = meanfield.solve_sweep(reference, [0.25e-9, 1.0e-9], 0.0, max_evaluations=450)
+    assert narrow.converged
+    assert not wide.converged
 
 
 def test_phase_boundary_validation(reference):

@@ -5,8 +5,9 @@ bifurcation, linearized spectrum, finite-temperature mean field,
 fluctuation spectrum, finite-N diagonalization, and the internal check
 registry. Circuit values are given in display units (nH, fF, GHz) on the
 command line and in config files; everything is converted to SI at the
-boundary. Output is CSV by default, one row per sweep point, flushed as
-it is produced; --format json emits the same rows as a list of objects.
+boundary. Output is CSV by default, one row per sweep point, written
+once the whole sweep has been computed; --format json emits the same rows
+as a list of objects.
 """
 
 import argparse
@@ -30,8 +31,6 @@ from .constants import PHI0, h
 from .errors import ConfigError, ConvergenceError
 
 GHZ = 1e9
-
-_REFERENCE = {"L_J": 0.75e-9, "L_g": 0.45e-9, "C_J": 24e-15, "C_R0": 2e-15, "L_R0": 0.45e-9}
 
 _UNIT_SCALE = {
     "H": 1.0, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12,
@@ -103,7 +102,8 @@ def load_config(path: str) -> dict:
 
 def resolve_params(args, N=None) -> CircuitParams:
     """Merge defaults, config file, and explicit flags into CircuitParams."""
-    values = dict(_REFERENCE)
+    reference = validate.reference_params()
+    values = {key: getattr(reference, key) for key in ("L_J", "L_g", "C_J", "C_R0", "L_R0")}
     config_N = None
     if args.config:
         loaded = load_config(args.config)
@@ -166,7 +166,7 @@ def _native(value):
 
 
 def emit(args, columns, rows):
-    """Write rows to --out (or stdout) as CSV or JSON, flushing per row."""
+    """Write the rows of a finished sweep to --out (or stdout) as CSV or JSON."""
     rows = [list(r) for r in rows]
     if args.format == "json":
         payload = [{c: _native(v) for c, v in zip(columns, row)} for row in rows]
@@ -246,8 +246,7 @@ def cmd_meanfield(args) -> int:
     L_vals = lr0_sweep(args)
     kT_vals = kt_sweep(args)
     grid = meanfield.phase_boundary(
-        params, L_vals, kT_vals, M=args.fock_levels, threads=args.threads,
-        max_evaluations=args.max_evals,
+        params, L_vals, kT_vals, M=args.fock_levels, max_evaluations=args.max_evals,
     )
     bad = np.argwhere(~grid.converged)
     if bad.size:
@@ -424,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt-max", type=float, default=200.0, metavar="GHZ")
     p.add_argument("--kt-steps", type=int, default=9, metavar="K")
     p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads, one temperature row of the grid per task")
     p.add_argument("--max-evals", type=int, default=6000, help="solver evaluation budget per point")
     p.add_argument("--boundary", action="store_true",
                    help="emit the interpolated critical temperature per column instead of the grid")

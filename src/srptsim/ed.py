@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import fock
-from .circuit import TWO_PI, CircuitParams, DerivedLinear, derive_linear
+from .circuit import TWO_PI, CircuitParams, derive_linear
 from .constants import PHI0, hbar
 from .errors import ConfigError, ConvergenceError
 
@@ -36,9 +36,6 @@ _DENSE_FLOOR = 24
 
 # Accepted eigenpair residual, relative to the Hamiltonian inf-norm.
 _RESIDUAL_RTOL = 1e-9
-
-# Ground energy of the single cosine branch, cached per branch parameters.
-_EPS_A0_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -329,18 +326,8 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
     return H.tocsr()
 
 
-def build_hamiltonian(
-    config: EdConfig, params: CircuitParams, derived: DerivedLinear | None = None
-) -> sp.csr_matrix:
-    """One-shot sector Hamiltonian; prefer build_sector_model for sweeps.
-
-    derived is accepted for interface symmetry with callers that already
-    hold it; when given it must match derive_linear(params).
-    """
-    if derived is not None:
-        check = derive_linear(params)
-        if not (derived.omega_c == check.omega_c and derived.g == check.g):
-            raise ValueError("derived quantities do not match params")
+def build_hamiltonian(config: EdConfig, params: CircuitParams) -> sp.csr_matrix:
+    """One-shot sector Hamiltonian; prefer build_sector_model for sweeps."""
     return hamiltonian_at(build_sector_model(params, config), params)
 
 
@@ -356,6 +343,7 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
         raise ValueError(f"k must be positive, got {k}")
     if k > dim:
         raise ValueError(f"requested {k} eigenpairs from a dimension-{dim} sector")
+    scale = np.abs(matrix).sum(axis=1).max()
     if dim < max(2 * k + 2, _DENSE_FLOOR):
         w, v = np.linalg.eigh(matrix.toarray())
         w, v = w[:k], v[:, :k]
@@ -363,7 +351,7 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
         # ARPACK accepts a Ritz pair once its bound drops below
         # tol * max(eps^(2/3), |ritz|); entries of order 1e-21 J sit far
         # under that absolute floor, so work on a unit-normalized copy.
-        unit = np.abs(matrix).sum(axis=1).max() or 1.0
+        unit = scale or 1.0
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
         try:
             w, v = eigsh(matrix / unit, k=k, which="SA", v0=v0)
@@ -372,7 +360,6 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
         w = w * unit
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-    scale = np.abs(matrix).sum(axis=1).max()
     resid = matrix @ v - v * w
     worst = np.abs(resid).max()
     if worst > _RESIDUAL_RTOL * scale:
@@ -409,14 +396,8 @@ def solve_sector(model: SectorModel, params: CircuitParams, seed: int | None = N
 
 
 def reference_branch_energy(params: CircuitParams, M: int = 60) -> float:
-    """Ground energy of the isolated cosine branch, joule (cached)."""
-    key = (params.L_J, params.L_g, params.C_J, M)
-    value = _EPS_A0_CACHE.get(key)
-    if value is None:
-        ops = fock.build_operators(derive_linear(params), M)
-        value = fock.atom_spectrum(ops, params).epsilon_a0
-        _EPS_A0_CACHE[key] = value
-    return value
+    """Ground energy of the isolated cosine branch, joule."""
+    return fock.branch(params, M).free_energy(0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,14 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60)
     """
     if solution.kT != 0.0:
         raise ValueError("renormalization uses ground-state averages; solve at kT = 0")
-    ops, H_atom = meanfield._atom_context(params, M)
-    H = H_atom - (solution.phi_th / params.L_g) * ops.psi_op
-    psi_check = fock.thermal_expectation(H, ops.psi_op, 0.0)
+    b = fock.branch(params, M)
+    _, (psi_check, cos_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.ops.cos_op)
     tol = 1e-8 * max(abs(solution.psi_th), 1e-3 * PHI0)
     if abs(psi_check - solution.psi_th) > tol:
         raise ValueError(
             "solution.psi_th does not match these circuit parameters; "
             "the mean-field solution is stale"
         )
-    cos_avg = fock.thermal_expectation(H, ops.cos_op, 0.0)
     E_J_bar = params.E_J * cos_avg
     L_J_bar = math.inf if E_J_bar == 0.0 else (PHI0 / TWO_PI) ** 2 / E_J_bar
     v = 1.0 / params.L_g - (0.0 if E_J_bar == 0.0 else 1.0 / L_J_bar)
@@ -94,10 +92,8 @@ def stationarity_check(params: CircuitParams, solution: MeanFieldSolution, M: in
     photon residual is the classical resonator balance; the junction one
     averages the flux-periodic force in the equilibrium ground state.
     """
-    ops, H_atom = meanfield._atom_context(params, M)
-    H = H_atom - (solution.phi_th / params.L_g) * ops.psi_op
-    psi = fock.thermal_expectation(H, ops.psi_op, 0.0)
-    sin_avg = fock.thermal_expectation(H, fock.sin_operator(ops), 0.0)
+    b = fock.branch(params, M)
+    _, (psi, sin_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.sin_op)
     photon = (1.0 / params.L_R0 + 1.0 / params.L_g) * solution.phi_th - psi / params.L_g
     junction = (psi - solution.phi_th) / params.L_g - (TWO_PI / PHI0) * params.E_J * sin_avg
     return photon, junction

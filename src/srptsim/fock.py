@@ -9,10 +9,11 @@ the truncated flux operator.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuit import TWO_PI, CircuitParams, DerivedLinear
+from .circuit import TWO_PI, CircuitParams, DerivedLinear, derive_linear
 from .constants import PHI0, hbar
 
 # Eigenvalues within this fraction of the spectral span count as degenerate
@@ -87,78 +88,101 @@ def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
     return kinetic + potential + params.E_J * ops.cos_op
 
 
-def effective_hamiltonian(ops: FockOperatorSet, params: CircuitParams, phi: float) -> np.ndarray:
-    """Branch Hamiltonian with the resonator flux phi frozen at a classical value.
-
-    Completing the square in (psi - phi)^2 / 2 L_g leaves the bare branch
-    Hamiltonian plus a linear tilt; the phi^2 constant is accounted for
-    separately by the caller.
-    """
-    return atom_hamiltonian(ops, params) - (phi / params.L_g) * ops.psi_op
-
-
-def thermal_expectation(H: np.ndarray, A: np.ndarray, kT: float) -> float:
+def thermal_expectation(H: np.ndarray, A, kT: float):
     """Canonical expectation value of A in the Gibbs state of H.
 
     kT is in joule. At kT = 0 the expectation is averaged over the ground
     multiplet, with degeneracy resolved at 1e-12 of the spectral span.
+
+    A is one operator, or a tuple of operators; a tuple gives (F, averages),
+    the free energy of H and the expectation of each operator, all from one
+    eigendecomposition. F equals free_energy(H, kT) up to eigensolver
+    rounding.
     """
     if kT < 0:
         raise ValueError(f"kT must be non-negative, got {kT}")
     w, v = np.linalg.eigh(H)
-    diag = np.einsum("ij,ij->j", v.conj(), A @ v).real
+    operators = A if isinstance(A, tuple) else (A,)
+    diags = [np.einsum("ij,ij->j", v.conj(), op @ v).real for op in operators]
     if kT == 0.0:
         span = w[-1] - w[0]
         mask = w - w[0] <= DEGENERACY_RTOL * max(span, abs(w[0]))
-        return float(np.mean(diag[mask]))
-    weights = np.exp(-(w - w[0]) / kT)
-    return float(np.sum(weights * diag) / np.sum(weights))
+        averages = tuple(float(np.mean(diag[mask])) for diag in diags)
+    else:
+        weights = np.exp(-(w - w[0]) / kT)
+        averages = tuple(float(np.sum(weights * diag) / np.sum(weights)) for diag in diags)
+    if not isinstance(A, tuple):
+        return averages[0]
+    return _spectrum_free_energy(w, kT), averages
 
 
 def free_energy(H: np.ndarray, kT: float) -> float:
-    """Helmholtz free energy of the truncated spectrum of H; the ground energy at kT = 0.
+    """Helmholtz free energy of the truncated spectrum of H; the ground energy at kT = 0."""
+    if kT < 0:
+        raise ValueError(f"kT must be non-negative, got {kT}")
+    return _spectrum_free_energy(np.linalg.eigvalsh(H), kT)
+
+
+def _spectrum_free_energy(w: np.ndarray, kT: float) -> float:
+    """Free energy of the ascending spectrum w.
 
     The Boltzmann weights are shifted so that the largest is 1, which keeps
     the sum finite at any temperature; weights far above kT underflow to 0.
     """
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
-    w = np.linalg.eigvalsh(H)
     if kT == 0.0:
         return float(w[0])
     return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
 
 
-def atom_partition_free_energy(
-    ops: FockOperatorSet, params: CircuitParams, phi: float, kT: float
-) -> float:
-    """Helmholtz free energy of one branch at frozen resonator flux, joule.
-
-    Computed as E_0 - kT log sum exp(-(E_n - E_0) / kT) over the truncated
-    spectrum, which is stable at any temperature. kT must be positive; the
-    zero-temperature limit is just the ground energy and callers handle it
-    directly.
-    """
-    if kT <= 0:
-        raise ValueError(f"kT must be positive, got {kT}")
-    return free_energy(effective_hamiltonian(ops, params, phi), kT)
-
-
 @dataclass(frozen=True)
-class AtomSpectrum:
-    """Eigendecomposition of the bare branch Hamiltonian.
+class Branch:
+    """Spectral kernel of one junction branch in the resonator flux tilt.
 
-    energies ascending (joule), wavefunction_basis holds the eigenvectors
-    in columns, epsilon_a0 the ground
-    energy. Used as the per-branch reference when comparing many-branch
-    ground energies across couplings.
+    In the thermodynamic limit the resonator flux phi is classical and
+    enters the branch only as the tilt -(phi / L_g) psi, so every
+    mean-field, fluctuation and reference-energy quantity is a spectral
+    function of hamiltonian(phi). ops, H_atom and sin_op are read-only.
     """
 
-    energies: np.ndarray
-    wavefunction_basis: np.ndarray
-    epsilon_a0: float
+    ops: FockOperatorSet
+    H_atom: np.ndarray
+    sin_op: np.ndarray
+    L_g: float
+
+    def hamiltonian(self, phi: float) -> np.ndarray:
+        """Branch Hamiltonian with the resonator flux frozen at phi, joule.
+
+        Completing the square in (psi - phi)^2 / 2 L_g leaves the bare
+        branch Hamiltonian plus a linear tilt; the phi^2 constant is left
+        to the caller.
+        """
+        return self.H_atom - (phi / self.L_g) * self.ops.psi_op
+
+    def free_energy(self, phi: float, kT: float) -> float:
+        """Branch free energy at frozen resonator flux, joule (eigenvalues only)."""
+        return free_energy(self.hamiltonian(phi), kT)
+
+    def thermal(self, phi: float, kT: float, *operators: np.ndarray):
+        """(F, averages): free energy and the expectation of each operator, one eigensolve."""
+        return thermal_expectation(self.hamiltonian(phi), operators, kT)
 
 
-def atom_spectrum(ops: FockOperatorSet, params: CircuitParams) -> AtomSpectrum:
-    w, v = np.linalg.eigh(atom_hamiltonian(ops, params))
-    return AtomSpectrum(energies=w, wavefunction_basis=v, epsilon_a0=float(w[0]))
+def branch(params: CircuitParams, M: int = 60) -> Branch:
+    """The cached kernel of the branch of params at truncation M.
+
+    Only L_J, L_g and C_J define the branch, so sweeps over L_R0 or N share
+    one entry.
+    """
+    return _branch(params.L_J, params.L_g, params.C_J, M)
+
+
+@lru_cache(maxsize=32)
+def _branch(L_J: float, L_g: float, C_J: float, M: int) -> Branch:
+    # the resonator values are placeholders: neither Z_a nor H_atom uses them
+    params = CircuitParams(L_J=L_J, L_g=L_g, C_J=C_J, C_R0=C_J, L_R0=L_g)
+    ops = build_operators(derive_linear(params), M)
+    H_atom = atom_hamiltonian(ops, params)
+    sin_op = sin_operator(ops)
+    for a in (H_atom, sin_op):
+        a.setflags(write=False)
+    return Branch(ops=ops, H_atom=H_atom, sin_op=sin_op, L_g=L_g)

@@ -13,7 +13,6 @@ minimum against that residual. Temperatures enter as kT in joule.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,38 +23,22 @@ from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_line
 from .constants import PHI0, hbar
 from .minimize import golden_section
 
-# (ops, H_atom) pairs keyed by the branch parameters that define them.
-# L_R0 is deliberately absent from the key: resonator sweeps reuse the
-# same branch operators.
-_CONTEXT_CACHE: dict = {}
-
-
-def _atom_context(params: CircuitParams, M: int):
-    key = (params.L_J, params.L_g, params.C_J, M)
-    hit = _CONTEXT_CACHE.get(key)
-    if hit is None:
-        ops = fock.build_operators(derive_linear(params), M)
-        H_atom = fock.atom_hamiltonian(ops, params)
-        H_atom.setflags(write=False)
-        hit = (ops, H_atom)
-        _CONTEXT_CACHE[key] = hit
-    return hit
-
-
 def action_per_atom(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Free energy per branch at frozen resonator flux phi, joule."""
-    ops, H_atom = _atom_context(params, M)
-    H = H_atom - (phi / params.L_g) * ops.psi_op
+    return _resonator_action(params, phi) + fock.branch(params, M).free_energy(phi, kT)
+
+
+def _resonator_action(params: CircuitParams, phi):
+    """Resonator part of the action per branch, u phi^2 / 2 + hbar omega_c / 2, joule."""
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
-    omega_c = derive_linear(params).omega_c
-    return u * phi**2 / 2.0 + hbar * omega_c / 2.0 + fock.free_energy(H, kT)
+    return u * phi**2 / 2.0 + hbar * derive_linear(params).omega_c / 2.0
 
 
 def mean_branch_flux(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Thermal expectation of the branch flux at frozen resonator flux, weber."""
-    ops, H_atom = _atom_context(params, M)
-    H = H_atom - (phi / params.L_g) * ops.psi_op
-    return fock.thermal_expectation(H, ops.psi_op, kT)
+    b = fock.branch(params, M)
+    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+    return psi
 
 
 def selfconsistency_residual(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
@@ -153,7 +136,7 @@ def solve_sweep(
         return [_package(p, 0.0, kT, M, converged=False, n_evaluations=0) for p in columns]
     truncated = npts < coarse_points
     windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
-    ops, H_atom = _atom_context(params, M)
+    kernel = fock.branch(params, M)
     solutions = [None] * len(columns)
     order = sorted(range(len(columns)), key=windows.__getitem__)
     while order:
@@ -163,10 +146,7 @@ def solve_sweep(
         # samples inside each window; the factor absorbs the rounding of
         # step, so the narrowest window keeps exactly npts of them
         counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
-        profile = np.array(
-            [fock.free_energy(H_atom - (i * step / params.L_g) * ops.psi_op, kT)
-             for i in range(max(counts))]
-        )
+        profile = np.array([kernel.free_energy(i * step, kT) for i in range(max(counts))])
         share, extra = divmod(profile.size, len(group))
         for n, (k, count) in enumerate(zip(group, counts)):
             solutions[k] = _refine(
@@ -198,10 +178,8 @@ def _refine(params, kT, M, profile, step, window, max_evaluations, truncated, sh
         n_evaluations = evals - profile.size + shared
         return _package(params, phi_th, kT, M, converged=converged, n_evaluations=n_evaluations)
 
-    u = 1.0 / params.L_R0 + 1.0 / params.L_g
     phi_grid = step * np.arange(profile.size)
-    omega_c = derive_linear(params).omega_c
-    best_i = int(np.argmin(u * phi_grid**2 / 2.0 + hbar * omega_c / 2.0 + profile))
+    best_i = int(np.argmin(_resonator_action(params, phi_grid) + profile))
     phi_hat = best_i * step
 
     remaining = max_evaluations - evals
@@ -243,22 +221,20 @@ def _refine(params, kT, M, profile, step, window, max_evaluations, truncated, sh
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
-    if phi_th == 0.0:
-        psi_th = 0.0
-        alpha = 0.0
-    else:
-        psi_th = mean_branch_flux(phi_th, kT, params, M)
-        alpha = phi_th / math.sqrt(2.0 * hbar * derive_linear(params).Z_c0)
+    """The solution at phi_th, from one evaluation of the free energy and <psi>."""
+    b = fock.branch(params, M)
+    F, (psi,) = b.thermal(phi_th, kT, b.ops.psi_op)
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
     return MeanFieldSolution(
         phi_th=phi_th,
-        psi_th=psi_th,
-        alpha_over_sqrt_n=alpha,
+        psi_th=psi if phi_th else 0.0,
+        alpha_over_sqrt_n=phi_th / math.sqrt(2.0 * hbar * derive_linear(params).Z_c0),
         kT=kT,
-        action_per_atom=action_per_atom(phi_th, kT, params, M),
+        action_per_atom=_resonator_action(params, phi_th) + F,
         superradiant=phi_th > 0.0,
         converged=converged,
-        residual=selfconsistency_residual(phi_th, kT, params, M),
-        n_evaluations=n_evaluations + (2 if phi_th else 1) + 1,
+        residual=u * phi_th - psi / params.L_g,
+        n_evaluations=n_evaluations + 1,
     )
 
 
@@ -331,15 +307,11 @@ def phase_boundary(
     L_R0_values,
     kT_values,
     M: int = 60,
-    threads: int = 1,
     max_evaluations: int = 6000,
 ) -> PhaseDiagramGrid:
     """Order parameter on the full (L_R0, kT) grid plus the interpolated boundary.
 
-    Each kT row is one :func:`solve_sweep` over the L_R0 columns. Rows are
-    independent, so the grid parallelizes over a thread pool, one row per
-    task; the dense solves release the interpreter lock. Results are
-    placed by index and identical for any thread count.
+    Each kT row is one :func:`solve_sweep` over the L_R0 columns.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     T_vals = np.asarray(kT_values, dtype=float)
@@ -347,19 +319,8 @@ def phase_boundary(
         raise ValueError("L_R0_values and kT_values must be non-empty 1d arrays")
     if np.any(np.diff(T_vals) <= 0):
         raise ValueError("kT_values must be strictly increasing")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    _atom_context(params, M)  # build shared operators before forking workers
-
-    def row(kT):
-        return solve_sweep(params, L_vals, float(kT), M=M, max_evaluations=max_evaluations)
-
-    if threads == 1:
-        rows = [row(kT) for kT in T_vals]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, T_vals))
+    rows = [solve_sweep(params, L_vals, float(kT), M=M, max_evaluations=max_evaluations)
+            for kT in T_vals]
 
     amplitude = np.array([[sol.alpha_over_sqrt_n for sol in r] for r in rows])
     phi = np.array([[sol.phi_th for sol in r] for r in rows])
@@ -400,12 +361,7 @@ def free_energy_convergence_check(
         raise ValueError("need at least two truncation levels to compare")
     if any(M_values[k] >= M_values[k + 1] for k in range(len(M_values) - 1)):
         raise ValueError("M_values must be strictly increasing")
-    values = []
-    for M in M_values:
-        ops, H_atom = _atom_context(params, int(M))
-        H = H_atom - (phi / params.L_g) * ops.psi_op
-        values.append(fock.free_energy(H, kT))
-    free_energies = np.array(values)
+    free_energies = np.array([fock.branch(params, int(M)).free_energy(phi, kT) for M in M_values])
     increments = np.abs(np.diff(free_energies))
     passed = bool(np.all(np.diff(increments) < 0.0) and increments[-1] < 1e-8 * params.E_J)
     return ConvergenceReport(

@@ -126,7 +126,7 @@ def test_criterion_04_phase_boundary_monotonicity(reference, capsys):
     t0 = time.perf_counter()
     L = np.linspace(0.30e-9, 1.0e-9, 20)
     T = np.linspace(0.0, 200.0, 20) * h * GHZ
-    grid = meanfield.phase_boundary(reference, L, T, M=60, threads=4)
+    grid = meanfield.phase_boundary(reference, L, T, M=60)
     elapsed = time.perf_counter() - t0
 
     cooling = bool(np.all(np.diff(grid.amplitude, axis=0) <= 1e-12))

@@ -174,7 +174,7 @@ def test_meanfield_grid_and_boundary_file(tmp_path):
     bout = tmp_path / "boundary.csv"
     rc = main(
         ["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100,200",
-         "--fock-levels", "40", "--threads", "2",
+         "--fock-levels", "40",
          "--out", str(out), "--boundary-out", str(bout)]
     )
     assert rc == 0

@@ -211,15 +211,6 @@ def test_decoupled_spectrum_is_sum_of_mode_spectra(reference):
     assert np.abs(w_sector - np.array(sums)).max() < 1e-12 * np.abs(w_sector).max()
 
 
-def test_build_hamiltonian_checks_derived(reference):
-    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
-    good = ed.build_hamiltonian(cfg, reference, derive_linear(reference))
-    bare = ed.build_hamiltonian(cfg, reference)
-    assert (good - bare).nnz == 0
-    with pytest.raises(ValueError):
-        ed.build_hamiltonian(cfg, reference, derive_linear(reference.replace(L_R0=0.3e-9)))
-
-
 def test_sector_model_rejects_foreign_branch_parameters(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
     model = ed.build_sector_model(reference, cfg)

@@ -170,3 +170,34 @@ def test_count_convex_runs_synthetic():
     assert fluct.count_convex_runs(np.zeros(21)) == 0
     two_dips = np.concatenate([(x[:10] + 0.5) ** 2, (x[10:] - 0.5) ** 2 + 5.0])
     assert fluct.count_convex_runs(two_dips) >= 2
+
+
+def test_one_dense_diagonalization_per_point(reference, monkeypatch):
+    """Packaging a point, renormalize and stationarity_check each diagonalize once."""
+    count = 0
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    points = []
+    for L in (0.2e-9, 0.6e-9):  # normal, superradiant
+        p = reference.replace(L_R0=L)
+        points.append((p, meanfield.solve(p, 0.0)))
+    assert [sol.superradiant for _, sol in points] == [False, True]
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for p, sol in points:
+        for call in (
+            lambda: meanfield._package(p, sol.phi_th, 0.0, 60, converged=True, n_evaluations=0),
+            lambda: meanfield._package(p, sol.phi_th, h * 50 * GHZ, 60, True, 0),
+            lambda: fluct.renormalize(p, sol),
+            lambda: fluct.stationarity_check(p, sol),
+        ):
+            count = 0
+            call()
+            assert count == 1

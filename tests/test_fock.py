@@ -14,12 +14,11 @@ from scipy.special import eval_genlaguerre, logsumexp
 
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
+from srptsim import ed
 from srptsim.fock import (
     atom_hamiltonian,
-    atom_partition_free_energy,
-    atom_spectrum,
+    branch,
     build_operators,
-    effective_hamiltonian,
     free_energy,
     phase_function,
     sin_operator,
@@ -196,22 +195,23 @@ def test_parity_symmetry(linear, reference):
     # flux is strictly odd, exactly so in the matrix representation
     assert np.array_equal(P @ ops.psi_op @ P, -ops.psi_op)
     phi = 0.13 * PHI0
-    lhs = P @ effective_hamiltonian(ops, reference, phi) @ P
-    rhs = effective_hamiltonian(ops, reference, -phi)
+    b = branch(reference, M)
+    lhs = P @ b.hamiltonian(phi) @ P
+    rhs = b.hamiltonian(-phi)
     assert np.allclose(lhs, rhs, atol=1e-12 * np.abs(H).max())
 
 
 def test_effective_hamiltonian_flux_behaviour(linear, reference):
-    ops = build_operators(linear, 40)
-    H0 = effective_hamiltonian(ops, reference, 0.0)
-    assert np.array_equal(H0, atom_hamiltonian(ops, reference))
+    b = branch(reference, 40)
+    assert np.array_equal(b.hamiltonian(0.0), atom_hamiltonian(build_operators(linear, 40), reference))
     phi = 0.2 * PHI0
-    w_plus = np.linalg.eigvalsh(effective_hamiltonian(ops, reference, phi))
-    w_minus = np.linalg.eigvalsh(effective_hamiltonian(ops, reference, -phi))
+    w_plus = np.linalg.eigvalsh(b.hamiltonian(phi))
+    w_minus = np.linalg.eigvalsh(b.hamiltonian(-phi))
     assert np.allclose(w_plus, w_minus, rtol=1e-12)
     # a positive tilt pulls the branch flux to positive values
-    mean_psi = thermal_expectation(effective_hamiltonian(ops, reference, phi), ops.psi_op, 0.0)
+    _, (mean_psi,) = b.thermal(phi, 0.0, b.ops.psi_op)
     assert mean_psi > 0.0
+    assert mean_psi == thermal_expectation(b.hamiltonian(phi), b.ops.psi_op, 0.0)
 
 
 def test_thermal_expectation_identity_and_parity(linear, reference):
@@ -257,9 +257,8 @@ def test_thermal_expectation_rejects_negative_temperature(linear, reference):
         thermal_expectation(H, ops.number_op, -1.0)
 
 
-def test_free_energy_single_level(linear, reference):
-    ops = build_operators(linear, 1)
-    F = atom_partition_free_energy(ops, reference, 0.0, h * 10 * GHZ)
+def test_free_energy_single_level(reference):
+    F = branch(reference, 1).free_energy(0.0, h * 10 * GHZ)
     assert F == pytest.approx(reference.E_J, rel=1e-12)
 
 
@@ -271,58 +270,79 @@ def test_free_energy_harmonic_closed_form(reference):
     """
     p = reference.replace(L_J=math.inf)
     d = derive_linear(p)
-    ops = build_operators(d, 40)
     omega0 = d.omega_a
     kT = hbar * omega0 / 10.0
-    F = atom_partition_free_energy(ops, p, 0.0, kT)
+    F = branch(p, 40).free_energy(0.0, kT)
     closed = hbar * omega0 / 2.0 + kT * math.log1p(-math.exp(-hbar * omega0 / kT))
     assert F == pytest.approx(closed, rel=1e-10)
 
 
-def test_free_energy_truncation_convergence(linear, reference):
+def test_free_energy_truncation_convergence(reference):
     # hotter Gibbs states occupy more levels, so the converged M grows with kT
     for kT_GHz, M in ((20.0, 50), (100.0, 100)):
         kT = h * kT_GHz * GHZ
-        F_lo = atom_partition_free_energy(build_operators(linear, M), reference, 0.0, kT)
-        F_hi = atom_partition_free_energy(build_operators(linear, M + 10), reference, 0.0, kT)
+        F_lo = branch(reference, M).free_energy(0.0, kT)
+        F_hi = branch(reference, M + 10).free_energy(0.0, kT)
         assert abs(F_lo - F_hi) < 1e-8 * reference.E_J
 
 
-def test_free_energy_matches_logsumexp_oracle(linear, reference):
-    """The shifted numpy sum against scipy's logsumexp on the same spectrum."""
-    ops = build_operators(linear, 60)
+def test_free_energy_matches_logsumexp_oracle(reference):
+    """The shifted numpy sum against scipy's logsumexp on the same spectrum.
+
+    The free energy that comes with thermal averages is computed from the
+    eigenvalues of eigh rather than eigvalsh, which differ in the last few
+    digits, so it gets a looser bound.
+    """
+    b = branch(reference, 60)
     for phi in (0.0, 0.1 * PHI0):
-        w = np.linalg.eigvalsh(effective_hamiltonian(ops, reference, phi))
+        w = np.linalg.eigvalsh(b.hamiltonian(phi))
         # 1e-3 GHz keeps only the ground weight and 1 GHz keeps 18 of 60:
         # most weights underflow to 0 there
         for kT_GHz in (1e-3, 1.0, 20.0, 1e4):
             kT = h * kT_GHz * GHZ
             oracle = w[0] - kT * logsumexp(-(w - w[0]) / kT)
-            F = atom_partition_free_energy(ops, reference, phi, kT)
-            assert F == pytest.approx(oracle, rel=1e-14, abs=0.0)
+            assert b.free_energy(phi, kT) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+            F, _ = b.thermal(phi, kT, b.ops.psi_op)
+            assert F == pytest.approx(oracle, rel=1e-13, abs=0.0)
         weights = np.exp(-(w - w[0]) / (h * GHZ))
         assert 1 < np.count_nonzero(weights) < w.size // 2
 
 
 def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
-    ops = build_operators(linear, 30)
-    H = effective_hamiltonian(ops, reference, 0.05 * PHI0)
+    H = branch(reference, 30).hamiltonian(0.05 * PHI0)
     assert free_energy(H, 0.0) == np.linalg.eigvalsh(H)[0]
     with pytest.raises(ValueError):
         free_energy(H, -h * GHZ)
 
 
-def test_free_energy_requires_positive_temperature(linear, reference):
-    ops = build_operators(linear, 10)
-    for kT in (0.0, -h * GHZ):
-        with pytest.raises(ValueError):
-            atom_partition_free_energy(ops, reference, 0.0, kT)
+def test_branch_rejects_negative_temperature(reference):
+    b = branch(reference, 10)
+    with pytest.raises(ValueError):
+        b.free_energy(0.0, -h * GHZ)
+    with pytest.raises(ValueError):
+        b.thermal(0.0, -h * GHZ, b.ops.psi_op)
 
 
-def test_atom_spectrum_orthonormal(linear, reference):
-    ops = build_operators(linear, 40)
-    spec = atom_spectrum(ops, reference)
-    V = spec.wavefunction_basis
-    assert np.allclose(V.T @ V, np.eye(40), atol=1e-10)
-    assert np.all(np.diff(spec.energies) >= 0.0)
-    assert spec.epsilon_a0 == spec.energies[0]
+def test_atom_spectrum_orthonormal(reference):
+    """The kernel's bare-branch spectrum: ascending, normalized, ground energy at kT = 0."""
+    b = branch(reference, 40)
+    w = np.linalg.eigvalsh(b.H_atom)
+    assert np.all(np.diff(w) >= 0.0)
+    assert b.free_energy(0.0, 0.0) == w[0]
+    for kT in (0.0, h * 20 * GHZ, h * 1e3 * GHZ):
+        _, (one,) = b.thermal(0.0, kT, np.eye(40))
+        assert one == pytest.approx(1.0, rel=1e-12)
+    F, _ = b.thermal(0.0, 0.0, np.eye(40))
+    assert F == pytest.approx(w[0], rel=1e-13, abs=0.0)
+
+
+def test_branch_shared_across_resonator_sweeps(reference):
+    b = branch(reference, 60)
+    assert branch(reference.replace(L_R0=0.9e-9, C_R0=3e-15), 60) is b
+    assert branch(reference.replace(N=3), 60) is b
+    assert branch(reference, 40) is not b
+    assert branch(reference.replace(L_g=0.4e-9), 60) is not b
+    assert not b.H_atom.flags.writeable and not b.sin_op.flags.writeable
+    assert np.array_equal(b.sin_op, sin_operator(b.ops))
+    # the finite-N reference energy is the kernel's ground energy
+    assert ed.reference_branch_energy(reference.replace(N=2)) == b.free_energy(0.0, 0.0)

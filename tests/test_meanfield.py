@@ -182,22 +182,10 @@ def test_critical_inductance_bracket_validation(reference):
         meanfield.critical_inductance_at_zero_T(reference, bracket=(0.2e-9, 0.3e-9))
 
 
-def test_phase_boundary_thread_determinism(reference):
-    L = np.array([0.25e-9, 0.45e-9, 0.6e-9])
-    T = h * np.array([0.0, 50.0, 100.0, 150.0, 200.0]) * GHZ
-    g1 = meanfield.phase_boundary(reference, L, T, threads=1)
-    g4 = meanfield.phase_boundary(reference, L, T, threads=4)
-    assert np.array_equal(g1.amplitude, g4.amplitude)
-    assert np.array_equal(g1.phi, g4.phi)
-    assert np.array_equal(g1.boundary, g4.boundary, equal_nan=True)
-    assert g1.amplitude.shape == (5, 3)
-    assert g1.converged.all()
-
-
 def test_phase_boundary_interpolated_crossings(reference):
     L = np.array([0.25e-9, 0.45e-9, 0.6e-9])
     T = h * np.array([0.0, 50.0, 100.0, 150.0, 200.0]) * GHZ
-    g = meanfield.phase_boundary(reference, L, T, threads=4)
+    g = meanfield.phase_boundary(reference, L, T)
     # below the quantum onset the whole column is normal: no crossing
     assert np.all(g.amplitude[:, 0] == 0.0)
     assert math.isnan(g.boundary[0])
@@ -216,7 +204,7 @@ def test_shared_scan_matches_per_point_oracle(reference):
     phi, psi, converged = oracle[..., 0], oracle[..., 1], oracle[..., 2].astype(bool)
     assert (phi > 0).any() and (phi == 0).any()
 
-    grid = meanfield.phase_boundary(reference, ORACLE_L, ORACLE_KT, threads=2)
+    grid = meanfield.phase_boundary(reference, ORACLE_L, ORACLE_KT)
     assert_allclose(grid.phi, phi, rtol=1e-10, atol=0.0)
     assert np.array_equal(grid.phi > 0, phi > 0)
     assert np.array_equal(grid.converged, converged)
@@ -271,8 +259,6 @@ def test_phase_boundary_validation(reference):
         meanfield.phase_boundary(reference, np.array([]), T)
     with pytest.raises(ValueError):
         meanfield.phase_boundary(reference, np.array([0.4e-9]), T[::-1])
-    with pytest.raises(ValueError):
-        meanfield.phase_boundary(reference, np.array([0.4e-9]), T, threads=0)
 
 
 def test_free_energy_convergence_report(reference):

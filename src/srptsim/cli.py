@@ -443,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append thermodynamic-limit photon and shift columns")
     p.add_argument("--per-mode-cutoff", type=int, default=24)
     p.add_argument("--total-cutoff", type=int, default=48)
-    p.add_argument("--k", type=int, default=6, help="eigenpairs per sector")
+    p.add_argument("--k", type=int, default=6,
+                   help="EdConfig.n_eigenvalues; does not change the rows, which always "
+                        "solve two even and one odd eigenpair")
     p.add_argument("--potential", choices=("quartic", "cosine"), default="quartic")
     p.add_argument("--max-dim", type=int, default=400_000, help="sector size guard")
     p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed")

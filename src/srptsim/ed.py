@@ -46,7 +46,9 @@ class EdConfig:
     per_mode_cutoff : highest occupation retained in any single mode
     total_cutoff    : highest total occupation retained
     parity          : 0 for the even sector, 1 for the odd
-    n_eigenvalues   : eigenpairs requested from the bottom of the sector
+    n_eigenvalues   : eigenpairs solve_sector and truncation_error_study
+                      request from the bottom of a sector; scan needs
+                      and requests only two even and one odd pair
     quartic         : quartic branch potential when True, exact cosine
                       block otherwise (N <= 2 only, the block is dense)
     max_dimension   : refuse to materialize sectors larger than this
@@ -175,8 +177,8 @@ def build_basis(config: EdConfig) -> BasisIndex:
 def _atom_block(config: EdConfig, params: CircuitParams) -> np.ndarray:
     """Per-branch Hamiltonian on per_mode_cutoff + 1 levels, dense."""
     R = config.per_mode_cutoff + 1
-    derived = derive_linear(params)
     if config.quartic:
+        derived = derive_linear(params)
         lam2 = (TWO_PI / PHI0) ** 2 * hbar * derived.Z_a / 2.0
         ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
         q = ladder + ladder.T
@@ -185,8 +187,7 @@ def _atom_block(config: EdConfig, params: CircuitParams) -> np.ndarray:
         return np.diag(hbar * derived.omega_a * (n + 0.5) + params.E_J) + (
             params.E_J * lam2**2 / 24.0
         ) * Q4
-    ops = fock.build_operators(derived, R)
-    return fock.atom_hamiltonian(ops, params)
+    return fock.branch(params, R).H_atom
 
 
 def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
@@ -380,9 +381,12 @@ class SectorEigen:
     photon_number: float
 
 
-def solve_sector(model: SectorModel, params: CircuitParams, seed: int | None = None) -> SectorEigen:
+def solve_sector(
+    model: SectorModel, params: CircuitParams, seed: int | None = None, k: int | None = None
+) -> SectorEigen:
+    """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default."""
     H = hamiltonian_at(model, params)
-    k = min(model.config.n_eigenvalues, H.shape[0])
+    k = min(model.config.n_eigenvalues if k is None else k, H.shape[0])
     w, v = lowest_eigenpairs(H, k, seed=model.config.seed if seed is None else seed)
     ground = v[:, 0]
     n_ph = float(np.sum(ground**2 * (model.photon_number - 0.5)))
@@ -477,7 +481,12 @@ class EdScan:
 
 
 def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
-    """Assemble both parity sectors once, then sweep the inductance."""
+    """Assemble both parity sectors once, then sweep the inductance.
+
+    Each point solves only the eigenpairs the observables read: the two
+    lowest even states and the lowest odd state, whatever
+    config.n_eigenvalues says.
+    """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
@@ -491,8 +500,8 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
         res = observables(
             config,
             p,
-            solve_sector(even_model, p),
-            solve_sector(odd_model, p),
+            solve_sector(even_model, p, k=2),
+            solve_sector(odd_model, p, k=1),
             epsilon_a0=eps_a0,
         )
         for name in fields:

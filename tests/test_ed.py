@@ -8,6 +8,7 @@ sparse code under test shares none of that path.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ def test_decoupled_spectrum_is_sum_of_mode_spectra(reference):
     assert np.abs(w_sector - np.array(sums)).max() < 1e-12 * np.abs(w_sector).max()
 
 
+def test_cosine_block_is_the_branch_kernel(reference, rng):
+    """The cosine block equals a from-scratch operator build, bit for bit."""
+    from srptsim import fock
+
+    circuits = [reference] + [
+        reference.replace(L_J=reference.L_J * f1, L_g=reference.L_g * f2, C_J=reference.C_J * f3)
+        for f1, f2, f3 in rng.uniform(0.97, 1.03, size=(2, 3))
+    ]
+    for params in circuits:
+        for per_mode in (8, 24):
+            cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=per_mode, total_cutoff=per_mode, quartic=False)
+            oracle = fock.atom_hamiltonian(fock.build_operators(derive_linear(params), per_mode + 1), params)
+            assert np.array_equal(ed._atom_block(cfg, params), oracle)
+
+
 def test_sector_model_rejects_foreign_branch_parameters(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
     model = ed.build_sector_model(reference, cfg)
@@ -305,6 +321,84 @@ def test_scan_photon_number_grows_across_transition(reference):
     assert np.all(res.transition_odd > 0.0)
     with pytest.raises(ValueError):
         ed.scan(reference, cfg, np.array([]))
+
+
+def scan_oracle(params, config, L_R0_values):
+    """Every sector solved at config.n_eigenvalues, then combined: the old scan."""
+    even_model = ed.build_sector_model(params, config.sector(0))
+    odd_model = ed.build_sector_model(params, config.sector(1))
+    results = []
+    for L in L_R0_values:
+        p = params.replace(L_R0=float(L))
+        results.append(
+            ed.observables(config, p, ed.solve_sector(even_model, p), ed.solve_sector(odd_model, p))
+        )
+    return results
+
+
+@pytest.mark.parametrize(
+    "n_atoms, per_mode, total, L_nH",
+    [
+        (1, 8, 16, (0.44, 0.52, 0.60, 0.70)),
+        (1, 24, 48, (0.44, 0.53, 0.60, 0.70)),
+        (2, 12, 24, (0.40, 0.46, 0.52, 0.60)),
+    ],
+)
+def test_scan_matches_full_spectrum_oracle(reference, n_atoms, per_mode, total, L_nH):
+    """Solving two even and one odd pair per point reports what six pairs do.
+
+    The points straddle each gap dip and reach into the superradiant side,
+    where the lowest odd state closes in on the even ground state.
+    """
+    params = reference.replace(N=n_atoms)
+    config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, n_eigenvalues=6)
+    L_vals = np.array(L_nH) * 1e-9
+    fast = ed.scan(params, config, L_vals)
+    for i, slow in enumerate(scan_oracle(params, config, L_vals)):
+        assert (fast.dim_even, fast.dim_odd) == (slow.dim_even, slow.dim_odd)
+        got = (
+            fast.E_g[i],
+            fast.E_g[i] + fast.transition_even[i],
+            fast.E_g[i] + fast.transition_odd[i],
+            n_atoms * fast.delta_eps[i],
+        )
+        want = (
+            slow.E_g,
+            slow.E_g + slow.transition_even,
+            slow.E_g + slow.transition_odd,
+            n_atoms * slow.delta_eps,
+        )
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12 * abs(slow.E_g)
+        assert fast.photon_number_per_atom[i] == pytest.approx(slow.photon_number_per_atom, rel=1e-10)
+
+
+def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
+    """scan asks ARPACK for 2 even and 1 odd pair; the wider callers keep theirs."""
+    calls = []
+    real_eigsh = ed.eigsh
+
+    def spy(matrix, k, **kwargs):
+        calls.append((matrix.shape[0], k))
+        return real_eigsh(matrix, k=k, **kwargs)
+
+    monkeypatch.setattr(ed, "eigsh", spy)
+    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
+    ed.scan(reference, cfg, np.array([0.40e-9, 0.52e-9, 0.60e-9]))
+    assert calls == [(41, 2), (40, 1)] * 3
+
+    for n_eigenvalues in (6, 3):
+        calls.clear()
+        model = ed.build_sector_model(reference, replace(cfg, n_eigenvalues=n_eigenvalues))
+        ed.solve_sector(model, reference)
+        assert calls == [(41, n_eigenvalues)]
+
+    calls.clear()
+    ed.truncation_error_study(
+        reference, 1, np.array([0.45e-9, 0.52e-9]), per_mode_cutoff=8, total_cutoff=16,
+        n_levels=4, atom_levels=30,
+    )
+    assert len(calls) == 8
+    assert {k for _, k in calls} == {4}
 
 
 def test_scan_cutoff_convergence_deep_normal(reference):

@@ -447,10 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="EdConfig.n_eigenvalues; does not change the rows, which always "
                         "solve two even and one odd eigenpair")
     p.add_argument("--potential", choices=("quartic", "cosine"), default="quartic")
-    p.add_argument("--max-dim", type=int, default=400_000, help="sector size guard")
-    p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed")
+    p.add_argument("--max-dim", type=int, default=400_000,
+                   help="largest exchange-symmetric sector dimension to build")
+    p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed, a nonnegative integer")
     p.add_argument("--dump-matrix", metavar="FILE",
-                   help="write the even-sector matrix at the first L_R0 in Matrix Market format")
+                   help="write the exchange-symmetric even-sector matrix at the first L_R0 "
+                        "in Matrix Market format")
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("validate", help="run the internal consistency checks")

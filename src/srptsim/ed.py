@@ -1,10 +1,17 @@
 """Sparse exact diagonalization of the photon-junction chain at finite N.
 
-The Hilbert space is a product of number states, mode 0 the resonator
-photon and modes 1..N the junction branches. Total excitation parity is
-conserved, so each sector is diagonalized separately; the ground state
-lives in the even sector. The Hamiltonian splits into three parts whose
-matrix structure does not depend on the resonator inductance:
+Mode 0 is the resonator photon and modes 1..N are the junction branches,
+each in a truncated number basis. H is invariant under permutations of
+the N identical branches, and its ground state and the excitations scan
+reports lie in the exchange-symmetric subspace, so that is the space
+built: a basis state is the photon number plus a nondecreasing tuple of
+branch levels, the normalized symmetrization of that occupation. Its
+dimension grows like a multiset count instead of the (cutoff + 1)^N of
+the product basis.
+Total excitation parity is conserved, so each sector is diagonalized
+separately; the ground state lives in the even sector. The Hamiltonian
+splits into three parts whose matrix structure does not depend on the
+resonator inductance:
 
     H = hbar omega_c (n_ph + 1/2) + sum_j H_atom(j) - (hbar g / sqrt(N)) V
 
@@ -42,17 +49,25 @@ _RESIDUAL_RTOL = 1e-9
 class EdConfig:
     """Sector definition for the finite-N diagonalization.
 
+    The sector is the exchange-symmetric one, cut by the two cutoffs and
+    the total-excitation parity; its spectrum is the part of the
+    product-basis spectrum at the same cutoffs that is symmetric under
+    branch permutations.
+
     n_atoms         : number of junction branches N
-    per_mode_cutoff : highest occupation retained in any single mode
-    total_cutoff    : highest total occupation retained
+    per_mode_cutoff : highest occupation of the photon and of any branch
+                      level
+    total_cutoff    : highest total occupation, photons plus branch levels
     parity          : 0 for the even sector, 1 for the odd
     n_eigenvalues   : eigenpairs solve_sector and truncation_error_study
                       request from the bottom of a sector; scan needs
                       and requests only two even and one odd pair
     quartic         : quartic branch potential when True, exact cosine
                       block otherwise (N <= 2 only, the block is dense)
-    max_dimension   : refuse to materialize sectors larger than this
-    seed            : seed of the deterministic Lanczos start vector
+    max_dimension   : refuse to materialize symmetric sectors larger
+                      than this
+    seed            : seed of the deterministic Lanczos start vector,
+                      a nonnegative integer
     """
 
     n_atoms: int
@@ -65,50 +80,62 @@ class EdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, int) or self.n_atoms < 1:
-            raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
-        if not isinstance(self.per_mode_cutoff, int) or self.per_mode_cutoff < 2:
-            raise ConfigError(f"per_mode_cutoff must be an integer >= 2, got {self.per_mode_cutoff!r}")
-        if not isinstance(self.total_cutoff, int) or self.total_cutoff < 2:
-            raise ConfigError(f"total_cutoff must be an integer >= 2, got {self.total_cutoff!r}")
+        for name, low in (
+            ("n_atoms", 1),
+            ("per_mode_cutoff", 2),
+            ("total_cutoff", 2),
+            ("n_eigenvalues", 1),
+            ("max_dimension", 1),
+            ("seed", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.per_mode_cutoff > self.total_cutoff:
             raise ConfigError(
                 f"per_mode_cutoff {self.per_mode_cutoff} exceeds total_cutoff {self.total_cutoff}"
             )
-        if self.parity not in (0, 1):
+        if isinstance(self.parity, bool) or not isinstance(self.parity, int) or self.parity not in (0, 1):
             raise ConfigError(f"parity must be 0 or 1, got {self.parity!r}")
-        if not isinstance(self.n_eigenvalues, int) or self.n_eigenvalues < 1:
-            raise ConfigError(f"n_eigenvalues must be a positive integer, got {self.n_eigenvalues!r}")
         if not self.quartic and self.n_atoms > 2:
             raise ConfigError("the cosine branch potential makes dense per-atom blocks; use n_atoms <= 2")
-        if self.max_dimension < 1:
-            raise ConfigError(f"max_dimension must be positive, got {self.max_dimension!r}")
 
     def sector(self, parity: int) -> "EdConfig":
         return replace(self, parity=parity)
 
 
 def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int, parity: int) -> int:
-    """Number of occupation vectors in the sector, without materializing them."""
-    counts = np.zeros(total_cutoff + 1, dtype=np.int64)
-    counts[0] = 1
+    """Number of symmetric basis states in the sector, without materializing them.
+
+    n_modes counts the photon and the N branches. ways[j, s] counts the
+    multisets of j branch levels with level sum s; the levels are admitted
+    one at a time, each any number of times. The photon then adds
+    0..per_mode_cutoff quanta.
+    """
+    n_branches = n_modes - 1
+    ways = np.zeros((n_branches + 1, total_cutoff + 1), dtype=np.int64)
+    ways[0, 0] = 1
+    for level in range(min(per_mode_cutoff, total_cutoff) + 1):
+        for j in range(1, n_branches + 1):
+            ways[j, level:] += ways[j - 1, : total_cutoff + 1 - level]
+    acc = np.cumsum(ways[n_branches])
+    counts = acc.copy()
     window = per_mode_cutoff + 1
-    for _ in range(n_modes):
-        acc = np.cumsum(counts)
-        shifted = np.zeros_like(acc)
-        if window <= total_cutoff:
-            shifted[window:] = acc[:-window]
-        counts = acc - shifted
+    if window <= total_cutoff:
+        counts[window:] -= acc[:-window]
     return int(counts[parity::2].sum())
 
 
 @dataclass(frozen=True)
 class BasisIndex:
-    """Occupation vectors of one parity sector with a sorted integer index.
+    """Basis states of one parity sector with a sorted integer index.
 
-    Vectors are lexicographic with mode 0 most significant, so the
-    mixed-radix keys (radix per_mode_cutoff + 1) are ascending and a
-    neighbor lookup is a binary search.
+    A row is the photon number followed by the branch levels. In the
+    permutation-symmetric basis that ed builds, the branch levels are
+    nondecreasing and the row stands for the normalized symmetrization
+    of that occupation. Rows are lexicographic with mode 0 most
+    significant, so the mixed-radix keys (radix per_mode_cutoff + 1) are
+    ascending and a neighbor lookup is a binary search.
     """
 
     occupations: np.ndarray
@@ -137,7 +164,7 @@ class BasisIndex:
 
 
 def build_basis(config: EdConfig) -> BasisIndex:
-    """Enumerate the parity sector, guarded by config.max_dimension."""
+    """Enumerate the symmetric parity sector, guarded by config.max_dimension."""
     n_modes = config.n_atoms + 1
     dim = count_sector_dimension(n_modes, config.per_mode_cutoff, config.total_cutoff, config.parity)
     if dim == 0:
@@ -149,12 +176,16 @@ def build_basis(config: EdConfig) -> BasisIndex:
         )
     occ = np.zeros((1, 0), dtype=np.int32)
     sums = np.zeros(1, dtype=np.int64)
-    for _ in range(n_modes):
-        kmax = np.minimum(config.per_mode_cutoff, config.total_cutoff - sums)
-        counts = kmax + 1
+    for mode in range(n_modes):
+        # branch levels never decrease, so a branch at level k leaves at
+        # least k quanta to each branch after it; every prefix extends
+        share = 1 if mode == 0 else n_modes - mode
+        low = occ[:, -1].astype(np.int64) if mode >= 2 else np.zeros(sums.size, dtype=np.int64)
+        kmax = np.minimum(config.per_mode_cutoff, (config.total_cutoff - sums) // share)
+        counts = kmax - low + 1
         rows = np.repeat(np.arange(occ.shape[0]), counts)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
-        k = np.arange(counts.sum()) - starts
+        k = np.arange(counts.sum()) - starts + low[rows]
         occ = np.concatenate([occ[rows], k[:, None].astype(np.int32)], axis=1)
         sums = sums[rows] + k
     keep = (sums % 2) == config.parity
@@ -199,31 +230,53 @@ def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _gather_offdiagonal(basis, mode, delta, amplitudes):
-    """COO triplets for an occupation hop of +delta in one mode.
+def _last_of_level(basis: BasisIndex) -> np.ndarray:
+    """Mask over the branch columns: the last branch at its level.
 
-    amplitudes has one entry per basis state, the matrix element from that
-    state; entries whose target leaves the sector are dropped.
+    Moving only that branch hops each occupied level once, and lifting it
+    raises the first branch level that changes, so the key increases.
     """
-    occ_m = basis.occupations[:, mode].astype(np.int64)
-    totals = basis.occupations.sum(axis=1, dtype=np.int64)
-    mask = (
-        (occ_m + delta <= basis.per_mode_cutoff)
-        & (totals + delta <= basis.total_cutoff)
-        & (amplitudes != 0.0)
-    )
-    src = np.nonzero(mask)[0]
-    if src.size == 0:
-        return src, src, np.zeros(0)
-    cols = _locate(basis, basis.keys[src] + delta * basis.radix_powers[mode])
-    return src, cols, amplitudes[src]
+    levels = basis.occupations[:, 1:]
+    last = np.ones(levels.shape, dtype=bool)
+    last[:, :-1] = levels[:, :-1] != levels[:, 1:]
+    return last
+
+
+def _branch_hop(basis: BasisIndex, src: np.ndarray, column: int, target: np.ndarray, photon_step: int):
+    """Move the branch in one column of the rows src to level target.
+
+    With k_m branches at the source level m and k_t at the target, the
+    normalized symmetric states connect with sqrt(k_m (k_t + 1)). Returns
+    the target positions and these factors.
+    """
+    occ = basis.occupations[src].astype(np.int64)
+    levels = occ[:, 1:]
+    k_from = np.count_nonzero(levels == levels[:, [column - 1]], axis=1)
+    k_to = np.count_nonzero(levels == target[:, None], axis=1)
+    levels[:, column - 1] = target
+    levels.sort(axis=1)
+    occ[:, 0] += photon_step
+    return _locate(basis, occ @ basis.radix_powers), np.sqrt(k_from * (k_to + 1.0))
+
+
+def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.csr_matrix:
+    """The symmetric matrix whose strict upper triangle holds these triplets."""
+    upper = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    ).tocsr()
+    return upper + upper.T
 
 
 def _atom_static_matrix(basis: BasisIndex, block: np.ndarray) -> sp.csr_matrix:
-    """sum_j block(j) embedded in the sector, from the upper triangle of block."""
-    dim = basis.dim
+    """sum_j block(j) embedded in the sector, from the upper triangle of block.
+
+    The diagonal is sum_m k_m block[m, m]; a level m with k_m branches
+    reaches m' with block[m, m'] sqrt(k_m (k_m' + 1)).
+    """
     n_modes = basis.occupations.shape[1]
-    diag = np.zeros(dim)
+    totals = basis.occupations.sum(axis=1, dtype=np.int64)
+    last = _last_of_level(basis)
+    diag = np.zeros(basis.dim)
     rows, cols, vals = [], [], []
     for j in range(1, n_modes):
         occ_j = basis.occupations[:, j]
@@ -232,56 +285,47 @@ def _atom_static_matrix(basis: BasisIndex, block: np.ndarray) -> sp.csr_matrix:
             band = np.diagonal(block, offset=delta)
             if not np.any(band != 0.0):
                 continue
-            amp = np.zeros(dim)
-            reach = occ_j <= block.shape[0] - 1 - delta
-            amp[reach] = block[occ_j[reach], occ_j[reach] + delta]
-            r, c, v = _gather_offdiagonal(basis, j, delta, amp)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    upper = sp.coo_matrix(
-        (np.concatenate(vals) if vals else np.zeros(0),
-         (np.concatenate(rows) if rows else np.zeros(0, int),
-          np.concatenate(cols) if cols else np.zeros(0, int))),
-        shape=(dim, dim),
-    ).tocsr()
-    return upper + upper.T + sp.diags(diag).tocsr()
+            src = np.nonzero(
+                last[:, j - 1]
+                & (occ_j + delta <= basis.per_mode_cutoff)
+                & (totals + delta <= basis.total_cutoff)
+            )[0]
+            amp = block[occ_j[src], occ_j[src] + delta]
+            src, amp = src[amp != 0.0], amp[amp != 0.0]
+            target, factor = _branch_hop(basis, src, j, occ_j[src] + delta, 0)
+            rows.append(src)
+            cols.append(target)
+            vals.append(amp * factor)
+    return _symmetric_from_upper(basis.dim, rows, cols, vals) + sp.diags(diag).tocsr()
 
 
 def _coupling_matrix(basis: BasisIndex) -> sp.csr_matrix:
     """V = sum_j (a + a^dag)(b_j + b_j^dag) embedded in the sector."""
-    dim = basis.dim
     n_modes = basis.occupations.shape[1]
     occ0 = basis.occupations[:, 0].astype(np.int64)
     totals = basis.occupations.sum(axis=1, dtype=np.int64)
+    last = _last_of_level(basis)
     rows, cols, vals = [], [], []
     for j in range(1, n_modes):
         occ_j = basis.occupations[:, j].astype(np.int64)
         # photon up, branch up: key strictly increases, upper triangle
-        amp = np.sqrt((occ0 + 1.0) * (occ_j + 1.0))
-        ok = (occ0 < basis.per_mode_cutoff) & (occ_j < basis.per_mode_cutoff) & (totals + 2 <= basis.total_cutoff)
-        amp[~ok] = 0.0
-        src = np.nonzero(amp != 0.0)[0]
-        if src.size:
-            rows.append(src)
-            cols.append(_locate(basis, basis.keys[src] + basis.radix_powers[0] + basis.radix_powers[j]))
-            vals.append(amp[src])
+        src = np.nonzero(
+            last[:, j - 1]
+            & (occ0 < basis.per_mode_cutoff)
+            & (occ_j < basis.per_mode_cutoff)
+            & (totals + 2 <= basis.total_cutoff)
+        )[0]
+        target, factor = _branch_hop(basis, src, j, occ_j[src] + 1, 1)
+        rows.append(src)
+        cols.append(target)
+        vals.append(np.sqrt((occ0[src] + 1.0) * (occ_j[src] + 1.0)) * factor)
         # photon up, branch down: key still increases, mode 0 dominates
-        amp = np.sqrt((occ0 + 1.0) * occ_j)
-        ok = (occ0 < basis.per_mode_cutoff) & (occ_j >= 1)
-        amp[~ok] = 0.0
-        src = np.nonzero(amp != 0.0)[0]
-        if src.size:
-            rows.append(src)
-            cols.append(_locate(basis, basis.keys[src] + basis.radix_powers[0] - basis.radix_powers[j]))
-            vals.append(amp[src])
-    upper = sp.coo_matrix(
-        (np.concatenate(vals) if vals else np.zeros(0),
-         (np.concatenate(rows) if rows else np.zeros(0, int),
-          np.concatenate(cols) if cols else np.zeros(0, int))),
-        shape=(dim, dim),
-    ).tocsr()
-    return upper + upper.T
+        src = np.nonzero(last[:, j - 1] & (occ0 < basis.per_mode_cutoff) & (occ_j >= 1))[0]
+        target, factor = _branch_hop(basis, src, j, occ_j[src] - 1, 1)
+        rows.append(src)
+        cols.append(target)
+        vals.append(np.sqrt((occ0[src] + 1.0) * occ_j[src]) * factor)
+    return _symmetric_from_upper(basis.dim, rows, cols, vals)
 
 
 @dataclass(frozen=True)
@@ -562,6 +606,10 @@ def truncation_error_study(
     """Bound the quartic-potential truncation error against the exact cosine.
 
     Only defined for n_atoms <= 2 where the cosine blocks stay tractable.
+    At n_atoms = 2 the coupled spectra are those of the symmetric sector:
+    the exchange-odd "dark" states of the product basis are not among
+    the transitions. The acceptance criterion and the validate check run
+    it at n_atoms = 1, where the two bases coincide.
     atom_levels sets the isolated-branch comparison dimension; it must be
     large enough that the n_levels-th branch transition has converged,
     otherwise basis-edge error masquerades as model error.

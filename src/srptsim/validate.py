@@ -85,7 +85,7 @@ def _check_vieta(rng):
 
 def _check_gaussian_cosine(rng):
     p = reference_params()
-    ops = fock.build_operators(derive_linear(p), 60)
+    ops = fock.branch(p, 60).ops
     lam2 = (2.0 * math.pi / PHI0) ** 2 * hbar * ops.Z_a / 2.0
     expected = math.exp(-lam2 / 2.0)
     got = float(ops.cos_op[0, 0])
@@ -95,8 +95,8 @@ def _check_gaussian_cosine(rng):
 
 def _check_cos_sin_unitarity(rng):
     p = reference_params()
-    ops = fock.build_operators(derive_linear(p), 40)
-    s = fock.sin_operator(ops)
+    kernel = fock.branch(p, 40)
+    ops, s = kernel.ops, kernel.sin_op
     dev = np.abs(ops.cos_op @ ops.cos_op + s @ s - np.eye(40)).max()
     _require(dev < 1e-12, f"cos^2 + sin^2 deviates from identity by {dev:.2e}")
     return f"cos^2 + sin^2 = 1 within {dev:.2e}"
@@ -105,7 +105,7 @@ def _check_cos_sin_unitarity(rng):
 def _check_commutator_interior(rng):
     p = reference_params()
     M = 30
-    ops = fock.build_operators(derive_linear(p), M)
+    ops = fock.branch(p, M).ops
     comm = ops.psi_op @ ops.rho_op - ops.rho_op @ ops.psi_op
     interior = np.diag(comm)[: M - 1]
     dev = np.abs(interior - 1j * hbar).max() / hbar
@@ -116,8 +116,7 @@ def _check_commutator_interior(rng):
 
 def _check_parity_block_structure(rng):
     p = reference_params()
-    ops = fock.build_operators(derive_linear(p), 40)
-    H = fock.atom_hamiltonian(ops, p)
+    H = fock.branch(p, 40).H_atom
     parity = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
     dev = np.abs(H - parity[:, None] * H * parity[None, :]).max() / np.abs(H).max()
     _require(dev < 1e-12, f"branch Hamiltonian breaks parity at relative {dev:.2e}")

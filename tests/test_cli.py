@@ -279,6 +279,13 @@ def test_ed_cutoff_misorder_exits_2():
                  "--lr0", "0.45"]) == 2
 
 
+def test_ed_negative_seed_exits_2():
+    # 4/8 sectors take the dense solve, which never reads the seed
+    for per_mode, total in (("4", "8"), ("8", "16")):
+        assert main(["ed", "--lr0", "0.45", "--seed", "-1", "--per-mode-cutoff", per_mode,
+                     "--total-cutoff", total]) == 2
+
+
 def test_ed_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["ed", "--lr0", "0.3,0.52", "--per-mode-cutoff", "6",

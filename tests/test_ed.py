@@ -1,9 +1,12 @@
 """Tests for the finite-N sparse diagonalization.
 
-The structural oracle is a from-scratch dense construction: occupation
-bases enumerated with itertools, Hamiltonians assembled with np.kron on
-the full product space and cut down to the sector by row selection. The
-sparse code under test shares none of that path.
+Two oracles stand behind the symmetric sector that ed builds. The
+structural one is a from-scratch dense construction: occupation bases
+enumerated with itertools, Hamiltonians assembled with np.kron on the
+full product space and cut down to the sector by row selection. The
+second is the sparse product-basis assembly in ed_product_oracle, which
+holds every ordering of the branch levels; the symmetric sector must be
+its exact restriction to exchange-symmetric states.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.io import mmread
 
+import ed_product_oracle as product_oracle
 from srptsim import ed
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, hbar
@@ -53,13 +57,22 @@ def test_basis_matches_brute_force_enumeration():
         (1, 8, 8, 0),
         (2, 4, 6, 1),
         (3, 3, 5, 0),
+        (4, 3, 7, 1),
     ):
         cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, parity=parity)
+        product = brute_force_sector(n_atoms + 1, per_mode, total, parity)
+        oracle = product_oracle.build_basis(cfg)
+        assert oracle.dim == len(product)
+        assert sorted(map(tuple, oracle.occupations.tolist())) == product
+        assert oracle.dim == product_oracle.count_sector_dimension(n_atoms + 1, per_mode, total, parity)
+
         basis = ed.build_basis(cfg)
-        expected = brute_force_sector(n_atoms + 1, per_mode, total, parity)
+        # one representative per symmetric state: branch levels nondecreasing
+        expected = [occ for occ in product if list(occ[1:]) == sorted(occ[1:])]
         assert basis.dim == len(expected)
         assert sorted(map(tuple, basis.occupations.tolist())) == expected
         assert basis.dim == ed.count_sector_dimension(n_atoms + 1, per_mode, total, parity)
+        assert np.all(np.diff(basis.keys) > 0)
 
 
 def test_basis_hand_enumeration():
@@ -71,7 +84,7 @@ def test_basis_hand_enumeration():
 
 
 def test_sector_dimensions_cover_unrestricted_count():
-    for n_modes, per_mode, total in ((2, 5, 7), (3, 4, 8), (4, 3, 6)):
+    for n_modes, per_mode, total in ((2, 5, 7), (3, 4, 8), (4, 3, 6), (5, 4, 9)):
         full = len(
             [
                 occ
@@ -79,20 +92,39 @@ def test_sector_dimensions_cover_unrestricted_count():
                 if sum(occ) <= total
             ]
         )
+        split = product_oracle.count_sector_dimension(
+            n_modes, per_mode, total, 0
+        ) + product_oracle.count_sector_dimension(n_modes, per_mode, total, 1)
+        assert split == full
+        multisets = len(
+            [
+                (n, levels)
+                for levels in itertools.combinations_with_replacement(range(per_mode + 1), n_modes - 1)
+                for n in range(per_mode + 1)
+                if n + sum(levels) <= total
+            ]
+        )
         split = ed.count_sector_dimension(n_modes, per_mode, total, 0) + ed.count_sector_dimension(
             n_modes, per_mode, total, 1
         )
-        assert split == full
+        assert split == multisets
 
 
 def test_reference_sector_dimensions():
     # production cutoffs, frozen once from the combinatorial count
+    assert product_oracle.count_sector_dimension(2, 24, 48, 0) == 313
+    assert product_oracle.count_sector_dimension(2, 24, 48, 1) == 312
+    assert product_oracle.count_sector_dimension(3, 24, 48, 0) == 6591
+    assert product_oracle.count_sector_dimension(3, 24, 48, 1) == 6434
+    assert product_oracle.count_sector_dimension(4, 16, 32, 0) == 22521
+    assert product_oracle.count_sector_dimension(4, 16, 32, 1) == 20880
+    # the symmetric sector: the same at N = 1, multisets of branch levels beyond
     assert ed.count_sector_dimension(2, 24, 48, 0) == 313
     assert ed.count_sector_dimension(2, 24, 48, 1) == 312
-    assert ed.count_sector_dimension(3, 24, 48, 0) == 6591
-    assert ed.count_sector_dimension(3, 24, 48, 1) == 6434
-    assert ed.count_sector_dimension(4, 16, 32, 0) == 22521
-    assert ed.count_sector_dimension(4, 16, 32, 1) == 20880
+    assert ed.count_sector_dimension(3, 24, 48, 0) == 3419
+    assert ed.count_sector_dimension(3, 24, 48, 1) == 3328
+    assert ed.count_sector_dimension(4, 16, 32, 0) == 4431
+    assert ed.count_sector_dimension(4, 16, 32, 1) == 4116
 
 
 def test_index_of_round_trip_and_rejection():
@@ -101,7 +133,8 @@ def test_index_of_round_trip_and_rejection():
     pos, valid = basis.index_of(basis.occupations)
     assert valid.all()
     assert np.array_equal(pos, np.arange(basis.dim))
-    _, bad = basis.index_of([[5, 0, 0], [0, 0, 1], [-1, 0, 0]])
+    # the last row is a product state whose branch levels are out of order
+    _, bad = basis.index_of([[5, 0, 0], [0, 0, 1], [-1, 0, 0], [0, 2, 0]])
     assert not bad.any()
 
 
@@ -118,6 +151,17 @@ def test_config_validation():
         ed.EdConfig(n_atoms=3, quartic=False)
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=1, n_eigenvalues=0)
+    # bools are not counts, and a seed or size must be a whole number
+    for field in ("n_atoms", "per_mode_cutoff", "total_cutoff", "parity", "n_eigenvalues",
+                  "max_dimension", "seed"):
+        with pytest.raises(ConfigError):
+            ed.EdConfig(**{"n_atoms": 1, field: True})
+    with pytest.raises(ConfigError):
+        ed.EdConfig(n_atoms=1, max_dimension=2.5)
+    with pytest.raises(ConfigError):
+        ed.EdConfig(n_atoms=1, seed=-1)
+    with pytest.raises(ConfigError):
+        ed.EdConfig(n_atoms=1, seed=1.0)
 
 
 def test_max_dimension_guard():
@@ -227,6 +271,47 @@ def test_cosine_block_is_the_branch_kernel(reference, rng):
             assert np.array_equal(ed._atom_block(cfg, params), oracle)
 
 
+def symmetrizer(sym_basis, prod_basis):
+    """Isometry P from symmetric to product states.
+
+    Column i is the normalized sum of the distinct orderings of symmetric
+    state i's branch levels.
+    """
+    rows, cols, vals = [], [], []
+    for i, (n, *levels) in enumerate(sym_basis.occupations.tolist()):
+        orders = sorted(set(itertools.permutations(levels)))
+        pos, valid = prod_basis.index_of([[n, *order] for order in orders])
+        assert valid.all()
+        rows.extend(pos)
+        cols.extend([i] * len(orders))
+        vals.extend([len(orders) ** -0.5] * len(orders))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(prod_basis.dim, sym_basis.dim))
+
+
+@pytest.mark.parametrize(
+    "n_atoms, per_mode, total, quartic",
+    [(2, 6, 12, True), (2, 6, 12, False), (3, 4, 8, True)],
+)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_symmetric_sector_is_restriction_of_product_basis(reference, n_atoms, per_mode, total, quartic, parity):
+    """P^T H_product P equals the symmetric H in every matrix element."""
+    params = reference.replace(N=n_atoms)
+    cfg = ed.EdConfig(
+        n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, parity=parity, quartic=quartic
+    )
+    sym = ed.build_sector_model(params, cfg)
+    prod = product_oracle.build_sector_model(params, cfg)
+    assert sym.basis.dim < prod.basis.dim
+    P = symmetrizer(sym.basis, prod.basis)
+    assert abs(P.T @ P - sp.identity(sym.basis.dim)).max() < 1e-15
+    # one normal and one superradiant inductance weigh the coupling differently
+    for L in (0.30e-9, 0.60e-9):
+        p = params.replace(L_R0=L)
+        H = ed.hamiltonian_at(sym, p)
+        embedded = P.T @ ed.hamiltonian_at(prod, p) @ P
+        assert abs(embedded - H).max() <= 1e-14 * abs(H).sum(axis=1).max()
+
+
 def test_sector_model_rejects_foreign_branch_parameters(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
     model = ed.build_sector_model(reference, cfg)
@@ -323,6 +408,24 @@ def test_scan_photon_number_grows_across_transition(reference):
         ed.scan(reference, cfg, np.array([]))
 
 
+def assert_same_observables(fast, i, slow, n_atoms):
+    """Row i of an EdScan against an EdResult: energies, then photons per atom."""
+    got = (
+        fast.E_g[i],
+        fast.E_g[i] + fast.transition_even[i],
+        fast.E_g[i] + fast.transition_odd[i],
+        n_atoms * fast.delta_eps[i],
+    )
+    want = (
+        slow.E_g,
+        slow.E_g + slow.transition_even,
+        slow.E_g + slow.transition_odd,
+        n_atoms * slow.delta_eps,
+    )
+    assert np.abs(np.subtract(got, want)).max() <= 1e-12 * abs(slow.E_g)
+    assert fast.photon_number_per_atom[i] == pytest.approx(slow.photon_number_per_atom, rel=1e-10)
+
+
 def scan_oracle(params, config, L_R0_values):
     """Every sector solved at config.n_eigenvalues, then combined: the old scan."""
     even_model = ed.build_sector_model(params, config.sector(0))
@@ -356,20 +459,29 @@ def test_scan_matches_full_spectrum_oracle(reference, n_atoms, per_mode, total, 
     fast = ed.scan(params, config, L_vals)
     for i, slow in enumerate(scan_oracle(params, config, L_vals)):
         assert (fast.dim_even, fast.dim_odd) == (slow.dim_even, slow.dim_odd)
-        got = (
-            fast.E_g[i],
-            fast.E_g[i] + fast.transition_even[i],
-            fast.E_g[i] + fast.transition_odd[i],
-            n_atoms * fast.delta_eps[i],
-        )
-        want = (
-            slow.E_g,
-            slow.E_g + slow.transition_even,
-            slow.E_g + slow.transition_odd,
-            n_atoms * slow.delta_eps,
-        )
-        assert np.abs(np.subtract(got, want)).max() <= 1e-12 * abs(slow.E_g)
-        assert fast.photon_number_per_atom[i] == pytest.approx(slow.photon_number_per_atom, rel=1e-10)
+        assert_same_observables(fast, i, slow, n_atoms)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, per_mode, total, L_nH",
+    [
+        (2, 24, 48, (0.30, 0.46, 0.85)),
+        (3, 16, 32, (0.38, 0.60)),
+    ],
+)
+def test_scan_matches_product_basis(reference, n_atoms, per_mode, total, L_nH):
+    """The symmetric sector reports what the full product basis does.
+
+    The points run from the normal side through the gap dip into the
+    superradiant side, where the odd gap closes.
+    """
+    params = reference.replace(N=n_atoms)
+    config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total)
+    L_vals = np.array(L_nH) * 1e-9
+    fast = ed.scan(params, config, L_vals)
+    for i, slow in enumerate(product_oracle.scan(params, config, L_vals)):
+        assert fast.dim_even < slow.dim_even and fast.dim_odd < slow.dim_odd
+        assert_same_observables(fast, i, slow, n_atoms)
 
 
 def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
@@ -411,10 +523,14 @@ def test_scan_cutoff_convergence_deep_normal(reference):
 
 
 def test_ground_state_atom_exchange_symmetric(reference):
-    """For N = 2 the nondegenerate ground state must be exchange even."""
+    """For N = 2 the nondegenerate ground state must be exchange even.
+
+    This is why the symmetric sector holds the ground state, so it runs on
+    the product basis, which contains both exchange parities.
+    """
     p = reference.replace(L_R0=0.52e-9)
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=12)
-    model = ed.build_sector_model(p, cfg)
+    model = product_oracle.build_sector_model(p, cfg)
     eig = ed.solve_sector(model, p)
     v = eig.vectors[:, 0]
     basis = model.basis

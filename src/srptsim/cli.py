@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
     p.add_argument("--max-evals", type=int, default=6000, help="solver evaluation budget per point")
     p.add_argument("--boundary", action="store_true",
-                   help="emit the interpolated critical temperature per column instead of the grid")
+                   help="emit each column's closed-form critical temperature instead of the "
+                        "grid; it may lie above the grid, and nan means the column never orders")
     p.add_argument("--boundary-out", metavar="FILE",
                    help="also write the boundary curve here when emitting the grid")
     p.set_defaults(func=cmd_meanfield)

@@ -97,6 +97,8 @@ class EdConfig:
             )
         if isinstance(self.parity, bool) or not isinstance(self.parity, int) or self.parity not in (0, 1):
             raise ConfigError(f"parity must be 0 or 1, got {self.parity!r}")
+        if not isinstance(self.quartic, bool):
+            raise ConfigError(f"quartic must be True or False, got {self.quartic!r}")
         if not self.quartic and self.n_atoms > 2:
             raise ConfigError("the cosine branch potential makes dense per-atom blocks; use n_atoms <= 2")
 

@@ -141,13 +141,17 @@ class Branch:
     In the thermodynamic limit the resonator flux phi is classical and
     enters the branch only as the tilt -(phi / L_g) psi, so every
     mean-field, fluctuation and reference-energy quantity is a spectral
-    function of hamiltonian(phi). ops, H_atom and sin_op are read-only.
+    function of hamiltonian(phi). levels are the ascending eigenvalues of
+    H_atom and psi_levels the flux matrix in its eigenbasis. All arrays are
+    read-only.
     """
 
     ops: FockOperatorSet
     H_atom: np.ndarray
     sin_op: np.ndarray
     L_g: float
+    levels: np.ndarray
+    psi_levels: np.ndarray
 
     def hamiltonian(self, phi: float) -> np.ndarray:
         """Branch Hamiltonian with the resonator flux frozen at phi, joule.
@@ -166,6 +170,24 @@ class Branch:
         """(F, averages): free energy and the expectation of each operator, one eigensolve."""
         return thermal_expectation(self.hamiltonian(phi), operators, kT)
 
+    def susceptibility(self, kT: float) -> float:
+        """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.
+
+        chi = -d^2 F / dh^2 by the Kubo sum over the eigenpairs of H_atom:
+        2 sum_n |psi_0n|^2 / (E_n - E_0) at kT = 0, else sum over m != n of
+        (p_m - p_n) / (E_n - E_m) |psi_mn|^2 with Boltzmann weights p. There
+        is no m = n term: psi_mm = 0 by the parity of the untilted branch.
+        """
+        if kT < 0:
+            raise ValueError(f"kT must be non-negative, got {kT}")
+        E, psi2 = self.levels, self.psi_levels**2
+        if kT == 0.0:
+            return float(2.0 * np.sum(psi2[0, 1:] / (E[1:] - E[0])))
+        p = np.exp(-(E - E[0]) / kT)
+        # the unit diagonal only ever divides p_m - p_m = 0
+        gap = E[None, :] - E[:, None] + np.eye(E.size)
+        return float(np.sum((p[:, None] - p[None, :]) / gap * psi2) / p.sum())
+
 
 def branch(params: CircuitParams, M: int = 60) -> Branch:
     """The cached kernel of the branch of params at truncation M.
@@ -183,6 +205,9 @@ def _branch(L_J: float, L_g: float, C_J: float, M: int) -> Branch:
     ops = build_operators(derive_linear(params), M)
     H_atom = atom_hamiltonian(ops, params)
     sin_op = sin_operator(ops)
-    for a in (H_atom, sin_op):
+    levels, vectors = np.linalg.eigh(H_atom)
+    psi_levels = vectors.T @ ops.psi_op @ vectors
+    for a in (H_atom, sin_op, levels, psi_levels):
         a.setflags(write=False)
-    return Branch(ops=ops, H_atom=H_atom, sin_op=sin_op, L_g=L_g)
+    return Branch(ops=ops, H_atom=H_atom, sin_op=sin_op, L_g=L_g,
+                  levels=levels, psi_levels=psi_levels)

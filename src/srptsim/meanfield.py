@@ -8,8 +8,8 @@ energy per branch
 
 over phi >= 0, where f is the branch free energy in the flux-tilted
 potential. Stationarity of A is equivalent to the self-consistency
-condition (1/L_R0 + 1/L_g) phi = <psi> / L_g, and the solver verifies its
-minimum against that residual. Temperatures enter as kT in joule.
+condition (1/L_R0 + 1/L_g) phi = <psi> / L_g, and the solver locates its
+minimum as a root of that residual. Temperatures enter as kT in joule.
 """
 
 import math
@@ -21,7 +21,6 @@ from scipy.optimize import brentq
 from . import fock
 from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear
 from .constants import PHI0, hbar
-from .minimize import golden_section
 
 def action_per_atom(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Free energy per branch at frozen resonator flux phi, joule."""
@@ -61,8 +60,10 @@ class MeanFieldSolution:
     kT                   : temperature, joule
     action_per_atom    : free energy per branch at the minimum, joule
     superradiant         : True when phi_th > 0
-    converged            : False when the evaluation budget truncated any
-                           stage or the stationarity polish found no root
+    converged            : False when the budget ran out, the coarse cell
+                           brackets no root of the residual or, in a
+                           phase_boundary grid, the superradiant flag
+                           contradicts the closed-form boundary
     residual             : self-consistency residual at phi_th, ampere
     n_evaluations        : spectral evaluations (free energies and residuals)
                            spent on this point: its refinement and packaging
@@ -106,11 +107,11 @@ def solve_sweep(
 ) -> list[MeanFieldSolution]:
     """Minimize the per-branch free energy over phi >= 0 at each L_R0, one temperature.
 
-    Grid scan, then golden-section refinement of the best cell, then a
-    bracketed root polish of the stationarity residual. The last step is
-    needed because the free energy is flat to float precision near its
-    minimum while the residual still carries a clean sign change. Minima
-    below 1e-6 Phi0 are identified with the normal phase, phi_th = 0.
+    Grid scan, then one bracketed root of the stationarity residual in the
+    coarse cell around the best sample: the free energy is flat to float
+    precision near its minimum while the residual changes sign cleanly. A
+    best sample at phi = 0 is the normal phase, phi_th = 0, unless the
+    residual at 1e-6 Phi0 is negative.
 
     Only the resonator term of the action depends on L_R0, so the grid scan
     is shared: the branch free energy is evaluated once on phi_i = i * step,
@@ -150,74 +151,45 @@ def solve_sweep(
         share, extra = divmod(profile.size, len(group))
         for n, (k, count) in enumerate(zip(group, counts)):
             solutions[k] = _refine(
-                columns[k], kT, M, profile[:count], step, windows[k],
+                columns[k], kT, M, profile[:count], step,
                 max_evaluations, truncated, share + (n < extra),
             )
     return solutions
 
 
-def _refine(params, kT, M, profile, step, window, max_evaluations, truncated, shared):
+def _refine(params, kT, M, profile, step, max_evaluations, truncated, shared):
     """Refine one column from the branch free energy sampled at phi = i * step.
 
     The column is charged len(profile) evaluations against max_evaluations
     and reports `shared` of them in n_evaluations.
     """
-    evals = profile.size
-
-    def f(phi):
-        nonlocal evals
-        evals += 1
-        return action_per_atom(phi, kT, params, M)
+    seen = {}
 
     def g(phi):
-        nonlocal evals
-        evals += 1
-        return selfconsistency_residual(phi, kT, params, M)
+        # brentq re-evaluates the bracket ends, which are already known
+        if phi not in seen:
+            seen[phi] = selfconsistency_residual(phi, kT, params, M)
+        return seen[phi]
 
     def package(phi_th, converged):
-        n_evaluations = evals - profile.size + shared
-        return _package(params, phi_th, kT, M, converged=converged, n_evaluations=n_evaluations)
+        return _package(params, phi_th, kT, M, converged, n_evaluations=len(seen) + shared)
 
     phi_grid = step * np.arange(profile.size)
     best_i = int(np.argmin(_resonator_action(params, phi_grid) + profile))
-    phi_hat = best_i * step
-
-    remaining = max_evaluations - evals
-    if remaining >= 52:
-        a = max(0.0, (best_i - 1) * step)
-        b = min(window, (best_i + 1) * step)
-        local_rtol = 1e-10 * window / max(b - a, 1e-300)
-        phi_hat, _ = golden_section(f, a, b, rtol=local_rtol, max_iter=remaining - 2)
-    else:
-        truncated = True
-
-    if phi_hat < SNAP_FRACTION * PHI0:
+    budget = max_evaluations - profile.size
+    if budget < 3:
+        return package(best_i * step, False)
+    # the residual is dA/dphi: it rises through zero at a minimum
+    a = max((best_i - 1) * step, SNAP_FRACTION * PHI0)
+    b = (best_i + 1) * step
+    ga = g(a)
+    if best_i == 0 and ga >= 0.0:
         return package(0.0, not truncated)
-
-    # Polish: the action is quadratic around the minimum and numerically
-    # flat over a relative width ~sqrt(eps), but its derivative changes
-    # sign sharply there. Root-find the residual in a widening bracket.
-    polished = False
-    if max_evaluations - evals >= 120:
-        for fac in (1e-4, 1e-3, 1e-2, 1e-1):
-            a2, b2 = phi_hat * (1.0 - fac), phi_hat * (1.0 + fac)
-            ga, gb = g(a2), g(b2)
-            if ga == 0.0:
-                phi_hat, polished = a2, True
-                break
-            if gb == 0.0:
-                phi_hat, polished = b2, True
-                break
-            if ga * gb < 0.0:
-                phi_hat = brentq(g, a2, b2, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
-                polished = True
-                break
-    else:
-        truncated = True
-
-    if phi_hat < SNAP_FRACTION * PHI0:
-        return package(0.0, not truncated)
-    return package(float(phi_hat), polished and not truncated)
+    if ga > 0.0 or g(b) < 0.0:
+        return package(best_i * step, False)
+    phi_th, root = brentq(g, a, b, rtol=4.0 * np.finfo(float).eps, xtol=1e-300,
+                          maxiter=budget - len(seen), full_output=True, disp=False)
+    return package(float(phi_th), root.converged and not truncated)
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
@@ -246,37 +218,32 @@ def critical_inductance_at_zero_T(
 ) -> float:
     """Resonator inductance where the zero-temperature order parameter onsets, henry.
 
-    Bisection on L_R0: the phase is normal below the critical inductance
-    and superradiant above it. The bracket must straddle the transition.
+    The branch free energy does not depend on L_R0, so the normal phase
+    turns unstable at the closed form 1/L_c = chi / L_g^2 - 1/L_g, with chi
+    the branch susceptibility at kT = 0: normal below L_c, superradiant
+    above. ValueError unless the bracket straddles L_c; tol has no effect.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-
-    def superradiant(L):
-        return solve(params.replace(L_R0=L), 0.0, M=M).superradiant
-
-    if superradiant(lo):
+    inverse_L_c = fock.branch(params, M).susceptibility(0.0) / params.L_g**2 - 1.0 / params.L_g
+    if inverse_L_c >= 1.0 / lo:
         raise ValueError(f"lower bracket edge {lo} is already superradiant")
-    if not superradiant(hi):
+    if inverse_L_c <= 1.0 / hi:
         raise ValueError(f"upper bracket edge {hi} is still normal")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if superradiant(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / inverse_L_c
 
 
 @dataclass(frozen=True)
 class PhaseDiagramGrid:
     """Order parameter over an (L_R0, kT) grid.
 
-    amplitude and phi have shape (len(kT_values), len(L_R0_values)), kT
-    along rows. boundary[i] is the critical kT of column i, interpolated
-    where the column crosses the transition inside the grid and NaN where
-    it does not (always-normal or right-censored columns).
+    amplitude, phi and converged have shape (len(kT_values),
+    len(L_R0_values)), kT along rows. boundary[i] is column i's critical kT,
+    the closed-form root of chi(kT) / L_g^2 = 1/L_R0 + 1/L_g; it may exceed
+    the grid, and NaN means the column never orders. A point whose
+    minimized superradiant flag disagrees with kT < boundary[i], as at a
+    first-order jump, has converged = False.
     """
 
     L_R0_values: np.ndarray
@@ -287,19 +254,18 @@ class PhaseDiagramGrid:
     boundary: np.ndarray
 
 
-def _column_critical_kT(kT_values: np.ndarray, amps: np.ndarray) -> float:
-    pos = amps > 0.0
-    if not pos.any() or pos.all():
+def _critical_temperature(kernel: fock.Branch, u: float) -> float:
+    """Root of chi(kT) / L_g^2 = u; NaN when chi(0) / L_g^2 <= u, so the column never orders."""
+    def excess(kT):
+        return kernel.susceptibility(kT) / kernel.L_g**2 - u
+
+    if excess(0.0) <= 0.0:
         return math.nan
-    j = int(np.nonzero(pos)[0][-1])
-    lo_T, hi_T = kT_values[j], kT_values[j + 1]
-    if j >= 1 and pos[j - 1]:
-        a2, b2 = amps[j - 1] ** 2, amps[j] ** 2
-        slope = (b2 - a2) / (kT_values[j] - kT_values[j - 1])
-        if slope < 0.0:
-            est = kT_values[j] - b2 / slope
-            return float(min(max(est, lo_T), hi_T))
-    return float(0.5 * (lo_T + hi_T))
+    # chi -> 0 as kT grows, so doubling the bracket ends
+    lo, hi = 0.0, float(kernel.levels[1] - kernel.levels[0])
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    return brentq(excess, lo, hi, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
 
 
 def phase_boundary(
@@ -309,7 +275,7 @@ def phase_boundary(
     M: int = 60,
     max_evaluations: int = 6000,
 ) -> PhaseDiagramGrid:
-    """Order parameter on the full (L_R0, kT) grid plus the interpolated boundary.
+    """Order parameter on the full (L_R0, kT) grid plus the closed-form boundary.
 
     Each kT row is one :func:`solve_sweep` over the L_R0 columns.
     """
@@ -324,8 +290,10 @@ def phase_boundary(
 
     amplitude = np.array([[sol.alpha_over_sqrt_n for sol in r] for r in rows])
     phi = np.array([[sol.phi_th for sol in r] for r in rows])
+    kernel = fock.branch(params, M)
+    boundary = np.array([_critical_temperature(kernel, 1.0 / L + 1.0 / params.L_g) for L in L_vals])
     converged = np.array([[sol.converged for sol in r] for r in rows], dtype=bool)
-    boundary = np.array([_column_critical_kT(T_vals, amplitude[:, i]) for i in range(L_vals.size)])
+    converged &= (phi > 0.0) == (T_vals[:, None] < boundary)
     return PhaseDiagramGrid(
         L_R0_values=L_vals,
         kT_values=T_vals,

@@ -1,4 +1,4 @@
-"""Bracketed scalar minimization used by the classical and mean-field solvers.
+"""Bracketed scalar minimization used by the classical solver.
 
 Interval golden-section search is preferred over bracket-triple variants
 because the minimum may sit on the boundary of the physical window, where

@@ -149,6 +149,10 @@ def test_config_validation():
         ed.EdConfig(n_atoms=1, parity=2)
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=3, quartic=False)
+    # a truthy string would build the quartic model, a falsy 0 the cosine block
+    for quartic in ("no", 0):
+        with pytest.raises(ConfigError):
+            ed.EdConfig(n_atoms=3, quartic=quartic)
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=1, n_eigenvalues=0)
     # bools are not counts, and a seed or size must be a whole number

@@ -346,3 +346,17 @@ def test_branch_shared_across_resonator_sweeps(reference):
     assert np.array_equal(b.sin_op, sin_operator(b.ops))
     # the finite-N reference energy is the kernel's ground energy
     assert ed.reference_branch_energy(reference.replace(N=2)) == b.free_energy(0.0, 0.0)
+
+
+def test_susceptibility_is_free_energy_curvature(reference):
+    """chi = -d^2 F / dh^2 at zero tilt h = phi / L_g, by central differences of F."""
+    b = branch(reference, 60)
+    assert not b.levels.flags.writeable and not b.psi_levels.flags.writeable
+    phi = 3e-5 * PHI0
+    tilt = phi / b.L_g
+    for kT in h * np.array([0.0, 20.0, 200.0]) * GHZ:
+        F0, F_plus, F_minus = (b.free_energy(x, kT) for x in (0.0, phi, -phi))
+        curvature = -(F_plus - 2.0 * F0 + F_minus) / tilt**2
+        assert b.susceptibility(kT) == pytest.approx(curvature, rel=1e-6)
+    with pytest.raises(ValueError):
+        b.susceptibility(-h * GHZ)

@@ -58,6 +58,42 @@ def per_point_solve(params, kT, coarse_points=256):
     return phi, meanfield.mean_branch_flux(phi, kT, params), True
 
 
+def bisect_critical_inductance(params, bracket=(0.25e-9, 0.60e-9), tol=1e-13, M=60):
+    """Slow path: bisection on L_R0 between a normal and a superradiant solve at kT = 0."""
+    lo, hi = bracket
+
+    def superradiant(L):
+        return meanfield.solve(params.replace(L_R0=L), 0.0, M=M).superradiant
+
+    assert not superradiant(lo) and superradiant(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if superradiant(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def column_critical_kT(kT_values, amps):
+    """Slow path: critical kT of one grid column, interpolated in the squared amplitude.
+
+    NaN when the column does not cross the transition inside the grid.
+    """
+    pos = amps > 0.0
+    if not pos.any() or pos.all():
+        return math.nan
+    j = int(np.nonzero(pos)[0][-1])
+    lo_T, hi_T = kT_values[j], kT_values[j + 1]
+    if j >= 1 and pos[j - 1]:
+        a2, b2 = amps[j - 1] ** 2, amps[j] ** 2
+        slope = (b2 - a2) / (kT_values[j] - kT_values[j - 1])
+        if slope < 0.0:
+            est = kT_values[j] - b2 / slope
+            return float(min(max(est, lo_T), hi_T))
+    return float(0.5 * (lo_T + hi_T))
+
+
 def test_residual_vanishes_at_origin(reference):
     scale = PHI0 / reference.L_J
     for kT in (0.0, h * 40 * GHZ):
@@ -180,6 +216,52 @@ def test_critical_inductance_bracket_validation(reference):
         meanfield.critical_inductance_at_zero_T(reference, bracket=(0.5e-9, 0.6e-9))
     with pytest.raises(ValueError):
         meanfield.critical_inductance_at_zero_T(reference, bracket=(0.2e-9, 0.3e-9))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.03, -0.03])
+def test_critical_inductance_closed_form_matches_bisection(reference, jitter):
+    p = reference.replace(
+        L_J=reference.L_J * (1.0 + jitter),
+        L_g=reference.L_g * (1.0 - jitter),
+        C_J=reference.C_J * (1.0 + jitter),
+    )
+    L_c = meanfield.critical_inductance_at_zero_T(p)
+    assert L_c == pytest.approx(bisect_critical_inductance(p), abs=2e-13)
+
+
+def test_boundary_closed_form_against_grid_oracle(reference):
+    L = np.array([0.25e-9, 0.45e-9, 0.6e-9, 1.0e-9])
+    T = h * np.array([0.0, 50.0, 100.0, 150.0, 200.0]) * GHZ
+    g = meanfield.phase_boundary(reference, L, T)
+    assert g.converged.all()
+    ordered = g.phi > 0.0
+    crossing = [i for i in range(L.size) if ordered[0, i] and not ordered[-1, i]]
+    assert crossing == [1, 2]
+    for i in crossing:
+        j = np.searchsorted(T, column_critical_kT(T, g.amplitude[:, i]))
+        assert T[j - 1] < g.boundary[i] < T[j]
+    # 0.25 nH never orders; 1.0 nH is ordered in every row and orders above the grid
+    assert not ordered[:, 0].any() and math.isnan(g.boundary[0])
+    assert ordered[:, 3].all() and g.boundary[3] > T[-1]
+
+
+@pytest.mark.parametrize("scale", [0.0, 10.0])
+def test_boundary_cross_check_flags_disagreeing_points(reference, monkeypatch, scale):
+    """A wrong susceptibility moves the boundary; the grid flags the points it contradicts."""
+    L = np.array([0.25e-9, 0.6e-9])
+    T = h * np.array([0.0, 100.0, 200.0]) * GHZ
+    chi = fock.Branch.susceptibility
+    monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: scale * chi(self, kT))
+    g = meanfield.phase_boundary(reference, L, T)
+    assert (g.phi > 0.0).any() and (g.phi == 0.0).any()
+    if scale == 0.0:
+        # no column orders: every superradiant point disagrees
+        assert np.isnan(g.boundary).all()
+        assert np.array_equal(g.converged, g.phi == 0.0)
+    else:
+        # every column orders beyond the grid: every normal point disagrees
+        assert (g.boundary > T[-1]).all()
+        assert np.array_equal(g.converged, g.phi > 0.0)
 
 
 def test_phase_boundary_interpolated_crossings(reference):

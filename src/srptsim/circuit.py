@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .constants import PHI0
 
 TWO_PI = 2.0 * math.pi
 
-# Minimizer results below this fraction of Phi0 snap to exactly zero.
+# Lower end of mean field's bracket on phi, as a fraction of Phi0: the
+# residual is tested there rather than at the origin, where it vanishes.
 SNAP_FRACTION = 1e-6
 
 
@@ -218,30 +220,29 @@ class ClassicalMinimum:
     superradiant: bool
 
 
-def classical_minimum(params: CircuitParams, grid_points=4096) -> ClassicalMinimum:
-    """Locate the classical ground configuration by grid scan plus refinement.
+def classical_minimum(params: CircuitParams) -> ClassicalMinimum:
+    """Locate the classical ground configuration from its closed form.
 
-    The search window 2 pi phi / Phi0 in [0, 2 pi / (1 + L_g / L_R0)] is
-    twice as wide as the half period the branch phase can reach, so the
-    global minimum cannot escape it. Golden-section refinement sharpens the
-    best grid cell to a relative tolerance of 1e-10; minimizers below
-    1e-6 Phi0 snap to exactly zero.
+    Along the constraint line the energy per branch is
+    E_J (a x^2 / 2 + cos x), with x = 2 pi psi / Phi0 and
+    a = L_J / (L_R0 + L_g), so a minimum off the origin solves
+    sin x / x = a. At or below the classical critical inductance
+    (a >= 1) the origin is the minimum. Otherwise the minimum is the one
+    root of sin x / x = a on (0, pi), where sin x / x falls monotonically.
+    No other minimum can be lower: on (pi, 2 pi] the energy rises, and
+    beyond 2 pi it is at least E_J (2 a pi^2 - 1), above
+    E_J (a pi^2 / 2 - 1), the energy at pi, which bounds the root's.
     """
-    from .minimize import scan_then_refine
-
     c = constraint_slope(params)
-    phi_hi = PHI0 / c
-
-    def f(phi):
-        return constrained_potential(phi, params)
-
-    phi0, _ = scan_then_refine(f, 0.0, phi_hi, coarse_points=grid_points, rtol=1e-10)
-    # Below or exactly at the critical inductance the origin is the true
-    # minimum; the refined value there is float noise on a flat bottom.
-    if params.L_R0 <= classical_critical_inductance(params):
+    a = params.L_J / (params.L_R0 + params.L_g)
+    # the tie L_R0 = L_J - L_g is normal; a >= 1 is tested as well, so a
+    # last-bit disagreement of the two predicates cannot empty the bracket
+    if params.L_R0 <= classical_critical_inductance(params) or a >= 1.0:
         phi0 = 0.0
-    elif phi0 < SNAP_FRACTION * PHI0:
-        phi0 = 0.0
+    else:
+        x = brentq(lambda x: np.sinc(x / math.pi) - a, 0.0, math.pi,
+                   rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
+        phi0 = x * PHI0 / (TWO_PI * c)
     return ClassicalMinimum(
         phi0=phi0,
         psi0=c * phi0,

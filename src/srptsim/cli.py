@@ -7,7 +7,7 @@ registry. Circuit values are given in display units (nH, fF, GHz) on the
 command line and in config files; everything is converted to SI at the
 boundary. Output is CSV by default, one row per sweep point, written
 once the whole sweep has been computed; --format json emits the same rows
-as a list of objects.
+as a list of objects, with null where CSV writes nan.
 """
 
 import argparse
@@ -156,12 +156,13 @@ def _fmt(value) -> str:
 
 
 def _native(value):
+    """A JSON-ready value; non-finite floats become None, which JSON writes as null."""
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     return value
 
 
@@ -170,7 +171,7 @@ def emit(args, columns, rows):
     rows = [list(r) for r in rows]
     if args.format == "json":
         payload = [{c: _native(v) for c, v in zip(columns, row)} for row in rows]
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, allow_nan=False)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
@@ -245,15 +246,14 @@ def cmd_meanfield(args) -> int:
     params = resolve_params(args)
     L_vals = lr0_sweep(args)
     kT_vals = kt_sweep(args)
-    grid = meanfield.phase_boundary(
-        params, L_vals, kT_vals, M=args.fock_levels, max_evaluations=args.max_evals,
-    )
+    grid = meanfield.phase_boundary(params, L_vals, kT_vals, M=args.fock_levels)
     bad = np.argwhere(~grid.converged)
     if bad.size:
         j, i = bad[0]
         raise ConvergenceError(
-            f"mean-field solve did not converge at L_R0 = {L_vals[i] / 1e-9:.6g} nH, "
-            f"kT/h = {kT_vals[j] / (h * GHZ):.6g} GHz; raise --max-evals"
+            f"mean-field solve did not converge at {len(bad)} of {grid.converged.size} "
+            f"grid points, first at L_R0 = {L_vals[i] / 1e-9:.6g} nH, "
+            f"kT/h = {kT_vals[j] / (h * GHZ):.6g} GHz"
         )
     boundary_rows = [(L / 1e-9, grid.boundary[i] / (h * GHZ)) for i, L in enumerate(L_vals)]
     if args.boundary:
@@ -423,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kt-max", type=float, default=200.0, metavar="GHZ")
     p.add_argument("--kt-steps", type=int, default=9, metavar="K")
     p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
-    p.add_argument("--max-evals", type=int, default=6000, help="solver evaluation budget per point")
     p.add_argument("--boundary", action="store_true",
                    help="emit each column's closed-form critical temperature instead of the "
-                        "grid; it may lie above the grid, and nan means the column never orders")
+                        "grid; it may lie above the grid, and nan (null in JSON) means the "
+                        "column never orders")
     p.add_argument("--boundary-out", metavar="FILE",
                    help="also write the boundary curve here when emitting the grid")
     p.set_defaults(func=cmd_meanfield)

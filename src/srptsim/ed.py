@@ -395,9 +395,9 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
         w, v = np.linalg.eigh(matrix.toarray())
         w, v = w[:k], v[:, :k]
     else:
-        # ARPACK accepts a Ritz pair once its bound drops below
-        # tol * max(eps^(2/3), |ritz|); entries of order 1e-21 J sit far
-        # under that absolute floor, so work on a unit-normalized copy.
+        # ARPACK accepts a Ritz pair once its bound drops below its
+        # tolerance times max(eps^(2/3), |ritz|); entries of order 1e-21 J
+        # sit far under that floor, so work on a unit-normalized copy.
         unit = scale or 1.0
         v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
         try:

@@ -6,4 +6,4 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance within budget."""
+    """A solver gave no trustworthy answer: a root, an eigenpair or a stable mode."""

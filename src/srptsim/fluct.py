@@ -59,8 +59,8 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60)
         raise ValueError("renormalization uses ground-state averages; solve at kT = 0")
     b = fock.branch(params, M)
     _, (psi_check, cos_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.ops.cos_op)
-    tol = 1e-8 * max(abs(solution.psi_th), 1e-3 * PHI0)
-    if abs(psi_check - solution.psi_th) > tol:
+    slack = 1e-8 * max(abs(solution.psi_th), 1e-3 * PHI0)
+    if abs(psi_check - solution.psi_th) > slack:
         raise ValueError(
             "solution.psi_th does not match these circuit parameters; "
             "the mean-field solution is stale"

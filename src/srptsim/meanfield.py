@@ -22,6 +22,10 @@ from . import fock
 from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear
 from .constants import PHI0, hbar
 
+# Coarse samples of the free energy across the narrowest column window.
+COARSE_POINTS = 256
+
+
 def action_per_atom(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Free energy per branch at frozen resonator flux phi, joule."""
     return _resonator_action(params, phi) + fock.branch(params, M).free_energy(phi, kT)
@@ -60,9 +64,9 @@ class MeanFieldSolution:
     kT                   : temperature, joule
     action_per_atom    : free energy per branch at the minimum, joule
     superradiant         : True when phi_th > 0
-    converged            : False when the budget ran out, the coarse cell
-                           brackets no root of the residual or, in a
-                           phase_boundary grid, the superradiant flag
+    converged            : False when the coarse cell brackets no root of
+                           the residual, the root did not converge or, in
+                           a phase_boundary grid, the superradiant flag
                            contradicts the closed-form boundary
     residual             : self-consistency residual at phi_th, ampere
     n_evaluations        : spectral evaluations (free energies and residuals)
@@ -83,27 +87,16 @@ class MeanFieldSolution:
     n_evaluations: int
 
 
-def solve(
-    params: CircuitParams,
-    kT: float,
-    M: int = 60,
-    coarse_points: int = 256,
-    max_evaluations: int = 6000,
-) -> MeanFieldSolution:
+def solve(params: CircuitParams, kT: float, M: int = 60) -> MeanFieldSolution:
     """Minimize the per-branch free energy over phi >= 0.
 
     The one-column case of :func:`solve_sweep`, at params.L_R0.
     """
-    return solve_sweep(params, [params.L_R0], kT, M, coarse_points, max_evaluations)[0]
+    return solve_sweep(params, [params.L_R0], kT, M)[0]
 
 
 def solve_sweep(
-    params: CircuitParams,
-    L_R0_values,
-    kT: float,
-    M: int = 60,
-    coarse_points: int = 256,
-    max_evaluations: int = 6000,
+    params: CircuitParams, L_R0_values, kT: float, M: int = 60
 ) -> list[MeanFieldSolution]:
     """Minimize the per-branch free energy over phi >= 0 at each L_R0, one temperature.
 
@@ -115,53 +108,44 @@ def solve_sweep(
 
     Only the resonator term of the action depends on L_R0, so the grid scan
     is shared: the branch free energy is evaluated once on phi_i = i * step,
-    where step puts coarse_points samples across the narrowest column
+    where step puts COARSE_POINTS samples across the narrowest column
     window, and each column takes its argmin over the samples inside its
-    own window. No column is scanned more coarsely than coarse_points over
+    own window. No column is scanned more coarsely than COARSE_POINTS over
     its window, and a lone column sees exactly that grid. Columns whose
     windows differ by more than a factor two get separate grids, so the
     sweep never costs more evaluations than solving its columns one by one.
 
-    Every column is charged the samples inside its window against
-    max_evaluations. Its n_evaluations reports an equal share of its grid's
-    samples instead, so the sweep's n_evaluations sum to the evaluations
-    made. Returns one MeanFieldSolution per L_R0 value, in order.
+    Each column's n_evaluations counts an equal share of its grid's
+    samples, so the sweep's n_evaluations sum to the evaluations made.
+    Returns one MeanFieldSolution per L_R0 value, in order.
     """
     if kT < 0:
         raise ValueError(f"kT must be non-negative, got {kT}")
     columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
     if not columns:
         raise ValueError("L_R0_values must not be empty")
-    npts = min(coarse_points, max_evaluations)
-    if npts < 3:
-        return [_package(p, 0.0, kT, M, converged=False, n_evaluations=0) for p in columns]
-    truncated = npts < coarse_points
     windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
     kernel = fock.branch(params, M)
     solutions = [None] * len(columns)
     order = sorted(range(len(columns)), key=windows.__getitem__)
     while order:
-        step = windows[order[0]] / (npts - 1)
+        step = windows[order[0]] / (COARSE_POINTS - 1)
         group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
         order = order[len(group):]
         # samples inside each window; the factor absorbs the rounding of
-        # step, so the narrowest window keeps exactly npts of them
+        # step, so the narrowest window keeps exactly COARSE_POINTS of them
         counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
         profile = np.array([kernel.free_energy(i * step, kT) for i in range(max(counts))])
         share, extra = divmod(profile.size, len(group))
         for n, (k, count) in enumerate(zip(group, counts)):
-            solutions[k] = _refine(
-                columns[k], kT, M, profile[:count], step,
-                max_evaluations, truncated, share + (n < extra),
-            )
+            solutions[k] = _refine(columns[k], kT, M, profile[:count], step, share + (n < extra))
     return solutions
 
 
-def _refine(params, kT, M, profile, step, max_evaluations, truncated, shared):
+def _refine(params, kT, M, profile, step, shared):
     """Refine one column from the branch free energy sampled at phi = i * step.
 
-    The column is charged len(profile) evaluations against max_evaluations
-    and reports `shared` of them in n_evaluations.
+    The column reports `shared` of the samples in its n_evaluations.
     """
     seen = {}
 
@@ -176,20 +160,17 @@ def _refine(params, kT, M, profile, step, max_evaluations, truncated, shared):
 
     phi_grid = step * np.arange(profile.size)
     best_i = int(np.argmin(_resonator_action(params, phi_grid) + profile))
-    budget = max_evaluations - profile.size
-    if budget < 3:
-        return package(best_i * step, False)
     # the residual is dA/dphi: it rises through zero at a minimum
     a = max((best_i - 1) * step, SNAP_FRACTION * PHI0)
     b = (best_i + 1) * step
     ga = g(a)
     if best_i == 0 and ga >= 0.0:
-        return package(0.0, not truncated)
+        return package(0.0, True)
     if ga > 0.0 or g(b) < 0.0:
         return package(best_i * step, False)
     phi_th, root = brentq(g, a, b, rtol=4.0 * np.finfo(float).eps, xtol=1e-300,
-                          maxiter=budget - len(seen), full_output=True, disp=False)
-    return package(float(phi_th), root.converged and not truncated)
+                          full_output=True, disp=False)
+    return package(float(phi_th), root.converged)
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
@@ -213,7 +194,6 @@ def _package(params, phi_th, kT, M, converged, n_evaluations):
 def critical_inductance_at_zero_T(
     params: CircuitParams,
     bracket: tuple = (0.25e-9, 0.60e-9),
-    tol: float = 1e-13,
     M: int = 60,
 ) -> float:
     """Resonator inductance where the zero-temperature order parameter onsets, henry.
@@ -221,7 +201,7 @@ def critical_inductance_at_zero_T(
     The branch free energy does not depend on L_R0, so the normal phase
     turns unstable at the closed form 1/L_c = chi / L_g^2 - 1/L_g, with chi
     the branch susceptibility at kT = 0: normal below L_c, superradiant
-    above. ValueError unless the bracket straddles L_c; tol has no effect.
+    above. ValueError unless the bracket straddles L_c.
     """
     lo, hi = bracket
     if not (0.0 < lo < hi):
@@ -268,13 +248,7 @@ def _critical_temperature(kernel: fock.Branch, u: float) -> float:
     return brentq(excess, lo, hi, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
 
 
-def phase_boundary(
-    params: CircuitParams,
-    L_R0_values,
-    kT_values,
-    M: int = 60,
-    max_evaluations: int = 6000,
-) -> PhaseDiagramGrid:
+def phase_boundary(params: CircuitParams, L_R0_values, kT_values, M: int = 60) -> PhaseDiagramGrid:
     """Order parameter on the full (L_R0, kT) grid plus the closed-form boundary.
 
     Each kT row is one :func:`solve_sweep` over the L_R0 columns.
@@ -285,8 +259,7 @@ def phase_boundary(
         raise ValueError("L_R0_values and kT_values must be non-empty 1d arrays")
     if np.any(np.diff(T_vals) <= 0):
         raise ValueError("kT_values must be strictly increasing")
-    rows = [solve_sweep(params, L_vals, float(kT), M=M, max_evaluations=max_evaluations)
-            for kT in T_vals]
+    rows = [solve_sweep(params, L_vals, float(kT), M=M) for kT in T_vals]
 
     amplitude = np.array([[sol.alpha_over_sqrt_n for sol in r] for r in rows])
     phi = np.array([[sol.phi_th for sol in r] for r in rows])

@@ -1,11 +1,23 @@
-"""Bracketed scalar minimization used by the classical solver.
+"""Scan-based minimization, kept as the oracle of the closed forms in src.
 
-Interval golden-section search is preferred over bracket-triple variants
-because the minimum may sit on the boundary of the physical window, where
-no interior bracket exists.
+golden_section and scan_then_refine are the bracketed searches that
+classical_minimum and mean field ran before each became one root of its
+stationarity condition. Interval golden-section search is preferred over
+bracket-triple variants because the minimum may sit on the boundary of
+the physical window, where no interior bracket exists.
 """
 
 import math
+
+from srptsim.circuit import (
+    SNAP_FRACTION,
+    CircuitParams,
+    ClassicalMinimum,
+    classical_critical_inductance,
+    constrained_potential,
+    constraint_slope,
+)
+from srptsim.constants import PHI0
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,3 +71,33 @@ def scan_then_refine(f, lo, hi, coarse_points=256, rtol=1e-10):
     b = min(hi, lo + (best_i + 1) * step)
     x, extra = golden_section(f, a, b, rtol=rtol * (hi - lo) / max(b - a, 1e-300))
     return x, coarse_points + extra
+
+
+def classical_minimum_scan(params: CircuitParams, grid_points=4096) -> ClassicalMinimum:
+    """Locate the classical ground configuration by grid scan plus refinement.
+
+    The search window 2 pi phi / Phi0 in [0, 2 pi / (1 + L_g / L_R0)] is
+    twice as wide as the half period the branch phase can reach, so the
+    global minimum cannot escape it. Golden-section refinement sharpens the
+    best grid cell to a relative tolerance of 1e-10; minimizers below
+    1e-6 Phi0 snap to exactly zero.
+    """
+    c = constraint_slope(params)
+    phi_hi = PHI0 / c
+
+    def f(phi):
+        return constrained_potential(phi, params)
+
+    phi0, _ = scan_then_refine(f, 0.0, phi_hi, coarse_points=grid_points, rtol=1e-10)
+    # Below or exactly at the critical inductance the origin is the true
+    # minimum; the refined value there is float noise on a flat bottom.
+    if params.L_R0 <= classical_critical_inductance(params):
+        phi0 = 0.0
+    elif phi0 < SNAP_FRACTION * PHI0:
+        phi0 = 0.0
+    return ClassicalMinimum(
+        phi0=phi0,
+        psi0=c * phi0,
+        energy_per_atom=constrained_potential(phi0, params),
+        superradiant=phi0 > 0.0,
+    )

@@ -109,7 +109,7 @@ def test_criterion_02_classical_bifurcation(reference, capsys):
 
 def test_criterion_03_quantum_critical_inductance(reference, capsys):
     t0 = time.perf_counter()
-    L_c = meanfield.critical_inductance_at_zero_T(reference, tol=1e-13, M=60)
+    L_c = meanfield.critical_inductance_at_zero_T(reference, M=60)
     elapsed = time.perf_counter() - t0
     ok = abs(L_c - 0.34e-9) <= 0.02e-9 and L_c > 0.30e-9 and elapsed < 60.0
     report(
@@ -168,7 +168,7 @@ def test_criterion_06_fluctuation_cusp(reference, capsys):
     coarse = fluct.spectrum_scan(reference, np.linspace(0.1e-9, 1.0e-9, 46))
     positive = bool(np.all(coarse.omega_minus > 0.0))
 
-    L_c = meanfield.critical_inductance_at_zero_T(reference, tol=1e-13, M=60)
+    L_c = meanfield.critical_inductance_at_zero_T(reference, M=60)
     step = 2e-12
     fine = fluct.spectrum_scan(reference, np.arange(L_c - 10 * step, L_c + 10.5 * step, step))
     i_cusp = fluct.locate_cusp(fine)

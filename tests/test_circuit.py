@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from search_oracle import classical_minimum_scan
 from srptsim.circuit import (
     CircuitParams,
     bosonic_srpt_condition,
@@ -24,6 +25,7 @@ from srptsim.circuit import (
     polariton_frequencies,
 )
 from srptsim.constants import PHI0, h
+from srptsim.validate import _random_params
 
 TWO_PI = 2.0 * math.pi
 GHZ = 1e9
@@ -343,6 +345,29 @@ def test_classical_minimum_vanishes_toward_threshold(reference):
         assert cm.phi0 < prev
         prev = cm.phi0
     assert prev < 0.02 * PHI0
+
+
+def test_classical_minimum_against_scan_oracle(rng):
+    """The closed form finds the scan's phase and minimum, and never a higher energy."""
+    for _ in range(200):
+        p = _random_params(rng)
+        cm = classical_minimum(p)
+        oracle = classical_minimum_scan(p)
+        assert cm.superradiant == oracle.superradiant
+        assert_allclose(cm.phi0, oracle.phi0, rtol=1e-6, atol=0.0)
+        assert cm.energy_per_atom <= oracle.energy_per_atom + 1e-13 * p.E_J
+
+
+def test_classical_minimum_near_threshold_series(reference):
+    # sin x / x = a gives x^2 = 6 (1 - a) (1 + x^2 / 20 + ...), so at
+    # 1 - a = 1e-6 the root sits 1.5e-7 above sqrt(6 (1 - a))
+    p = reference.replace(L_R0=reference.L_J / (1.0 - 1e-6) - reference.L_g)
+    a = p.L_J / (p.L_R0 + p.L_g)
+    cm = classical_minimum(p)
+    x = TWO_PI * cm.psi0 / PHI0
+    excess = x / math.sqrt(6.0 * (1.0 - a)) - 1.0
+    assert 0.0 < excess < 1e-6
+    assert excess == pytest.approx(6.0 * (1.0 - a) / 40.0, rel=1e-2)
 
 
 def test_classical_bifurcation_point_bisection():

@@ -16,6 +16,7 @@ import sys
 import pytest
 from scipy.io import mmread
 
+from srptsim import fock
 from srptsim.cli import load_config, main
 from srptsim.errors import ConfigError
 
@@ -206,11 +207,30 @@ def test_meanfield_boundary_flag_replaces_grid(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_meanfield_budget_exhaustion_exits_1(capsys):
-    rc = main(["meanfield", "--lr0", "0.6", "--kt", "0", "--max-evals", "10",
-               "--fock-levels", "40"])
+def test_meanfield_boundary_json_writes_null(capsys):
+    rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100", "--fock-levels", "40",
+               "--boundary", "--format", "json"])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    boundary = {row["L_R0_nH"]: row["kTc_over_h_GHz"] for row in payload}
+    # 0.25 nH never orders
+    assert boundary[0.25] is None
+    assert 100.0 < boundary[0.6] < 200.0
+
+
+def test_meanfield_nonconverged_points_exit_1(capsys, monkeypatch):
+    # with no susceptibility no column orders, so the cross-check flags
+    # the two ordered points of the 0.6 nH column
+    monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: 0.0)
+    rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100,200", "--fock-levels", "40"])
     assert rc == 1
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge at 2 of 6 grid points" in err
+    assert "first at L_R0 = 0.6 nH, kT/h = 0 GHz" in err
 
 
 # --- fluct -----------------------------------------------------------------------

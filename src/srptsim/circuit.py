@@ -6,16 +6,20 @@ geometric inductance L_g, all sharing one LC resonator whose per-branch
 inductance and capacitance are L_R0 and C_R0. The flux bias is fixed at
 half a flux quantum, so the junction branch energy enters with a positive
 cosine, +E_J cos(2 pi psi / Phi0). All quantities are SI.
+
+brentq, a port of scipy's Brent root finder, is the package's one root
+finder; mean field uses it as well.
 """
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import PHI0
+from .errors import ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +209,78 @@ def constrained_potential(phi, params: CircuitParams, normalized=False):
     return float(out) if out.ndim == 0 else out
 
 
+def brentq(f, a, b, xtol=1e-300, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A line-for-line port of scipy's brentq (scipy/optimize/Zeros/brentq.c):
+    the same steps give the same root and flag, bit for bit. The tolerance
+    is xtol + rtol |x|; the defaults ask for the last bits of a double.
+    Returns (root, converged), converged being False after maxiter
+    iterations without meeting the tolerance. ValueError when f(a) and
+    f(b) have the same sign or f returns NaN.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    # a nonzero value's sign bit is set exactly when it is negative
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an infinity or a NaN here, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    return xcur, False
+
+
 @dataclass(frozen=True)
 class ClassicalMinimum:
     """Global minimum of the constrained potential on the phi >= 0 branch.
@@ -240,8 +316,10 @@ def classical_minimum(params: CircuitParams) -> ClassicalMinimum:
     if params.L_R0 <= classical_critical_inductance(params) or a >= 1.0:
         phi0 = 0.0
     else:
-        x = brentq(lambda x: np.sinc(x / math.pi) - a, 0.0, math.pi,
-                   rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
+        x, converged = brentq(lambda x: np.sinc(x / math.pi) - a, 0.0, math.pi)
+        if not converged:
+            raise ConvergenceError(
+                f"sin x / x = {a!r} did not converge on (0, pi), last x = {x!r}")
         phi0 = x * PHI0 / (TWO_PI * c)
     return ClassicalMinimum(
         phi0=phi0,

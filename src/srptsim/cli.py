@@ -441,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-atoms", default="1", metavar="LIST",
                    help="comma-separated atom counts, one scan per count")
     p.add_argument("--compare-meanfield", action="store_true",
-                   help="append thermodynamic-limit photon and shift columns")
+                   help="append thermodynamic-limit photon and shift columns; mean field "
+                        "uses the cosine potential, so the comparison is like-for-like "
+                        "only with --potential cosine")
     p.add_argument("--per-mode-cutoff", type=int, default=24)
     p.add_argument("--total-cutoff", type=int, default=48)
     p.add_argument("--k", type=int, default=6,

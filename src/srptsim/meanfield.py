@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fock
-from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear
+from .circuit import SNAP_FRACTION, CircuitParams, brentq, constraint_slope, derive_linear
 from .constants import PHI0, hbar
+from .errors import ConvergenceError
 
 # Coarse samples of the free energy across the narrowest column window.
 COARSE_POINTS = 256
@@ -168,9 +168,8 @@ def _refine(params, kT, M, profile, step, shared):
         return package(0.0, True)
     if ga > 0.0 or g(b) < 0.0:
         return package(best_i * step, False)
-    phi_th, root = brentq(g, a, b, rtol=4.0 * np.finfo(float).eps, xtol=1e-300,
-                          full_output=True, disp=False)
-    return package(float(phi_th), root.converged)
+    phi_th, converged = brentq(g, a, b)
+    return package(phi_th, converged)
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
@@ -245,7 +244,11 @@ def _critical_temperature(kernel: fock.Branch, u: float) -> float:
     lo, hi = 0.0, float(kernel.levels[1] - kernel.levels[0])
     while excess(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-    return brentq(excess, lo, hi, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
+    kTc, converged = brentq(excess, lo, hi)
+    if not converged:
+        raise ConvergenceError(
+            f"critical temperature did not converge in [{lo!r}, {hi!r}], last kT = {kTc!r}")
+    return kTc
 
 
 def phase_boundary(params: CircuitParams, L_R0_values, kT_values, M: int = 60) -> PhaseDiagramGrid:

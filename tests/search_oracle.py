@@ -9,6 +9,8 @@ the physical window, where no interior bracket exists.
 
 import math
 
+import numpy as np
+
 from srptsim.circuit import (
     SNAP_FRACTION,
     CircuitParams,
@@ -88,7 +90,12 @@ def classical_minimum_scan(params: CircuitParams, grid_points=4096) -> Classical
     def f(phi):
         return constrained_potential(phi, params)
 
-    phi0, _ = scan_then_refine(f, 0.0, phi_hi, coarse_points=grid_points, rtol=1e-10)
+    # scan_then_refine's grid and bracket, the grid in one array call
+    step = phi_hi / (grid_points - 1)
+    best_i = int(np.argmin(f(step * np.arange(grid_points))))
+    a = max(0.0, (best_i - 1) * step)
+    b = min(phi_hi, (best_i + 1) * step)
+    phi0, _ = golden_section(f, a, b, rtol=1e-10 * phi_hi / max(b - a, 1e-300))
     # Below or exactly at the critical inductance the origin is the true
     # minimum; the refined value there is float noise on a flat bottom.
     if params.L_R0 <= classical_critical_inductance(params):

@@ -445,9 +445,18 @@ def solve_sector(
     )
 
 
-def reference_branch_energy(params: CircuitParams, M: int = 60) -> float:
-    """Ground energy of the isolated cosine branch, joule."""
-    return fock.branch(params, M).free_energy(0.0, 0.0)
+def reference_branch_energy(params: CircuitParams, M: int = 60, quartic: bool = False) -> float:
+    """Ground energy of the isolated branch on M levels, joule.
+
+    The cosine branch by default; with quartic, the quartic block the
+    sectors are built from, so each potential is referenced to its own
+    branch. At the reference circuit the quartic value is the same to the
+    bit from 20 levels on.
+    """
+    if not quartic:
+        return fock.branch(params, M).free_energy(0.0, 0.0)
+    block = _atom_block(EdConfig(n_atoms=1, per_mode_cutoff=M - 1, total_cutoff=M - 1), params)
+    return float(np.linalg.eigvalsh(block)[0])
 
 
 @dataclass(frozen=True)
@@ -457,8 +466,8 @@ class EdResult:
     Energies in joule. transition_even is the gap to the second even
     state, transition_odd the gap to the lowest odd state, delta_eps the
     ground energy per branch relative to photon zero point plus isolated
-    branch. The ascending sector eigenvalues are kept for callers that
-    want more of the spectrum than the two gaps.
+    branch of the same potential. The ascending sector eigenvalues are kept
+    for callers that want more of the spectrum than the two gaps.
     """
 
     E_g: float
@@ -495,7 +504,7 @@ def observables(
     if even.values.size < 2:
         raise ValueError("need at least two even eigenvalues for the even transition")
     if epsilon_a0 is None:
-        epsilon_a0 = reference_branch_energy(params)
+        epsilon_a0 = reference_branch_energy(params, quartic=config.quartic)
     omega_c = derive_linear(params).omega_c
     delta = (E_g - hbar * omega_c / 2.0) / config.n_atoms - epsilon_a0
     return EdResult(
@@ -538,7 +547,7 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
         raise ValueError("L_R0_values must be a non-empty 1d array")
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
-    eps_a0 = reference_branch_energy(params)
+    eps_a0 = reference_branch_energy(params, quartic=config.quartic)
     fields = {name: np.empty(L_vals.size) for name in
               ("E_g", "photon_number_per_atom", "transition_even", "transition_odd", "delta_eps")}
     for i, L in enumerate(L_vals):

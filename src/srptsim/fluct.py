@@ -160,7 +160,7 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
     """Solve, renormalize and diagonalize the fluctuations at each L_R0.
 
     The kT = 0 equilibria come from one :func:`meanfield.solve_sweep`, which
-    shares the coarse phi scan across the sweep.
+    shares one certified phi scan across the sweep.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:

@@ -10,6 +10,11 @@ over phi >= 0, where f is the branch free energy in the flux-tilted
 potential. Stationarity of A is equivalent to the self-consistency
 condition (1/L_R0 + 1/L_g) phi = <psi> / L_g, and the solver locates its
 minimum as a root of that residual. Temperatures enter as kT in joule.
+
+f is the free energy of H_atom - (phi / L_g) psi, so it is concave in phi
+at every kT, and its chord between two samples bounds A from below: the
+scan that brackets the root refines only the cells that could hold the
+minimum.
 """
 
 import math
@@ -22,7 +27,8 @@ from .circuit import SNAP_FRACTION, CircuitParams, brentq, constraint_slope, der
 from .constants import PHI0, hbar
 from .errors import ConvergenceError
 
-# Coarse samples of the free energy across the narrowest column window.
+# Every cell that could hold a column's minimum is refined to
+# window / (COARSE_POINTS - 1) or finer.
 COARSE_POINTS = 256
 
 
@@ -64,16 +70,17 @@ class MeanFieldSolution:
     kT                   : temperature, joule
     action_per_atom    : free energy per branch at the minimum, joule
     superradiant         : True when phi_th > 0
-    converged            : False when the coarse cell brackets no root of
-                           the residual, the root did not converge or, in
-                           a phase_boundary grid, the superradiant flag
-                           contradicts the closed-form boundary
+    converged            : False when the neighbours of the best scan
+                           sample bracket no root of the residual, the
+                           root did not converge or, in a phase_boundary
+                           grid, the superradiant flag contradicts the
+                           closed-form boundary
     residual             : self-consistency residual at phi_th, ampere
     n_evaluations        : spectral evaluations (free energies and residuals)
                            spent on this point: its refinement and packaging
-                           plus its share of a coarse scan shared across a
-                           solve_sweep, so a sweep's values sum to the
-                           evaluations it made
+                           plus its share of the certified scan shared
+                           across a solve_sweep, so a sweep's values sum to
+                           the evaluations it made
     """
 
     phi_th: float
@@ -100,22 +107,21 @@ def solve_sweep(
 ) -> list[MeanFieldSolution]:
     """Minimize the per-branch free energy over phi >= 0 at each L_R0, one temperature.
 
-    Grid scan, then one bracketed root of the stationarity residual in the
-    coarse cell around the best sample: the free energy is flat to float
-    precision near its minimum while the residual changes sign cleanly. A
-    best sample at phi = 0 is the normal phase, phi_th = 0, unless the
-    residual at 1e-6 Phi0 is negative.
+    A certified scan of the branch free energy, then one bracketed root of
+    the stationarity residual between the neighbours of each column's best
+    sample: the free energy is flat to float precision near its minimum
+    while the residual changes sign cleanly. A best sample at phi = 0 is the
+    normal phase, phi_th = 0, unless the residual at 1e-6 Phi0 is negative.
 
-    Only the resonator term of the action depends on L_R0, so the grid scan
-    is shared: the branch free energy is evaluated once on phi_i = i * step,
-    where step puts COARSE_POINTS samples across the narrowest column
-    window, and each column takes its argmin over the samples inside its
-    own window. No column is scanned more coarsely than COARSE_POINTS over
-    its window, and a lone column sees exactly that grid. Columns whose
-    windows differ by more than a factor two get separate grids, so the
-    sweep never costs more evaluations than solving its columns one by one.
+    Only the resonator term of the action depends on L_R0, so the scan
+    (:func:`_certified_scan`) is shared. It refines every cell that could
+    hold a column's minimum to window / (COARSE_POINTS - 1) or finer, and
+    each column's best sample is the best point of a uniform profile with
+    COARSE_POINTS samples across the narrowest window. Columns whose
+    windows differ by more than a factor two get separate scans, and a
+    lone column sees the scan of its own window.
 
-    Each column's n_evaluations counts an equal share of its grid's
+    Each column's n_evaluations counts an equal share of its scan's
     samples, so the sweep's n_evaluations sum to the evaluations made.
     Returns one MeanFieldSolution per L_R0 value, in order.
     """
@@ -124,50 +130,101 @@ def solve_sweep(
     columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
     if not columns:
         raise ValueError("L_R0_values must not be empty")
-    windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
+    windows = np.array([1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns])
+    u = np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
     kernel = fock.branch(params, M)
     solutions = [None] * len(columns)
     order = sorted(range(len(columns)), key=windows.__getitem__)
     while order:
-        step = windows[order[0]] / (COARSE_POINTS - 1)
         group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
         order = order[len(group):]
-        # samples inside each window; the factor absorbs the rounding of
-        # step, so the narrowest window keeps exactly COARSE_POINTS of them
-        counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
-        profile = np.array([kernel.free_energy(i * step, kT) for i in range(max(counts))])
-        share, extra = divmod(profile.size, len(group))
-        for n, (k, count) in enumerate(zip(group, counts)):
-            solutions[k] = _refine(columns[k], kT, M, profile[:count], step, share + (n < extra))
+        phi, f, ends = _certified_scan(kernel, kT, u[group], windows[group])
+        share, extra = divmod(phi.size, len(group))
+        for n, k in enumerate(group):
+            solutions[k] = _refine(columns[k], kT, M, phi, f, ends[n], share + (n < extra))
     return solutions
 
 
-def _refine(params, kT, M, profile, step, shared):
-    """Refine one column from the branch free energy sampled at phi = i * step.
+def _certified_scan(kernel, kT, u, windows):
+    """Ascending samples (phi, f) of the branch free energy, refined where a minimum could lie.
 
-    The column reports `shared` of the samples in its n_evaluations.
+    u and windows hold each column's resonator stiffness 1/L_R0 + 1/L_g and
+    phi window. Samples sit on the lattice phi = i * step, step putting
+    COARSE_POINTS samples across the narrowest window, and each column's
+    window ends at its last lattice point, returned in ends. The first
+    cells are 32 steps wide, so at most 16 of them cover windows up to
+    twice the narrowest. A cell is bisected while it is wider than one step
+    and its bound (:func:`_cell_bounds`) is within a slack of some column's
+    best sample, so every lattice point that could beat a column's best
+    sample gets sampled. The slack, 1e-10 of the largest |f|, is about 200
+    times the eigensolver's backward error, so rounding cannot prune the
+    minimum.
+    """
+    step = windows.min() / (COARSE_POINTS - 1)
+    # the factor absorbs the rounding of step, so the narrowest window
+    # keeps exactly COARSE_POINTS lattice points
+    last = (windows / step * (1.0 + 1e-12)).astype(int)
+    ends = last * step
+    index = np.arange(0, last.max() + 32, 32)
+    f = np.array([kernel.free_energy(i * step, kT) for i in index])
+    while True:
+        phi = index * step
+        best = np.where(phi <= ends[:, None], u[:, None] * phi**2 / 2.0 + f, np.inf).min(axis=1)
+        slack = 1e-10 * np.abs(f).max()
+        open_ = _cell_bounds(phi, f, u, ends) <= best[:, None] + slack
+        cells = np.nonzero(open_.any(axis=0) & (np.diff(index) > 1))[0]
+        if cells.size == 0:
+            return phi, f, ends
+        mid = (index[cells] + index[cells + 1]) // 2
+        index = np.insert(index, cells + 1, mid)
+        f = np.insert(f, cells + 1, [kernel.free_energy(i * step, kT) for i in mid])
+
+
+def _cell_bounds(phi, f, u, windows):
+    """Lower bounds of u phi^2 / 2 + f on each cell between samples, one row per column.
+
+    f is the free energy of a branch tilted by -(phi / L_g) psi, so it is
+    concave in phi (its curvature is -chi / L_g^2) and lies above its chord
+    through the two samples of a cell. The bound is the minimum of u phi^2 / 2
+    plus that chord over the part of the cell inside the column's window;
+    +inf for cells that start past the window.
+    """
+    a, b = phi[:-1], phi[1:]
+    slope = np.diff(f) / (b - a)
+    top = np.minimum(b, windows[:, None])
+    x = np.clip(-slope / u[:, None], a, top)
+    bound = u[:, None] * x**2 / 2.0 + f[:-1] + slope * (x - a)
+    return np.where(a < windows[:, None], bound, np.inf)
+
+
+def _refine(params, kT, M, phi, f, window, shared):
+    """Refine one column from the branch free energy f sampled at the ascending phi.
+
+    The residual is bracketed by the neighbours of the best sample inside
+    the column's window. The column reports `shared` of the samples in its
+    n_evaluations.
     """
     seen = {}
 
-    def g(phi):
+    def g(x):
         # brentq re-evaluates the bracket ends, which are already known
-        if phi not in seen:
-            seen[phi] = selfconsistency_residual(phi, kT, params, M)
-        return seen[phi]
+        if x not in seen:
+            seen[x] = selfconsistency_residual(x, kT, params, M)
+        return seen[x]
 
     def package(phi_th, converged):
         return _package(params, phi_th, kT, M, converged, n_evaluations=len(seen) + shared)
 
-    phi_grid = step * np.arange(profile.size)
-    best_i = int(np.argmin(_resonator_action(params, phi_grid) + profile))
+    action = np.where(phi <= window, _resonator_action(params, phi) + f, np.inf)
+    best_i = int(np.argmin(action))
     # the residual is dA/dphi: it rises through zero at a minimum
-    a = max((best_i - 1) * step, SNAP_FRACTION * PHI0)
-    b = (best_i + 1) * step
+    a = max(float(phi[max(best_i - 1, 0)]), SNAP_FRACTION * PHI0)
+    b = float(phi[min(best_i + 1, phi.size - 1)])
     ga = g(a)
     if best_i == 0 and ga >= 0.0:
         return package(0.0, True)
     if ga > 0.0 or g(b) < 0.0:
-        return package(best_i * step, False)
+        return package(float(phi[best_i]), False)
     phi_th, converged = brentq(g, a, b)
     return package(phi_th, converged)
 

@@ -173,7 +173,7 @@ def scan(params, config: ed.EdConfig, L_R0_values) -> list:
     """ed.scan on the product basis: one ed.EdResult per inductance."""
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
-    eps_a0 = ed.reference_branch_energy(params)
+    eps_a0 = ed.reference_branch_energy(params, quartic=config.quartic)
     results = []
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))

@@ -5,12 +5,16 @@ classical_minimum and mean field ran before each became one root of its
 stationarity condition. Interval golden-section search is preferred over
 bracket-triple variants because the minimum may sit on the boundary of
 the physical window, where no interior bracket exists.
+
+uniform_sweep_oracle is mean field's shared uniform phi profile, which
+the certified scan of meanfield.solve_sweep replaced.
 """
 
 import math
 
 import numpy as np
 
+from srptsim import fock, meanfield
 from srptsim.circuit import (
     SNAP_FRACTION,
     CircuitParams,
@@ -108,3 +112,33 @@ def classical_minimum_scan(params: CircuitParams, grid_points=4096) -> Classical
         energy_per_atom=constrained_potential(phi0, params),
         superradiant=phi0 > 0.0,
     )
+
+
+def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int = 60) -> list:
+    """Slow path of meanfield.solve_sweep: a uniform shared profile, then meanfield._refine.
+
+    Columns are grouped as solve_sweep groups them. Each group samples the
+    branch free energy at phi_i = i * step, where step puts COARSE_POINTS
+    samples across the group's narrowest window, and each column takes
+    the samples inside its own window, so no column is scanned more
+    coarsely than COARSE_POINTS over its window.
+    """
+    columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
+    windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
+    kernel = fock.branch(params, M)
+    solutions = [None] * len(columns)
+    order = sorted(range(len(columns)), key=windows.__getitem__)
+    while order:
+        step = windows[order[0]] / (meanfield.COARSE_POINTS - 1)
+        group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
+        order = order[len(group):]
+        # the factor absorbs the rounding of step, so the narrowest window
+        # keeps exactly COARSE_POINTS samples
+        counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
+        phi = step * np.arange(max(counts))
+        profile = np.array([kernel.free_energy(x, kT) for x in phi])
+        share, extra = divmod(phi.size, len(group))
+        for n, (k, count) in enumerate(zip(group, counts)):
+            solutions[k] = meanfield._refine(
+                columns[k], kT, M, phi, profile, phi[count - 1], share + (n < extra))
+    return solutions

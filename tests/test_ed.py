@@ -21,7 +21,7 @@ from scipy.io import mmread
 import ed_product_oracle as product_oracle
 from srptsim import ed
 from srptsim.circuit import TWO_PI, derive_linear
-from srptsim.constants import PHI0, hbar
+from srptsim.constants import PHI0, h, hbar
 from srptsim.errors import ConfigError, ConvergenceError
 
 
@@ -399,6 +399,24 @@ def test_observables_rejects_odd_ground_below_even(reference):
     )
     with pytest.raises(ConvergenceError):
         ed.observables(cfg, reference, fake_even, fake_odd)
+
+
+def test_reference_energy_matches_the_potential(reference):
+    """Quartic ED subtracts the quartic branch's ground energy, cosine ED the cosine one."""
+    block = ed._atom_block(ed.EdConfig(n_atoms=1, per_mode_cutoff=59, total_cutoff=59), reference)
+    quartic = np.linalg.eigvalsh(block)[0]
+    assert ed.reference_branch_energy(reference, quartic=True) == quartic
+    cosine = ed.reference_branch_energy(reference)
+    assert (quartic - cosine) / (h * 1e6) == pytest.approx(4.568, abs=1e-3)
+    # converged in the truncation: 25 levels give the same energy
+    assert ed.reference_branch_energy(reference, 25, quartic=True) == pytest.approx(quartic, rel=1e-14)
+
+    L = np.array([0.30e-9])
+    zero_point = hbar * derive_linear(reference.replace(L_R0=L[0])).omega_c / 2.0
+    for potential, eps_a0 in ((True, quartic), (False, cosine)):
+        cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, quartic=potential)
+        res = ed.scan(reference, cfg, L)
+        assert res.delta_eps[0] == pytest.approx(res.E_g[0] - zero_point - eps_a0, abs=1e-12 * abs(eps_a0))
 
 
 def test_scan_photon_number_grows_across_transition(reference):

@@ -5,14 +5,16 @@ energy and from the classical limit, both computed independently of the
 solver under test.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from search_oracle import scan_then_refine
+from search_oracle import scan_then_refine, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear
 from srptsim.constants import PHI0, h, hbar
@@ -31,6 +33,24 @@ REF_L_CRIT = 3.38568115234375e-10
 # both occur at every temperature but the highest.
 ORACLE_L = np.array([0.25e-9, 0.45e-9, 0.6e-9, 1.0e-9])
 ORACLE_KT = h * np.array([0.0, 50.0, 150.0]) * GHZ
+
+# Criterion 4's grid.
+GRID_L = np.linspace(0.30e-9, 1.0e-9, 20)
+GRID_KT = np.linspace(0.0, 200.0, 20) * h * GHZ
+
+
+@functools.lru_cache(maxsize=1)
+def grid_sweeps(params):
+    """solve_sweep over criterion 4's columns, one row per temperature."""
+    return tuple(tuple(meanfield.solve_sweep(params, GRID_L, float(kT))) for kT in GRID_KT)
+
+
+def jittered(params, jitter):
+    return params.replace(
+        L_J=params.L_J * (1.0 + jitter),
+        L_g=params.L_g * (1.0 - jitter),
+        C_J=params.C_J * (1.0 + jitter),
+    )
 
 
 def per_point_solve(params, kT, coarse_points=256):
@@ -220,11 +240,7 @@ def test_critical_inductance_bracket_validation(reference):
 
 @pytest.mark.parametrize("jitter", [0.0, 0.03, -0.03])
 def test_critical_inductance_closed_form_matches_bisection(reference, jitter):
-    p = reference.replace(
-        L_J=reference.L_J * (1.0 + jitter),
-        L_g=reference.L_g * (1.0 - jitter),
-        C_J=reference.C_J * (1.0 + jitter),
-    )
+    p = jittered(reference, jitter)
     L_c = meanfield.critical_inductance_at_zero_T(p)
     assert L_c == pytest.approx(bisect_critical_inductance(p), abs=2e-13)
 
@@ -325,6 +341,89 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
     assert sum(s.n_evaluations for s in sweep) < sum(s.n_evaluations for s in singles)
     # a column alone on its grid is exactly the single-point solve
     assert sweep[0] == singles[0]
+
+
+def windows_and_stiffness(params, L_values):
+    columns = [params.replace(L_R0=float(L)) for L in L_values]
+    windows = np.array([1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns])
+    return windows, np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
+
+
+@pytest.mark.parametrize("kT_GHz", [0.0, 20.0, 200.0])
+@pytest.mark.parametrize("jitter", [0.0, 0.03, -0.03])
+def test_cell_bounds_hold_against_dense_scan(reference, jitter, kT_GHz):
+    """No sample of a dense action scan falls below its cell's chord-plus-quadratic bound."""
+    p = jittered(reference, jitter)
+    kT = h * kT_GHz * GHZ
+    # normal and superradiant columns, windows up to 1.7 times the narrowest
+    windows, u = windows_and_stiffness(p, [0.30e-9, 0.45e-9, 0.6e-9, 1.0e-9])
+    kernel = fock.branch(p, 60)
+    edges = np.linspace(0.0, windows.max(), 17)
+    f_edges = np.array([kernel.free_energy(x, kT) for x in edges])
+    bounds = meanfield._cell_bounds(edges, f_edges, u, windows)
+    slack = 1e-10 * np.abs(f_edges).max()
+
+    dense = np.linspace(0.0, windows.max(), 2001)
+    f_dense = np.array([kernel.free_energy(x, kT) for x in dense])
+    cell = np.minimum(np.searchsorted(edges, dense, side="right") - 1, edges.size - 2)
+    for c, window in enumerate(windows):
+        inside = dense <= window
+        action = u[c] * dense[inside] ** 2 / 2.0 + f_dense[inside]
+        assert np.all(action >= bounds[c, cell[inside]] - slack)
+        # every cell that reaches into the window has a finite bound
+        assert np.isfinite(bounds[c, edges[:-1] < window]).all()
+
+
+def test_certified_minimum_in_lowest_dense_cell(reference):
+    """On criterion 4's grid, phi_th sits in the lowest cell of a 4096-point action scan.
+
+    The branch free energy does not depend on L_R0, so one scan across the
+    widest window serves every column of a row; each column looks only
+    inside its own window. Every fourth row keeps the cost to five scans.
+    """
+    windows, u = windows_and_stiffness(reference, GRID_L)
+    kernel = fock.branch(reference, 60)
+    dense = np.linspace(0.0, windows.max(), 4096)
+    for j in range(0, GRID_KT.size, 4):
+        f = np.array([kernel.free_energy(x, float(GRID_KT[j])) for x in dense])
+        for i, sol in enumerate(grid_sweeps(reference)[j]):
+            action = np.where(dense <= windows[i], u[i] * dense**2 / 2.0 + f, np.inf)
+            k = int(np.argmin(action))
+            assert dense[max(k - 1, 0)] <= sol.phi_th <= dense[k + 1], (j, i)
+
+
+def without_counts(solutions):
+    return [replace(s, n_evaluations=0) for s in solutions]
+
+
+def test_certified_scan_matches_uniform_oracle(reference):
+    """Every field but n_evaluations equals the uniform profile's, bit for bit.
+
+    The certified scan samples a subset of the uniform lattice that holds
+    every point able to beat its best sample, so each column's best sample,
+    its bracket and its root are the uniform profile's.
+    """
+    for kT, row in zip(GRID_KT, grid_sweeps(reference)):
+        assert without_counts(row) == without_counts(uniform_sweep_oracle(reference, GRID_L, float(kT)))
+    L_c = meanfield.critical_inductance_at_zero_T(reference)
+    step = 2e-12
+    sweeps = [
+        (np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9]), h * 50 * GHZ),
+        (np.linspace(0.1e-9, 1.0e-9, 46), 0.0),  # criterion 6, coarse
+        (np.arange(L_c - 10 * step, L_c + 10.5 * step, step), 0.0),  # and fine
+    ]
+    for L, kT in sweeps:
+        fast = meanfield.solve_sweep(reference, L, kT)
+        slow = uniform_sweep_oracle(reference, L, kT)
+        assert without_counts(fast) == without_counts(slow)
+        assert any(s.superradiant for s in fast) and not all(s.superradiant for s in fast)
+
+
+def test_work_ceilings(reference):
+    """The certified scan's evaluation counts; the uniform profile took 258-265 and 11,959."""
+    for L in (0.25e-9, 0.6e-9):
+        assert meanfield.solve(reference.replace(L_R0=L), 0.0).n_evaluations <= 64
+    assert sum(s.n_evaluations for row in grid_sweeps(reference) for s in row) <= 6000
 
 
 def test_phase_boundary_validation(reference):

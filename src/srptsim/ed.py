@@ -445,18 +445,16 @@ def solve_sector(
     )
 
 
-def reference_branch_energy(params: CircuitParams, M: int = 60, quartic: bool = False) -> float:
+def reference_branch_energy(params: CircuitParams, M: int = 60, *, quartic: bool) -> float:
     """Ground energy of the isolated branch on M levels, joule.
 
-    The cosine branch by default; with quartic, the quartic block the
-    sectors are built from, so each potential is referenced to its own
-    branch. At the reference circuit the quartic value is the same to the
-    bit from 20 levels on.
+    The lowest eigenvalue of the block the sectors are built from, quartic
+    or cosine as in EdConfig.quartic, so each potential is referenced to
+    its own branch. The cosine value is the kernel's ground energy
+    fock.branch(params, M).free_energy(0, 0), bit for bit.
     """
-    if not quartic:
-        return fock.branch(params, M).free_energy(0.0, 0.0)
-    block = _atom_block(EdConfig(n_atoms=1, per_mode_cutoff=M - 1, total_cutoff=M - 1), params)
-    return float(np.linalg.eigvalsh(block)[0])
+    config = EdConfig(n_atoms=1, per_mode_cutoff=M - 1, total_cutoff=M - 1, quartic=quartic)
+    return float(np.linalg.eigvalsh(_atom_block(config, params))[0])
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,9 @@ def _certified_scan(kernel, kT, u, windows):
     twice the narrowest. A cell is bisected while it is wider than one step
     and its bound (:func:`_cell_bounds`) is within a slack of some column's
     best sample, so every lattice point that could beat a column's best
-    sample gets sampled. The slack, 1e-10 of the largest |f|, is about 200
+    sample gets sampled, and the cells on both sides of the best sample,
+    a window's end included, shrink to one step: the bracket is the best
+    sample's two lattice neighbours. The slack, 1e-10 of the largest |f|, is about 200
     times the eigensolver's backward error, so rounding cannot prune the
     minimum.
     """
@@ -165,7 +167,9 @@ def _certified_scan(kernel, kT, u, windows):
     # keeps exactly COARSE_POINTS lattice points
     last = (windows / step * (1.0 + 1e-12)).astype(int)
     ends = last * step
-    index = np.arange(0, last.max() + 32, 32)
+    # one sample past the widest window: a best sample at its end still
+    # has a right neighbour for the bracket
+    index = np.arange(0, last.max() + 33, 32)
     f = np.array([kernel.free_energy(i * step, kT) for i in index])
     while True:
         phi = index * step
@@ -186,15 +190,17 @@ def _cell_bounds(phi, f, u, windows):
     f is the free energy of a branch tilted by -(phi / L_g) psi, so it is
     concave in phi (its curvature is -chi / L_g^2) and lies above its chord
     through the two samples of a cell. The bound is the minimum of u phi^2 / 2
-    plus that chord over the part of the cell inside the column's window;
-    +inf for cells that start past the window.
+    plus that chord over the part of the cell inside the column's window:
+    the action at the window's end for the cell that starts there, so the
+    cell is bisected when that end is the best sample and the bracket gets
+    its lattice neighbour; +inf for cells that start past the window.
     """
     a, b = phi[:-1], phi[1:]
     slope = np.diff(f) / (b - a)
     top = np.minimum(b, windows[:, None])
     x = np.clip(-slope / u[:, None], a, top)
     bound = u[:, None] * x**2 / 2.0 + f[:-1] + slope * (x - a)
-    return np.where(a < windows[:, None], bound, np.inf)
+    return np.where(a <= windows[:, None], bound, np.inf)
 
 
 def _refine(params, kT, M, phi, f, window, shared):

@@ -135,9 +135,11 @@ def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int =
         # the factor absorbs the rounding of step, so the narrowest window
         # keeps exactly COARSE_POINTS samples
         counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
-        phi = step * np.arange(max(counts))
-        profile = np.array([kernel.free_energy(x, kT) for x in phi])
-        share, extra = divmod(phi.size, len(group))
+        # one lattice point past the widest window, never sampled: it is
+        # only the right bracket end of a best sample at that window's end
+        phi = step * np.arange(max(counts) + 1)
+        profile = np.append([kernel.free_energy(x, kT) for x in phi[:-1]], np.inf)
+        share, extra = divmod(max(counts), len(group))
         for n, (k, count) in enumerate(zip(group, counts)):
             solutions[k] = meanfield._refine(
                 columns[k], kT, M, phi, profile, phi[count - 1], share + (n < extra))

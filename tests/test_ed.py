@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.io import mmread
 
 import ed_product_oracle as product_oracle
-from srptsim import ed
+from srptsim import ed, fock
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim.errors import ConfigError, ConvergenceError
@@ -406,7 +406,11 @@ def test_reference_energy_matches_the_potential(reference):
     block = ed._atom_block(ed.EdConfig(n_atoms=1, per_mode_cutoff=59, total_cutoff=59), reference)
     quartic = np.linalg.eigvalsh(block)[0]
     assert ed.reference_branch_energy(reference, quartic=True) == quartic
-    cosine = ed.reference_branch_energy(reference)
+    cosine = ed.reference_branch_energy(reference, quartic=False)
+    assert cosine == fock.branch(reference, 60).free_energy(0.0, 0.0)
+    # the caller names the potential, so no default can disagree with EdConfig
+    with pytest.raises(TypeError):
+        ed.reference_branch_energy(reference)
     assert (quartic - cosine) / (h * 1e6) == pytest.approx(4.568, abs=1e-3)
     # converged in the truncation: 25 levels give the same energy
     assert ed.reference_branch_energy(reference, 25, quartic=True) == pytest.approx(quartic, rel=1e-14)

@@ -419,6 +419,32 @@ def test_certified_scan_matches_uniform_oracle(reference):
         assert any(s.superradiant for s in fast) and not all(s.superradiant for s in fast)
 
 
+class ConcaveStandIn:
+    """A branch stand-in with the concave free energy -phi - phi^2 / 10."""
+
+    def free_energy(self, phi, kT):
+        return -phi - phi**2 / 10.0
+
+
+def test_certified_scan_brackets_edge_minima_like_the_lattice():
+    """Each column's best sample and its two neighbours are those of the uniform lattice.
+
+    The action u phi^2 / 2 + f has its minimum at 1 / (u - 0.2): inside the
+    first window, past the second and third. The third window is the widest
+    and ends on a multiple of the 32-step start cells.
+    """
+    windows = np.array([1.0, 1.3, 448 / 255])
+    u = np.array([2.2, 0.7, 0.4])
+    phi, f, ends = meanfield._certified_scan(ConcaveStandIn(), 0.0, u, windows)
+    step = windows.min() / (meanfield.COARSE_POINTS - 1)
+    for c in range(windows.size):
+        lattice = step * np.arange(round(ends[c] / step) + 1)
+        i = int(np.argmin(u[c] * lattice**2 / 2.0 + ConcaveStandIn().free_energy(lattice, 0.0)))
+        best = int(np.argmin(np.where(phi <= ends[c], u[c] * phi**2 / 2.0 + f, np.inf)))
+        assert phi[best - 1 : best + 2].tolist() == [(i - 1) * step, i * step, (i + 1) * step], c
+    assert phi[best] == ends[2]
+
+
 def test_work_ceilings(reference):
     """The certified scan's evaluation counts; the uniform profile took 258-265 and 11,959."""
     for L in (0.25e-9, 0.6e-9):

@@ -17,6 +17,9 @@ resonator inductance:
 
 with V = sum_j (a + a^dag)(b_j + b_j^dag). A sector model is therefore
 assembled once and swept over L_R0 by rescaling two coefficients.
+Both branch terms are one-body in the branches, and one embedding builds
+them in the symmetric sector: sum_j op(j) with op the dense branch block
+for the atom term, sum_j (a + a^dag) op(j) with op = b + b^dag for V.
 
 Branches carry either the quartic expansion of the flux-periodic potential
 (default, sparse, bandwidth 4 per atom) or its exact cosine matrix (dense
@@ -207,19 +210,21 @@ def build_basis(config: EdConfig) -> BasisIndex:
     )
 
 
-def _atom_block(config: EdConfig, params: CircuitParams) -> np.ndarray:
-    """Per-branch Hamiltonian on per_mode_cutoff + 1 levels, dense."""
-    R = config.per_mode_cutoff + 1
-    if config.quartic:
+def _branch_x(R: int) -> np.ndarray:
+    """b + b^dag on R branch levels, the branch operator of the coupling."""
+    ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
+    return ladder + ladder.T
+
+
+def _atom_block(params: CircuitParams, R: int, quartic: bool) -> np.ndarray:
+    """Per-branch Hamiltonian on R levels, dense: quartic in b + b^dag, or the kernel's cosine H_atom."""
+    if quartic:
         derived = derive_linear(params)
         lam2 = (TWO_PI / PHI0) ** 2 * hbar * derived.Z_a / 2.0
-        ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
-        q = ladder + ladder.T
-        Q4 = np.linalg.matrix_power(q, 4)
         n = np.arange(R, dtype=float)
         return np.diag(hbar * derived.omega_a * (n + 0.5) + params.E_J) + (
             params.E_J * lam2**2 / 24.0
-        ) * Q4
+        ) * np.linalg.matrix_power(_branch_x(R), 4)
     return fock.branch(params, R).H_atom
 
 
@@ -269,65 +274,50 @@ def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.cs
     return upper + upper.T
 
 
-def _atom_static_matrix(basis: BasisIndex, block: np.ndarray) -> sp.csr_matrix:
-    """sum_j block(j) embedded in the sector, from the upper triangle of block.
+def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_matrix:
+    """sum_j op(j) (photon_step 0) or sum_j (a + a^dag) op(j) (photon_step 1) in the sector.
 
-    The diagonal is sum_m k_m block[m, m]; a level m with k_m branches
-    reaches m' with block[m, m'] sqrt(k_m (k_m' + 1)).
+    op is real symmetric on the branch levels; write s for photon_step. A
+    level m with k_m branches reaches m + delta with op[m, m + delta]
+    sqrt(k_m (k_{m+delta} + 1)), times sqrt(n_ph + 1) when the photon is
+    raised too; only offsets with delta + s even keep the parity. Raising
+    the photon raises the key, as does lifting a branch at a fixed photon,
+    so those hops are the upper triangle. At s = 0 the diagonal adds
+    sum_m k_m op[m, m].
     """
-    n_modes = basis.occupations.shape[1]
-    totals = basis.occupations.sum(axis=1, dtype=np.int64)
-    last = _last_of_level(basis)
-    diag = np.zeros(basis.dim)
-    rows, cols, vals = [], [], []
-    for j in range(1, n_modes):
-        occ_j = basis.occupations[:, j]
-        diag += block[occ_j, occ_j]
-        for delta in range(2, block.shape[0], 2):
-            band = np.diagonal(block, offset=delta)
-            if not np.any(band != 0.0):
-                continue
-            src = np.nonzero(
-                last[:, j - 1]
-                & (occ_j + delta <= basis.per_mode_cutoff)
-                & (totals + delta <= basis.total_cutoff)
-            )[0]
-            amp = block[occ_j[src], occ_j[src] + delta]
-            src, amp = src[amp != 0.0], amp[amp != 0.0]
-            target, factor = _branch_hop(basis, src, j, occ_j[src] + delta, 0)
-            rows.append(src)
-            cols.append(target)
-            vals.append(amp * factor)
-    return _symmetric_from_upper(basis.dim, rows, cols, vals) + sp.diags(diag).tocsr()
-
-
-def _coupling_matrix(basis: BasisIndex) -> sp.csr_matrix:
-    """V = sum_j (a + a^dag)(b_j + b_j^dag) embedded in the sector."""
     n_modes = basis.occupations.shape[1]
     occ0 = basis.occupations[:, 0].astype(np.int64)
     totals = basis.occupations.sum(axis=1, dtype=np.int64)
+    photon = np.sqrt(occ0 + 1.0) ** photon_step
     last = _last_of_level(basis)
+    R = op.shape[0]
+    deltas = [
+        delta
+        for delta in range(1 - R if photon_step else 1, R)
+        if (delta + photon_step) % 2 == 0 and np.any(np.diagonal(op, offset=delta) != 0.0)
+    ]
+    diag = np.zeros(basis.dim)
     rows, cols, vals = [], [], []
     for j in range(1, n_modes):
         occ_j = basis.occupations[:, j].astype(np.int64)
-        # photon up, branch up: key strictly increases, upper triangle
-        src = np.nonzero(
-            last[:, j - 1]
-            & (occ0 < basis.per_mode_cutoff)
-            & (occ_j < basis.per_mode_cutoff)
-            & (totals + 2 <= basis.total_cutoff)
-        )[0]
-        target, factor = _branch_hop(basis, src, j, occ_j[src] + 1, 1)
-        rows.append(src)
-        cols.append(target)
-        vals.append(np.sqrt((occ0[src] + 1.0) * (occ_j[src] + 1.0)) * factor)
-        # photon up, branch down: key still increases, mode 0 dominates
-        src = np.nonzero(last[:, j - 1] & (occ0 < basis.per_mode_cutoff) & (occ_j >= 1))[0]
-        target, factor = _branch_hop(basis, src, j, occ_j[src] - 1, 1)
-        rows.append(src)
-        cols.append(target)
-        vals.append(np.sqrt((occ0[src] + 1.0) * occ_j[src]) * factor)
-    return _symmetric_from_upper(basis.dim, rows, cols, vals)
+        if photon_step == 0:
+            diag += op[occ_j, occ_j]
+        for delta in deltas:
+            src = np.nonzero(
+                last[:, j - 1]
+                & (occ0 + photon_step <= basis.per_mode_cutoff)
+                & (occ_j + delta >= 0)
+                & (occ_j + delta <= basis.per_mode_cutoff)
+                & (totals + photon_step + delta <= basis.total_cutoff)
+            )[0]
+            amp = op[occ_j[src], occ_j[src] + delta]
+            src, amp = src[amp != 0.0], amp[amp != 0.0]
+            target, factor = _branch_hop(basis, src, j, occ_j[src] + delta, photon_step)
+            rows.append(src)
+            cols.append(target)
+            vals.append(photon[src] * amp * factor)
+    matrix = _symmetric_from_upper(basis.dim, rows, cols, vals)
+    return matrix + sp.diags(diag).tocsr() if photon_step == 0 else matrix
 
 
 @dataclass(frozen=True)
@@ -350,15 +340,15 @@ class SectorModel:
 
 def build_sector_model(params: CircuitParams, config: EdConfig) -> SectorModel:
     basis = build_basis(config)
-    block = _atom_block(config, params)
+    R = config.per_mode_cutoff + 1
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
     return SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_atom_static_matrix(basis, block),
-        coupling=_coupling_matrix(basis),
+        atom_static=_one_body(basis, _atom_block(params, R, config.quartic), 0),
+        coupling=_one_body(basis, _branch_x(R), 1),
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
 
@@ -453,8 +443,7 @@ def reference_branch_energy(params: CircuitParams, M: int = 60, *, quartic: bool
     its own branch. The cosine value is the kernel's ground energy
     fock.branch(params, M).free_energy(0, 0), bit for bit.
     """
-    config = EdConfig(n_atoms=1, per_mode_cutoff=M - 1, total_cutoff=M - 1, quartic=quartic)
-    return float(np.linalg.eigvalsh(_atom_block(config, params))[0])
+    return float(np.linalg.eigvalsh(_atom_block(params, M, quartic))[0])
 
 
 @dataclass(frozen=True)
@@ -632,13 +621,7 @@ def truncation_error_study(
         raise ValueError(f"atom_levels {atom_levels} too small for {n_levels} levels")
     atom = {}
     for label, quartic in (("quartic", True), ("cosine", False)):
-        block_config = EdConfig(
-            n_atoms=1,
-            per_mode_cutoff=atom_levels - 1,
-            total_cutoff=atom_levels - 1,
-            quartic=quartic,
-        )
-        w = np.linalg.eigvalsh(_atom_block(block_config, params))
+        w = np.linalg.eigvalsh(_atom_block(params, atom_levels, quartic))
         atom[label] = w[1:n_levels] - w[0]
     atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
     base = dict(

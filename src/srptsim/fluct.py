@@ -93,7 +93,7 @@ def stationarity_check(params: CircuitParams, solution: MeanFieldSolution, M: in
     averages the flux-periodic force in the equilibrium ground state.
     """
     b = fock.branch(params, M)
-    _, (psi, sin_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.sin_op)
+    _, (psi, sin_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.ops.sin_op)
     photon = (1.0 / params.L_R0 + 1.0 / params.L_g) * solution.phi_th - psi / params.L_g
     junction = (psi - solution.phi_th) / params.L_g - (TWO_PI / PHI0) * params.E_J * sin_avg
     return photon, junction

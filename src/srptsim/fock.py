@@ -25,8 +25,8 @@ DEGENERACY_RTOL = 1e-12
 class FockOperatorSet:
     """Matrices of the branch operators in an M-level number basis.
 
-    psi_op and cos_op are real symmetric; rho_op is Hermitian with purely
-    imaginary entries. All arrays are read-only.
+    psi_op, cos_op and sin_op are real symmetric; rho_op is Hermitian with
+    purely imaginary entries. All arrays are read-only.
     """
 
     M: int
@@ -35,16 +35,14 @@ class FockOperatorSet:
     rho_op: np.ndarray
     number_op: np.ndarray
     cos_op: np.ndarray
-
-
-def _phase_matrix(psi_op: np.ndarray, fn) -> np.ndarray:
-    """fn(2 pi psi / Phi0) through the eigendecomposition of the flux matrix."""
-    evals, evecs = np.linalg.eigh(psi_op)
-    return (evecs * fn(TWO_PI * evals / PHI0)) @ evecs.T
+    sin_op: np.ndarray
 
 
 def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     """Build the truncated operator set for one branch.
+
+    cos_op and sin_op are cos and sin of 2 pi psi / Phi0, by spectral
+    calculus on one eigendecomposition of the flux matrix.
 
     Parameters
     ----------
@@ -60,21 +58,15 @@ def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     psi_op = np.sqrt(hbar * Z_a / 2.0) * (lower + lower.T)
     rho_op = 1j * np.sqrt(hbar / (2.0 * Z_a)) * (lower.T - lower)
     number_op = np.diag(np.arange(float(M)))
-    cos_op = _phase_matrix(psi_op, np.cos)
-    for a in (psi_op, rho_op, number_op, cos_op):
+    evals, evecs = np.linalg.eigh(psi_op)
+    phase = TWO_PI * evals / PHI0
+    cos_op = (evecs * np.cos(phase)) @ evecs.T
+    sin_op = (evecs * np.sin(phase)) @ evecs.T
+    for a in (psi_op, rho_op, number_op, cos_op, sin_op):
         a.setflags(write=False)
     return FockOperatorSet(
-        M=M, Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, number_op=number_op, cos_op=cos_op
+        M=M, Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, number_op=number_op, cos_op=cos_op, sin_op=sin_op
     )
-
-
-def phase_function(ops: FockOperatorSet, fn) -> np.ndarray:
-    """Matrix of fn(2 pi psi / Phi0) in the basis of ops."""
-    return _phase_matrix(np.asarray(ops.psi_op), fn)
-
-
-def sin_operator(ops: FockOperatorSet) -> np.ndarray:
-    return phase_function(ops, np.sin)
 
 
 def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
@@ -148,7 +140,6 @@ class Branch:
 
     ops: FockOperatorSet
     H_atom: np.ndarray
-    sin_op: np.ndarray
     L_g: float
     levels: np.ndarray
     psi_levels: np.ndarray
@@ -204,10 +195,8 @@ def _branch(L_J: float, L_g: float, C_J: float, M: int) -> Branch:
     params = CircuitParams(L_J=L_J, L_g=L_g, C_J=C_J, C_R0=C_J, L_R0=L_g)
     ops = build_operators(derive_linear(params), M)
     H_atom = atom_hamiltonian(ops, params)
-    sin_op = sin_operator(ops)
     levels, vectors = np.linalg.eigh(H_atom)
     psi_levels = vectors.T @ ops.psi_op @ vectors
-    for a in (H_atom, sin_op, levels, psi_levels):
+    for a in (H_atom, levels, psi_levels):
         a.setflags(write=False)
-    return Branch(ops=ops, H_atom=H_atom, sin_op=sin_op, L_g=L_g,
-                  levels=levels, psi_levels=psi_levels)
+    return Branch(ops=ops, H_atom=H_atom, L_g=L_g, levels=levels, psi_levels=psi_levels)

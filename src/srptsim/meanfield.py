@@ -43,21 +43,16 @@ def _resonator_action(params: CircuitParams, phi):
     return u * phi**2 / 2.0 + hbar * derive_linear(params).omega_c / 2.0
 
 
-def mean_branch_flux(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
-    """Thermal expectation of the branch flux at frozen resonator flux, weber."""
-    b = fock.branch(params, M)
-    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
-    return psi
-
-
 def selfconsistency_residual(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
     """Derivative of the per-branch free energy with respect to phi, ampere.
 
     By Hellmann-Feynman this equals (1/L_R0 + 1/L_g) phi - <psi> / L_g, so
     a vanishing residual is the self-consistency condition.
     """
+    b = fock.branch(params, M)
+    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
-    return u * phi - mean_branch_flux(phi, kT, params, M) / params.L_g
+    return u * phi - psi / params.L_g
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,9 @@ def solve_sweep(
     the stationarity residual between the neighbours of each column's best
     sample: the free energy is flat to float precision near its minimum
     while the residual changes sign cleanly. A best sample at phi = 0 is the
-    normal phase, phi_th = 0, unless the residual at 1e-6 Phi0 is negative.
+    normal phase, phi_th = 0, when phi = 0 is stable by the closed form
+    1/L_R0 + 1/L_g >= chi(kT) / L_g^2 or when the residual at 1e-6 Phi0 is
+    non-negative.
 
     Only the resonator term of the action depends on L_R0, so the scan
     (:func:`_certified_scan`) is shared. It refines every cell that could
@@ -223,6 +220,12 @@ def _refine(params, kT, M, phi, f, window, shared):
 
     action = np.where(phi <= window, _resonator_action(params, phi) + f, np.inf)
     best_i = int(np.argmin(action))
+    # phi = 0 is stable while the stiffness u outweighs the branch's
+    # softening chi / L_g^2; at L_c the residual at the snap flux is
+    # rounding noise, so this closed form decides first
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
+    if best_i == 0 and u >= fock.branch(params, M).susceptibility(kT) / params.L_g**2:
+        return package(0.0, True)
     # the residual is dA/dphi: it rises through zero at a minimum
     a = max(float(phi[max(best_i - 1, 0)]), SNAP_FRACTION * PHI0)
     b = float(phi[min(best_i + 1, phi.size - 1)])

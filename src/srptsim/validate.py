@@ -95,9 +95,8 @@ def _check_gaussian_cosine(rng):
 
 def _check_cos_sin_unitarity(rng):
     p = reference_params()
-    kernel = fock.branch(p, 40)
-    ops, s = kernel.ops, kernel.sin_op
-    dev = np.abs(ops.cos_op @ ops.cos_op + s @ s - np.eye(40)).max()
+    ops = fock.branch(p, 40).ops
+    dev = np.abs(ops.cos_op @ ops.cos_op + ops.sin_op @ ops.sin_op - np.eye(40)).max()
     _require(dev < 1e-12, f"cos^2 + sin^2 deviates from identity by {dev:.2e}")
     return f"cos^2 + sin^2 = 1 within {dev:.2e}"
 

@@ -163,7 +163,9 @@ def build_sector_model(params, config: ed.EdConfig) -> ed.SectorModel:
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_atom_static_matrix(basis, ed._atom_block(config, params)),
+        atom_static=_atom_static_matrix(
+            basis, ed._atom_block(params, config.per_mode_cutoff + 1, config.quartic)
+        ),
         coupling=_coupling_matrix(basis),
         atom_key=(params.L_J, params.L_g, params.C_J),
     )

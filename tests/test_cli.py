@@ -16,9 +16,10 @@ import sys
 import pytest
 from scipy.io import mmread
 
-from srptsim import fock
+from srptsim import fock, meanfield
 from srptsim.cli import load_config, main
 from srptsim.errors import ConfigError
+from srptsim.validate import reference_params
 
 
 def read_csv(path):
@@ -231,6 +232,19 @@ def test_meanfield_nonconverged_points_exit_1(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "did not converge at 2 of 6 grid points" in err
     assert "first at L_R0 = 0.6 nH, kT/h = 0 GHz" in err
+
+
+def test_critical_inductance_is_normal(capsys):
+    """At L_c exactly, meanfield converges and fluct labels the point normal."""
+    L_c = meanfield.critical_inductance_at_zero_T(reference_params())
+    L_nH = repr(L_c / 1e-9)
+    assert float(L_nH) * 1e-9 == L_c
+    assert main(["meanfield", "--lr0", L_nH, "--kt", "0,1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["0", "0"]
+    assert main(["fluct", "--lr0", L_nH]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [r.split(",")[7] for r in rows] == ["normal"]
 
 
 # --- fluct -----------------------------------------------------------------------

@@ -270,9 +270,8 @@ def test_cosine_block_is_the_branch_kernel(reference, rng):
     ]
     for params in circuits:
         for per_mode in (8, 24):
-            cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=per_mode, total_cutoff=per_mode, quartic=False)
             oracle = fock.atom_hamiltonian(fock.build_operators(derive_linear(params), per_mode + 1), params)
-            assert np.array_equal(ed._atom_block(cfg, params), oracle)
+            assert np.array_equal(ed._atom_block(params, per_mode + 1, False), oracle)
 
 
 def symmetrizer(sym_basis, prod_basis):
@@ -403,7 +402,7 @@ def test_observables_rejects_odd_ground_below_even(reference):
 
 def test_reference_energy_matches_the_potential(reference):
     """Quartic ED subtracts the quartic branch's ground energy, cosine ED the cosine one."""
-    block = ed._atom_block(ed.EdConfig(n_atoms=1, per_mode_cutoff=59, total_cutoff=59), reference)
+    block = ed._atom_block(reference, 60, True)
     quartic = np.linalg.eigvalsh(block)[0]
     assert ed.reference_branch_energy(reference, quartic=True) == quartic
     cosine = ed.reference_branch_energy(reference, quartic=False)

@@ -20,8 +20,6 @@ from srptsim.fock import (
     branch,
     build_operators,
     free_energy,
-    phase_function,
-    sin_operator,
     thermal_expectation,
 )
 
@@ -100,8 +98,7 @@ def test_cos_spectrum_bounded(linear):
 
 def test_cos_sin_pythagorean_identity(linear):
     ops = build_operators(linear, 35)
-    s = sin_operator(ops)
-    total = ops.cos_op @ ops.cos_op + s @ s
+    total = ops.cos_op @ ops.cos_op + ops.sin_op @ ops.sin_op
     assert np.allclose(total, np.eye(35), atol=1e-10)
 
 
@@ -137,7 +134,8 @@ def test_two_assembly_identity(linear, reference):
     M = 12
     ops = build_operators(linear, M)
     H_direct = atom_hamiltonian(ops, reference)
-    ph_sq = phase_function(ops, lambda x: x * x)
+    phase = TWO_PI * ops.psi_op / PHI0
+    ph_sq = phase @ phase
     H_split = hbar * linear.omega_a * (ops.number_op + 0.5 * np.eye(M)) + reference.E_J * (
         ops.cos_op + ph_sq / 2.0
     )
@@ -342,8 +340,8 @@ def test_branch_shared_across_resonator_sweeps(reference):
     assert branch(reference.replace(N=3), 60) is b
     assert branch(reference, 40) is not b
     assert branch(reference.replace(L_g=0.4e-9), 60) is not b
-    assert not b.H_atom.flags.writeable and not b.sin_op.flags.writeable
-    assert np.array_equal(b.sin_op, sin_operator(b.ops))
+    assert not b.H_atom.flags.writeable and not b.ops.sin_op.flags.writeable
+    assert np.array_equal(b.ops.sin_op, build_operators(derive_linear(reference), 60).sin_op)
     # the finite-N reference energy is the kernel's ground energy
     assert ed.reference_branch_energy(reference.replace(N=2), quartic=False) == b.free_energy(0.0, 0.0)
 

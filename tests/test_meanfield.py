@@ -53,6 +53,13 @@ def jittered(params, jitter):
     )
 
 
+def mean_branch_flux(phi, kT, params, M=60):
+    """Thermal expectation of the branch flux at frozen resonator flux, weber."""
+    b = fock.branch(params, M)
+    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+    return psi
+
+
 def per_point_solve(params, kT, coarse_points=256):
     """Slow path: a coarse scan over this point's own window, refined and polished.
 
@@ -74,8 +81,8 @@ def per_point_solve(params, kT, coarse_points=256):
             phi = brentq(g, a, b, rtol=4.0 * np.finfo(float).eps, xtol=1e-300)
             break
     else:
-        return phi, meanfield.mean_branch_flux(phi, kT, params), False
-    return phi, meanfield.mean_branch_flux(phi, kT, params), True
+        return phi, mean_branch_flux(phi, kT, params), False
+    return phi, mean_branch_flux(phi, kT, params), True
 
 
 def bisect_critical_inductance(params, bracket=(0.25e-9, 0.60e-9), tol=1e-13, M=60):
@@ -199,7 +206,7 @@ def test_solve_amplitude_definition(reference):
         sol.phi_th / math.sqrt(2.0 * hbar * Z_c0), rel=1e-12
     )
     assert sol.psi_th == pytest.approx(
-        meanfield.mean_branch_flux(sol.phi_th, 0.0, p), rel=1e-12
+        mean_branch_flux(sol.phi_th, 0.0, p), rel=1e-12
     )
 
 
@@ -243,6 +250,25 @@ def test_critical_inductance_closed_form_matches_bisection(reference, jitter):
     p = jittered(reference, jitter)
     L_c = meanfield.critical_inductance_at_zero_T(p)
     assert L_c == pytest.approx(bisect_critical_inductance(p), abs=2e-13)
+
+
+def test_phase_flag_at_the_critical_inductance(reference):
+    """L_c itself is normal and a part in 1e9 above it orders, at kT/h = 0 and 1 GHz.
+
+    At L_c the residual at the snap flux is rounding noise, so the flag
+    must come from the closed-form stability of phi = 0. kTc is about
+    1.65 GHz just above L_c, so both temperatures order there.
+    """
+    L_c = meanfield.critical_inductance_at_zero_T(reference)
+    L = np.array([L_c * (1.0 - 1e-9), L_c, L_c * (1.0 + 1e-9)])
+    T = h * np.array([0.0, 1.0]) * GHZ
+    g = meanfield.phase_boundary(reference, L, T)
+    assert g.converged.all()
+    assert (g.phi > 0.0).tolist() == [[False, False, True]] * 2
+    for kT in T:
+        for L_R0, ordered in zip(L, (False, False, True)):
+            sol = meanfield.solve(reference.replace(L_R0=L_R0), kT)
+            assert sol.superradiant == ordered and sol.converged
 
 
 def test_boundary_closed_form_against_grid_oracle(reference):

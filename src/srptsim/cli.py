@@ -306,10 +306,12 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_ed(args) -> int:
+    # without --n-atoms, the config file's N, else one atom
+    n_text = args.n_atoms if args.n_atoms is not None else str(resolve_params(args).N or 1)
     try:
-        n_list = [int(tok) for tok in str(args.n_atoms).split(",") if tok.strip()]
+        n_list = [int(tok) for tok in n_text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --n-atoms list {args.n_atoms!r}") from exc
+        raise ConfigError(f"bad --n-atoms list {n_text!r}") from exc
     if not n_list:
         raise ConfigError("--n-atoms must name at least one atom count")
     L_vals = lr0_sweep(args)
@@ -438,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ed", parents=[circuit, out, sweep((0.2, 0.8, 7))],
                        help="sparse diagonalization at finite N")
-    p.add_argument("--n-atoms", default="1", metavar="LIST",
-                   help="comma-separated atom counts, one scan per count")
+    p.add_argument("--n-atoms", metavar="LIST",
+                   help="comma-separated atom counts, one scan per count; default the "
+                        "config file's N, else 1")
     p.add_argument("--compare-meanfield", action="store_true",
                    help="append thermodynamic-limit photon and shift columns; mean field "
                         "uses the cosine potential, so the comparison is like-for-like "

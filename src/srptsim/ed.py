@@ -4,10 +4,11 @@ Mode 0 is the resonator photon and modes 1..N are the junction branches,
 each in a truncated number basis. H is invariant under permutations of
 the N identical branches, and its ground state and the excitations scan
 reports lie in the exchange-symmetric subspace, so that is the space
-built: a basis state is the photon number plus a nondecreasing tuple of
-branch levels, the normalized symmetrization of that occupation. Its
+built: a basis state is the photon number plus the number of branches
+at each level, the normalized symmetrization of that occupation. Its
 dimension grows like a multiset count instead of the (cutoff + 1)^N of
-the product basis.
+the product basis, and a state is one number per level for any N, so
+the work per state does not grow with N.
 Total excitation parity is conserved, so each sector is diagonalized
 separately; the ground state lives in the even sector. The Hamiltonian
 splits into three parts whose matrix structure does not depend on the
@@ -23,8 +24,8 @@ for the atom term, sum_j (a + a^dag) op(j) with op = b + b^dag for V.
 
 Branches carry either the quartic expansion of the flux-periodic potential
 (default, sparse, bandwidth 4 per atom) or its exact cosine matrix (dense
-per-atom block, limited to N <= 2); comparing the two bounds the
-truncation error of the quartic form.
+per-atom block); comparing the two bounds the truncation error of the
+quartic form.
 """
 
 import math
@@ -66,7 +67,7 @@ class EdConfig:
                       request from the bottom of a sector; scan needs
                       and requests only two even and one odd pair
     quartic         : quartic branch potential when True, exact cosine
-                      block otherwise (N <= 2 only, the block is dense)
+                      block otherwise
     max_dimension   : refuse to materialize symmetric sectors larger
                       than this
     seed            : seed of the deterministic Lanczos start vector,
@@ -102,8 +103,6 @@ class EdConfig:
             raise ConfigError(f"parity must be 0 or 1, got {self.parity!r}")
         if not isinstance(self.quartic, bool):
             raise ConfigError(f"quartic must be True or False, got {self.quartic!r}")
-        if not self.quartic and self.n_atoms > 2:
-            raise ConfigError("the cosine branch potential makes dense per-atom blocks; use n_atoms <= 2")
 
     def sector(self, parity: int) -> "EdConfig":
         return replace(self, parity=parity)
@@ -135,12 +134,15 @@ def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int
 class BasisIndex:
     """Basis states of one parity sector with a sorted integer index.
 
-    A row is the photon number followed by the branch levels. In the
-    permutation-symmetric basis that ed builds, the branch levels are
-    nondecreasing and the row stands for the normalized symmetrization
-    of that occupation. Rows are lexicographic with mode 0 most
-    significant, so the mixed-radix keys (radix per_mode_cutoff + 1) are
-    ascending and a neighbor lookup is a binary search.
+    In the permutation-symmetric basis that ed builds, a row is the photon
+    number followed by the number of branches at each of the
+    R = per_mode_cutoff + 1 levels, (n_ph, k_0, ..., k_{R-1}) with
+    sum_m k_m = N, and stands for the normalized symmetrization of that
+    occupation; rows are R + 1 wide for any N. The key is the row in a
+    mixed radix whose place values (radix_powers) are set by each
+    column's bound: the photon is most significant and higher levels
+    outrank lower ones, so a lift raises the key. Keys are ascending and
+    a neighbor lookup is a binary search.
     """
 
     occupations: np.ndarray
@@ -155,23 +157,25 @@ class BasisIndex:
         return self.keys.size
 
     def index_of(self, occupations) -> tuple:
-        """Positions of occupation rows in the basis plus a validity mask."""
+        """Positions of occupation rows in the basis plus a validity mask.
+
+        A row is valid when the stored row at its key equals it: with tight
+        place values an out-of-range entry can alias another row's key.
+        """
         occ = np.atleast_2d(np.asarray(occupations, dtype=np.int64))
-        keys = occ @ self.radix_powers
-        pos = np.searchsorted(self.keys, keys)
+        pos = np.searchsorted(self.keys, occ @ self.radix_powers)
         pos_c = np.minimum(pos, self.dim - 1)
-        valid = (
-            (self.keys[pos_c] == keys)
-            & np.all(occ >= 0, axis=1)
-            & np.all(occ <= self.per_mode_cutoff, axis=1)
-        )
-        return pos_c, valid
+        return pos_c, np.all(self.occupations[pos_c] == occ, axis=1)
 
 
 def build_basis(config: EdConfig) -> BasisIndex:
-    """Enumerate the symmetric parity sector, guarded by config.max_dimension."""
-    n_modes = config.n_atoms + 1
-    dim = count_sector_dimension(n_modes, config.per_mode_cutoff, config.total_cutoff, config.parity)
+    """Enumerate the symmetric parity sector, guarded by config.max_dimension.
+
+    The branch occupations are expanded level by level from the top down,
+    then paired with every photon number that fits the cutoff and parity.
+    """
+    N, top, total = config.n_atoms, config.per_mode_cutoff, config.total_cutoff
+    dim = count_sector_dimension(N + 1, top, total, config.parity)
     if dim == 0:
         raise ConfigError("sector is empty for these cutoffs")
     if dim > config.max_dimension:
@@ -179,31 +183,38 @@ def build_basis(config: EdConfig) -> BasisIndex:
             f"sector dimension {dim} exceeds max_dimension = {config.max_dimension}; "
             "raise the limit explicitly if this size is intended"
         )
-    occ = np.zeros((1, 0), dtype=np.int32)
-    sums = np.zeros(1, dtype=np.int64)
-    for mode in range(n_modes):
-        # branch levels never decrease, so a branch at level k leaves at
-        # least k quanta to each branch after it; every prefix extends
-        share = 1 if mode == 0 else n_modes - mode
-        low = occ[:, -1].astype(np.int64) if mode >= 2 else np.zeros(sums.size, dtype=np.int64)
-        kmax = np.minimum(config.per_mode_cutoff, (config.total_cutoff - sums) // share)
-        counts = kmax - low + 1
-        rows = np.repeat(np.arange(occ.shape[0]), counts)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        k = np.arange(counts.sum()) - starts + low[rows]
-        occ = np.concatenate([occ[rows], k[:, None].astype(np.int32)], axis=1)
-        sums = sums[rows] + k
-    keep = (sums % 2) == config.parity
-    occ = occ[keep]
-    radix = np.int64(config.per_mode_cutoff + 1)
-    powers = radix ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
-    keys = occ.astype(np.int64) @ powers
+    # place values from the column bounds: k_0 .. k_top, then the photon
+    sizes = [N + 1] + [min(N, total // m) + 1 for m in range(1, top + 1)] + [top + 1]
+    if math.prod(sizes) >= 2**63:
+        raise ConfigError(
+            f"symmetric-sector keys for N = {N} at cutoffs {top}/{total} overflow int64; "
+            "lower the cutoffs"
+        )
+    powers = np.roll(np.cumprod([1] + sizes[:-1], dtype=np.int64), 1)
+    # branch parts (k_top, ..., k_1) in key order, each level bounded by
+    # the branches and quanta left; every prefix extends, k_0 taking the rest
+    levels = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    energy = np.zeros(1, dtype=np.int64)
+    for m in range(top, 0, -1):
+        counts = np.minimum((total - energy) // m, N - used) + 1
+        parent = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        levels = np.concatenate([levels[parent], k[:, None]], axis=1)
+        used = used[parent] + k
+        energy = energy[parent] + m * k
+    branches = np.concatenate([(N - used)[:, None], levels[:, ::-1]], axis=1, dtype=np.int32)
+    # the photon is the most significant column, so photon-major order is key order
+    quanta = np.arange(top + 1)[:, None] + energy
+    photon, part = np.nonzero((quanta <= total) & (quanta % 2 == config.parity))
+    keys = photon * powers[0] + (branches @ powers[1:])[part]
+    occ = np.concatenate([photon[:, None], branches[part]], axis=1, dtype=np.int32)
     occ.setflags(write=False)
     keys.setflags(write=False)
     return BasisIndex(
         occupations=occ,
-        per_mode_cutoff=config.per_mode_cutoff,
-        total_cutoff=config.total_cutoff,
+        per_mode_cutoff=top,
+        total_cutoff=total,
         parity=config.parity,
         keys=keys,
         radix_powers=powers,
@@ -237,35 +248,6 @@ def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _last_of_level(basis: BasisIndex) -> np.ndarray:
-    """Mask over the branch columns: the last branch at its level.
-
-    Moving only that branch hops each occupied level once, and lifting it
-    raises the first branch level that changes, so the key increases.
-    """
-    levels = basis.occupations[:, 1:]
-    last = np.ones(levels.shape, dtype=bool)
-    last[:, :-1] = levels[:, :-1] != levels[:, 1:]
-    return last
-
-
-def _branch_hop(basis: BasisIndex, src: np.ndarray, column: int, target: np.ndarray, photon_step: int):
-    """Move the branch in one column of the rows src to level target.
-
-    With k_m branches at the source level m and k_t at the target, the
-    normalized symmetric states connect with sqrt(k_m (k_t + 1)). Returns
-    the target positions and these factors.
-    """
-    occ = basis.occupations[src].astype(np.int64)
-    levels = occ[:, 1:]
-    k_from = np.count_nonzero(levels == levels[:, [column - 1]], axis=1)
-    k_to = np.count_nonzero(levels == target[:, None], axis=1)
-    levels[:, column - 1] = target
-    levels.sort(axis=1)
-    occ[:, 0] += photon_step
-    return _locate(basis, occ @ basis.radix_powers), np.sqrt(k_from * (k_to + 1.0))
-
-
 def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.csr_matrix:
     """The symmetric matrix whose strict upper triangle holds these triplets."""
     upper = sp.coo_matrix(
@@ -277,47 +259,46 @@ def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.cs
 def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_matrix:
     """sum_j op(j) (photon_step 0) or sum_j (a + a^dag) op(j) (photon_step 1) in the sector.
 
-    op is real symmetric on the branch levels; write s for photon_step. A
-    level m with k_m branches reaches m + delta with op[m, m + delta]
-    sqrt(k_m (k_{m+delta} + 1)), times sqrt(n_ph + 1) when the photon is
-    raised too; only offsets with delta + s even keep the parity. Raising
-    the photon raises the key, as does lifting a branch at a fixed photon,
-    so those hops are the upper triangle. At s = 0 the diagonal adds
-    sum_m k_m op[m, m].
+    op is real symmetric on the R branch levels; write s for photon_step.
+    A level m with k_m branches reaches m + delta with op[m, m + delta]
+    sqrt(k_m k'_{m+delta}), k' the target row's occupation, times
+    sqrt(n_ph + 1) when the photon is raised too; only offsets with
+    delta + s even keep the parity. The key moves by the place value of
+    m + delta minus that of m, plus the photon's at s = 1, and either
+    rise raises it, so those hops are the upper triangle. At s = 0 the
+    diagonal adds sum_m k_m op[m, m].
     """
-    n_modes = basis.occupations.shape[1]
+    levels = basis.occupations[:, 1:]
     occ0 = basis.occupations[:, 0].astype(np.int64)
-    totals = basis.occupations.sum(axis=1, dtype=np.int64)
-    photon = np.sqrt(occ0 + 1.0) ** photon_step
-    last = _last_of_level(basis)
     R = op.shape[0]
-    deltas = [
-        delta
-        for delta in range(1 - R if photon_step else 1, R)
-        if (delta + photon_step) % 2 == 0 and np.any(np.diagonal(op, offset=delta) != 0.0)
-    ]
-    diag = np.zeros(basis.dim)
+    totals = occ0 + levels @ np.arange(R, dtype=levels.dtype)
+    photon = np.sqrt(occ0 + 1.0) ** photon_step
+    place = basis.radix_powers[1:]
+    # every hop leaves an occupied level
+    row, m = np.nonzero(levels)
     rows, cols, vals = [], [], []
-    for j in range(1, n_modes):
-        occ_j = basis.occupations[:, j].astype(np.int64)
-        if photon_step == 0:
-            diag += op[occ_j, occ_j]
-        for delta in deltas:
-            src = np.nonzero(
-                last[:, j - 1]
-                & (occ0 + photon_step <= basis.per_mode_cutoff)
-                & (occ_j + delta >= 0)
-                & (occ_j + delta <= basis.per_mode_cutoff)
-                & (totals + photon_step + delta <= basis.total_cutoff)
-            )[0]
-            amp = op[occ_j[src], occ_j[src] + delta]
-            src, amp = src[amp != 0.0], amp[amp != 0.0]
-            target, factor = _branch_hop(basis, src, j, occ_j[src] + delta, photon_step)
-            rows.append(src)
-            cols.append(target)
-            vals.append(photon[src] * amp * factor)
+    for delta in range(1 - R if photon_step else 1, R):
+        if (delta + photon_step) % 2 or not np.any(np.diagonal(op, offset=delta)):
+            continue
+        room = (occ0 + photon_step <= basis.per_mode_cutoff) & (
+            totals + photon_step + delta <= basis.total_cutoff
+        )
+        hop = room[row] & (m + delta >= 0) & (m + delta < R)
+        src, frm = row[hop], m[hop]
+        amp = op[frm, frm + delta]
+        keep = amp != 0.0
+        src, frm, amp = src[keep], frm[keep], amp[keep]
+        to = frm + delta
+        shift = place[to] - place[frm] + photon_step * basis.radix_powers[0]
+        target = _locate(basis, basis.keys[src] + shift)
+        rows.append(src)
+        cols.append(target)
+        vals.append(photon[src] * amp * np.sqrt(levels[src, frm] * levels[target, to]))
     matrix = _symmetric_from_upper(basis.dim, rows, cols, vals)
-    return matrix + sp.diags(diag).tocsr() if photon_step == 0 else matrix
+    if photon_step:
+        return matrix
+    diag = np.bincount(row, weights=levels[row, m] * np.diagonal(op)[m], minlength=basis.dim)
+    return matrix + sp.diags(diag).tocsr()
 
 
 @dataclass(frozen=True)
@@ -339,6 +320,8 @@ class SectorModel:
 
 
 def build_sector_model(params: CircuitParams, config: EdConfig) -> SectorModel:
+    if params.N not in (None, config.n_atoms):
+        raise ValueError(f"params.N = {params.N} differs from n_atoms = {config.n_atoms}")
     basis = build_basis(config)
     R = config.per_mode_cutoff + 1
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
@@ -357,6 +340,8 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
     """Sector Hamiltonian at the resonator inductance carried by params, joule."""
     if (params.L_J, params.L_g, params.C_J) != model.atom_key:
         raise ValueError("sector model was built for different branch parameters")
+    if params.N not in (None, model.config.n_atoms):
+        raise ValueError(f"params.N = {params.N} differs from n_atoms = {model.config.n_atoms}")
     derived = derive_linear(params)
     scale = hbar * derived.g / math.sqrt(model.config.n_atoms)
     H = sp.diags(hbar * derived.omega_c * model.photon_number) + model.atom_static - scale * model.coupling
@@ -603,8 +588,7 @@ def truncation_error_study(
 ) -> TruncationStudy:
     """Bound the quartic-potential truncation error against the exact cosine.
 
-    Only defined for n_atoms <= 2 where the cosine blocks stay tractable.
-    At n_atoms = 2 the coupled spectra are those of the symmetric sector:
+    At n_atoms >= 2 the coupled spectra are those of the symmetric sector:
     the exchange-odd "dark" states of the product basis are not among
     the transitions. The acceptance criterion and the validate check run
     it at n_atoms = 1, where the two bases coincide.

@@ -256,26 +256,17 @@ def _package(params, phi_th, kT, M, converged, n_evaluations):
     )
 
 
-def critical_inductance_at_zero_T(
-    params: CircuitParams,
-    bracket: tuple = (0.25e-9, 0.60e-9),
-    M: int = 60,
-) -> float:
+def critical_inductance_at_zero_T(params: CircuitParams, M: int = 60) -> float:
     """Resonator inductance where the zero-temperature order parameter onsets, henry.
 
     The branch free energy does not depend on L_R0, so the normal phase
     turns unstable at the closed form 1/L_c = chi / L_g^2 - 1/L_g, with chi
     the branch susceptibility at kT = 0: normal below L_c, superradiant
-    above. ValueError unless the bracket straddles L_c.
+    above. ValueError when chi / L_g^2 <= 1/L_g, where no L_R0 orders.
     """
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
     inverse_L_c = fock.branch(params, M).susceptibility(0.0) / params.L_g**2 - 1.0 / params.L_g
-    if inverse_L_c >= 1.0 / lo:
-        raise ValueError(f"lower bracket edge {lo} is already superradiant")
-    if inverse_L_c <= 1.0 / hi:
-        raise ValueError(f"upper bracket edge {hi} is still normal")
+    if inverse_L_c <= 0.0:
+        raise ValueError("the circuit never orders at kT = 0: chi / L_g^2 <= 1 / L_g")
     return 1.0 / inverse_L_c
 
 

@@ -308,6 +308,22 @@ def test_ed_rejects_bad_atom_list():
     assert main(["ed", "--n-atoms", ",", "--lr0", "0.45"]) == 2
 
 
+def test_ed_atom_count_from_config_file(tmp_path, capsys):
+    """--n-atoms overrides the config file's N, which overrides the default of 1."""
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("N = 2\n")
+    small = ["--lr0", "0.45", "--per-mode-cutoff", "4", "--total-cutoff", "8"]
+    for extra, n in (
+        ([], "1"),
+        (["--config", str(cfg)], "2"),
+        (["--config", str(cfg), "--n-atoms", "1"], "1"),
+    ):
+        capsys.readouterr()
+        assert main(["ed"] + small + extra) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [r[0] for r in rows] == [n]
+
+
 def test_ed_cutoff_misorder_exits_2():
     assert main(["ed", "--per-mode-cutoff", "16", "--total-cutoff", "8",
                  "--lr0", "0.45"]) == 2

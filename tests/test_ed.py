@@ -34,6 +34,14 @@ def brute_force_sector(n_modes, per_mode, total, parity):
     return sorted(out)
 
 
+def level_tuples(occupations):
+    """Occupation rows (n_ph, k_0, ..., k_{R-1}) as (n_ph, nondecreasing branch levels)."""
+    return [
+        (row[0], *np.repeat(np.arange(len(row) - 1), row[1:]).tolist())
+        for row in np.asarray(occupations).tolist()
+    ]
+
+
 def quartic_block_oracle(params, levels):
     """Dense per-branch quartic Hamiltonian, assembled independently."""
     d = derive_linear(params)
@@ -70,7 +78,7 @@ def test_basis_matches_brute_force_enumeration():
         # one representative per symmetric state: branch levels nondecreasing
         expected = [occ for occ in product if list(occ[1:]) == sorted(occ[1:])]
         assert basis.dim == len(expected)
-        assert sorted(map(tuple, basis.occupations.tolist())) == expected
+        assert sorted(level_tuples(basis.occupations)) == expected
         assert basis.dim == ed.count_sector_dimension(n_atoms + 1, per_mode, total, parity)
         assert np.all(np.diff(basis.keys) > 0)
 
@@ -79,8 +87,8 @@ def test_basis_hand_enumeration():
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=2, total_cutoff=2)
     even = ed.build_basis(cfg.sector(0))
     odd = ed.build_basis(cfg.sector(1))
-    assert sorted(map(tuple, even.occupations.tolist())) == [(0, 0), (0, 2), (1, 1), (2, 0)]
-    assert sorted(map(tuple, odd.occupations.tolist())) == [(0, 1), (1, 0)]
+    assert sorted(level_tuples(even.occupations)) == [(0, 0), (0, 2), (1, 1), (2, 0)]
+    assert sorted(level_tuples(odd.occupations)) == [(0, 1), (1, 0)]
 
 
 def test_sector_dimensions_cover_unrestricted_count():
@@ -133,9 +141,50 @@ def test_index_of_round_trip_and_rejection():
     pos, valid = basis.index_of(basis.occupations)
     assert valid.all()
     assert np.array_equal(pos, np.arange(basis.dim))
-    # the last row is a product state whose branch levels are out of order
-    _, bad = basis.index_of([[5, 0, 0], [0, 0, 1], [-1, 0, 0], [0, 2, 0]])
+    # photon above its cutoff, odd parity, a negative photon, and a row whose
+    # out-of-range k_0 aliases the key of both branches at level 1
+    row = level_tuples(basis.occupations).index((0, 1, 1))
+    alias = basis.occupations[row].astype(np.int64)
+    alias[2] -= 1
+    alias[1] += basis.radix_powers[2] // basis.radix_powers[1]
+    assert alias @ basis.radix_powers == basis.keys[row]
+    _, bad = basis.index_of([[5, 2, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [-1, 2, 0, 0, 0, 0], alias])
     assert not bad.any()
+
+
+@pytest.mark.parametrize("parity, dim", [(0, 1922), (1, 1409)])
+def test_sector_width_and_dimension_do_not_grow_with_n(parity, dim):
+    """At 12/16 every N from 16 on has the same sector, R + 1 columns wide."""
+    for n_atoms in (16, 17, 64, 1024):
+        basis = ed.build_basis(
+            ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=12, total_cutoff=16, parity=parity)
+        )
+        assert basis.dim == dim == ed.count_sector_dimension(n_atoms + 1, 12, 16, parity)
+        assert basis.occupations.shape == (dim, 14)
+        assert np.all(basis.occupations[:, 1:].sum(axis=1) == n_atoms)
+        assert np.all(np.diff(basis.keys) > 0)
+
+
+def test_many_atoms_at_tight_cutoffs(reference):
+    """N = 40 at 2/2: the vacuum couples to one photon plus one lifted branch with sqrt(N)."""
+    model = ed.build_sector_model(reference, ed.EdConfig(n_atoms=40, per_mode_cutoff=2, total_cutoff=2))
+    assert model.basis.dim == ed.count_sector_dimension(41, 2, 2, 0) == 5
+    (vac, one), valid = model.basis.index_of([[0, 40, 0, 0], [1, 39, 1, 0]])
+    assert valid.all()
+    assert model.coupling[vac, one] == model.coupling[one, vac] == pytest.approx(math.sqrt(40), rel=1e-15)
+
+
+def test_key_overflow_is_refused_before_enumerating(monkeypatch):
+    """N = 10 at 24/48 has 1,357,095 even states but a key space of 2.2e19 > 2^63."""
+    cfg = ed.EdConfig(n_atoms=10, per_mode_cutoff=24, total_cutoff=48, max_dimension=2_000_000)
+    assert ed.count_sector_dimension(11, 24, 48, 0) == 1_357_095
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(np, "repeat", no_enumeration)
+    with pytest.raises(ConfigError, match="overflow"):
+        ed.build_basis(cfg)
 
 
 def test_config_validation():
@@ -147,8 +196,6 @@ def test_config_validation():
         ed.EdConfig(n_atoms=1, per_mode_cutoff=16, total_cutoff=8)
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=1, parity=2)
-    with pytest.raises(ConfigError):
-        ed.EdConfig(n_atoms=3, quartic=False)
     # a truthy string would build the quartic model, a falsy 0 the cosine block
     for quartic in ("no", 0):
         with pytest.raises(ConfigError):
@@ -225,11 +272,11 @@ def test_vacuum_diagonal_closed_form(reference):
     """The empty-occupation diagonal entry has a pencil-and-paper value."""
     d = derive_linear(reference)
     lam_sq = (TWO_PI / PHI0) ** 2 * hbar * d.Z_a / 2.0
-    for n_atoms in (1, 2):
+    for n_atoms in (1, 2, 64, 1024):
         cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=6, total_cutoff=8)
         H = ed.build_hamiltonian(cfg, reference)
         basis = ed.build_basis(cfg)
-        pos, valid = basis.index_of([[0] * (n_atoms + 1)])
+        pos, valid = basis.index_of([[0, n_atoms] + [0] * 6])
         assert valid.all()
         expected = hbar * d.omega_c / 2.0 + n_atoms * (
             hbar * d.omega_a / 2.0 + reference.E_J + reference.E_J * lam_sq**2 / 8.0
@@ -281,7 +328,7 @@ def symmetrizer(sym_basis, prod_basis):
     state i's branch levels.
     """
     rows, cols, vals = [], [], []
-    for i, (n, *levels) in enumerate(sym_basis.occupations.tolist()):
+    for i, (n, *levels) in enumerate(level_tuples(sym_basis.occupations)):
         orders = sorted(set(itertools.permutations(levels)))
         pos, valid = prod_basis.index_of([[n, *order] for order in orders])
         assert valid.all()
@@ -293,7 +340,7 @@ def symmetrizer(sym_basis, prod_basis):
 
 @pytest.mark.parametrize(
     "n_atoms, per_mode, total, quartic",
-    [(2, 6, 12, True), (2, 6, 12, False), (3, 4, 8, True)],
+    [(2, 6, 12, True), (2, 6, 12, False), (3, 4, 8, True), (3, 4, 8, False)],
 )
 @pytest.mark.parametrize("parity", [0, 1])
 def test_symmetric_sector_is_restriction_of_product_basis(reference, n_atoms, per_mode, total, quartic, parity):
@@ -313,6 +360,19 @@ def test_symmetric_sector_is_restriction_of_product_basis(reference, n_atoms, pe
         H = ed.hamiltonian_at(sym, p)
         embedded = P.T @ ed.hamiltonian_at(prod, p) @ P
         assert abs(embedded - H).max() <= 1e-14 * abs(H).sum(axis=1).max()
+
+
+def test_atom_count_must_agree_with_params(reference):
+    """N comes from the config; a params.N that says otherwise is an error, not ignored."""
+    cfg = ed.EdConfig(n_atoms=3, per_mode_cutoff=4, total_cutoff=4)
+    with pytest.raises(ValueError):
+        ed.build_sector_model(reference.replace(N=2), cfg)
+    with pytest.raises(ValueError):
+        ed.scan(reference.replace(N=2), cfg, np.array([0.45e-9]))
+    model = ed.build_sector_model(reference.replace(N=3), cfg)
+    ed.hamiltonian_at(model, reference)
+    with pytest.raises(ValueError):
+        ed.hamiltonian_at(model, reference.replace(N=2))
 
 
 def test_sector_model_rejects_foreign_branch_parameters(reference):

@@ -236,13 +236,28 @@ def test_critical_inductance_reference(reference):
     assert L_c > 0.30e-9 + 0.01e-9
 
 
-def test_critical_inductance_bracket_validation(reference):
+@pytest.mark.parametrize("L_J, L_c_nH", [(1.5e-9, 1.1102), (3.0e-9, 2.6599)])
+def test_critical_inductance_of_weak_junctions(reference, L_J, L_c_nH):
+    """L_c beyond any fixed search window still splits the phases where phase_boundary does."""
+    p = reference.replace(L_J=L_J)
+    L_c = meanfield.critical_inductance_at_zero_T(p)
+    assert L_c / 1e-9 == pytest.approx(L_c_nH, abs=1e-4)
+    g = meanfield.phase_boundary(p, np.array([0.99 * L_c, 1.01 * L_c]), np.array([0.0]))
+    assert g.converged.all()
+    assert (g.phi > 0.0).tolist() == [[False, True]]
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.4])
+def test_critical_inductance_never_orders(reference, monkeypatch, scale):
+    """chi / L_g^2 <= 1 / L_g leaves no L_R0 ordered, so there is no L_c to return.
+
+    The reference circuit orders while chi keeps more than L_c / (L_c + L_g),
+    about 0.43, of its value.
+    """
+    chi = fock.Branch.susceptibility
+    monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: scale * chi(self, kT))
     with pytest.raises(ValueError):
-        meanfield.critical_inductance_at_zero_T(reference, bracket=(0.3e-9, 0.2e-9))
-    with pytest.raises(ValueError):
-        meanfield.critical_inductance_at_zero_T(reference, bracket=(0.5e-9, 0.6e-9))
-    with pytest.raises(ValueError):
-        meanfield.critical_inductance_at_zero_T(reference, bracket=(0.2e-9, 0.3e-9))
+        meanfield.critical_inductance_at_zero_T(reference)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.03, -0.03])

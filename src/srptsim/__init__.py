@@ -10,6 +10,8 @@ Layers, from classical to fully quantum:
 - validate: named internal consistency checks
 """
 
+import importlib
+
 from .circuit import (
     CircuitParams,
     ClassicalMinimum,
@@ -23,7 +25,6 @@ from .circuit import (
     polariton_frequencies,
 )
 from .constants import PHI0
-from .ed import EdConfig, EdResult, EdScan, build_hamiltonian, build_sector_model, scan
 from .errors import ConfigError, ConvergenceError
 from .fluct import (
     FluctScan,
@@ -46,9 +47,30 @@ from .meanfield import (
     solve,
     solve_sweep,
 )
-from .validate import CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+# ed and validate need scipy.sparse. They load on first use, so the
+# numpy-only layers and the meanfield and fluct subcommands never pay for it.
+_LAZY = {
+    "EdConfig": "ed",
+    "EdResult": "ed",
+    "EdScan": "ed",
+    "build_hamiltonian": "ed",
+    "build_sector_model": "ed",
+    "scan": "ed",
+    "CheckResult": "validate",
+    "run_checks": "validate",
+}
+
+
+def __getattr__(name):
+    if name in ("ed", "validate"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(__getattr__(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "PHI0",

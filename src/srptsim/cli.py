@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import ed, fluct, meanfield, validate
+from . import fluct, meanfield
 from .circuit import (
     TWO_PI,
     CircuitParams,
@@ -26,6 +26,7 @@ from .circuit import (
     constrained_potential,
     derive_linear,
     polariton_frequencies,
+    reference_params,
 )
 from .constants import PHI0, h
 from .errors import ConfigError, ConvergenceError
@@ -102,7 +103,7 @@ def load_config(path: str) -> dict:
 
 def resolve_params(args, N=None) -> CircuitParams:
     """Merge defaults, config file, and explicit flags into CircuitParams."""
-    reference = validate.reference_params()
+    reference = reference_params()
     values = {key: getattr(reference, key) for key in ("L_J", "L_g", "C_J", "C_R0", "L_R0")}
     config_N = None
     if args.config:
@@ -306,6 +307,8 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_ed(args) -> int:
+    from . import ed
+
     # without --n-atoms, the config file's N, else one atom
     n_text = args.n_atoms if args.n_atoms is not None else str(resolve_params(args).N or 1)
     try:
@@ -369,6 +372,8 @@ def cmd_ed(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validate
+
     names = [tok.strip() for tok in args.only.split(",") if tok.strip()] if args.only else None
     results = validate.run_checks(names=names, seed=args.seed)
     for r in results:

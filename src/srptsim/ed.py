@@ -112,17 +112,18 @@ def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int
     """Number of symmetric basis states in the sector, without materializing them.
 
     n_modes counts the photon and the N branches. ways[j, s] counts the
-    multisets of j branch levels with level sum s; the levels are admitted
-    one at a time, each any number of times. The photon then adds
-    0..per_mode_cutoff quanta.
+    multisets of j nonzero branch levels with level sum s; the levels are
+    admitted one at a time, each any number of times. Level 0 takes the
+    N - j branches left over, and j <= total_cutoff, so the cost does not
+    grow with N. The photon then adds 0..per_mode_cutoff quanta.
     """
-    n_branches = n_modes - 1
-    ways = np.zeros((n_branches + 1, total_cutoff + 1), dtype=np.int64)
+    n_lifted = min(n_modes - 1, total_cutoff)
+    ways = np.zeros((n_lifted + 1, total_cutoff + 1), dtype=np.int64)
     ways[0, 0] = 1
-    for level in range(min(per_mode_cutoff, total_cutoff) + 1):
-        for j in range(1, n_branches + 1):
+    for level in range(1, min(per_mode_cutoff, total_cutoff) + 1):
+        for j in range(1, n_lifted + 1):
             ways[j, level:] += ways[j - 1, : total_cutoff + 1 - level]
-    acc = np.cumsum(ways[n_branches])
+    acc = np.cumsum(ways.sum(axis=0))
     counts = acc.copy()
     window = per_mode_cutoff + 1
     if window <= total_cutoff:

@@ -22,14 +22,10 @@ from .circuit import (
     derive_linear,
     inductive_energy,
     polariton_frequencies,
+    reference_params,
 )
 from .constants import PHI0, h, hbar
 from .errors import ConfigError
-
-
-def reference_params(N: int | None = None) -> CircuitParams:
-    """The reference circuit used by the checks and the CLI defaults."""
-    return CircuitParams(L_J=0.75e-9, L_g=0.45e-9, C_J=24e-15, C_R0=2e-15, L_R0=0.45e-9, N=N)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import fluct_cusp
 from srptsim import ed, fluct, meanfield
 from srptsim.circuit import (
     CircuitParams,
@@ -171,11 +172,11 @@ def test_criterion_06_fluctuation_cusp(reference, capsys):
     L_c = meanfield.critical_inductance_at_zero_T(reference, M=60)
     step = 2e-12
     fine = fluct.spectrum_scan(reference, np.arange(L_c - 10 * step, L_c + 10.5 * step, step))
-    i_cusp = fluct.locate_cusp(fine)
-    i_cross = fluct.locate_crossing(fine)
+    i_cusp = fluct_cusp.locate_cusp(fine)
+    i_cross = fluct_cusp.locate_crossing(fine)
     offset = abs(fine.L_R0_values[i_cusp] - L_c)
     window = fine.omega_minus[max(0, i_cusp - 3) : i_cusp + 4]
-    single_cusp = fluct.count_convex_runs(window) == 1
+    single_cusp = fluct_cusp.count_convex_runs(window) == 1
     elapsed = time.perf_counter() - t0
 
     ok = (

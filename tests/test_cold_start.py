@@ -1,7 +1,8 @@
-"""What a fresh `import srptsim.cli` loads.
+"""What a fresh `import srptsim` and the numpy-only CLI calls load.
 
-Every CLI call is a new process, so the import is paid per call. The
-package needs numpy and scipy.sparse (for ED) and nothing else from
+Every CLI call is a new process, so the import is paid per call. Only ed
+(and validate, which runs ED checks) needs scipy.sparse; the package
+loads them on first use. Nothing in the package needs any other part of
 scipy: its one root finder is circuit.brentq, and its constants are the
 exact SI literals.
 """
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants
 
 from srptsim import constants
@@ -18,16 +20,62 @@ from srptsim import constants
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_cli_import_loads_no_scipy_optimize_or_constants():
+def run_fresh(code):
+    """Run code in a new interpreter that imports srptsim from src; return its stdout lines."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, srptsim.cli\n"
-            "print(srptsim.cli.__file__)\n"
-            "print(*sorted(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    path, modules = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def scipy_modules(names):
+    return [m for m in names.split() if m.startswith("scipy")]
+
+
+def assert_import_loads_no_scipy(module):
+    path, modules = run_fresh(f"import sys, {module}\n"
+                              f"print({module}.__file__)\n"
+                              "print(*sorted(sys.modules))")
     assert Path(path).resolve().is_relative_to(SRC)
+    assert scipy_modules(modules) == []
+
+
+def test_package_import_loads_no_scipy():
+    assert_import_loads_no_scipy("srptsim")
+
+
+def test_cli_import_loads_no_scipy_optimize_or_constants():
+    """Nor any other part of scipy: scipy.sparse waits for the ed and validate subcommands."""
+    assert_import_loads_no_scipy("srptsim.cli")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fluct", "--lr0", "0.3,0.6"],
+    ["meanfield", "--lr0", "0.6", "--kt", "0,50", "--boundary"],
+])
+def test_meanfield_and_fluct_subcommands_load_no_scipy(argv):
+    *_, rc, modules = run_fresh("import sys\n"
+                                "from srptsim import cli\n"
+                                f"rc = cli.main({argv!r})\n"
+                                "print(rc)\n"
+                                "print(*sorted(sys.modules))")
+    assert rc == "0"
+    assert scipy_modules(modules) == []
+
+
+def test_lazy_names_resolve_on_first_use():
+    lines = run_fresh("import sys, srptsim\n"
+                      "print(srptsim.EdConfig is srptsim.ed.EdConfig)\n"
+                      "print(srptsim.run_checks is srptsim.validate.run_checks)\n"
+                      "try:\n"
+                      "    srptsim.no_such_name\n"
+                      "except AttributeError:\n"
+                      "    print('AttributeError')\n"
+                      "print(*sorted(sys.modules))")
+    same_config, same_checks, missing, modules = lines
+    assert same_config == same_checks == "True"
+    assert missing == "AttributeError"
     modules = modules.split()
     assert "scipy.sparse" in modules
     assert [m for m in modules if m.startswith(("scipy.optimize", "scipy.constants"))] == []

@@ -55,6 +55,26 @@ def quartic_block_oracle(params, levels):
     ) * quartic
 
 
+def sector_dimension_by_branch_count(n_modes, per_mode_cutoff, total_cutoff, parity):
+    """The symmetric sector count with one row per branch count j = 1..N.
+
+    ways[j, s] counts multisets of j levels 0..min(per_mode_cutoff,
+    total_cutoff) with level sum s, so the table grows with N.
+    """
+    n_branches = n_modes - 1
+    ways = np.zeros((n_branches + 1, total_cutoff + 1), dtype=np.int64)
+    ways[0, 0] = 1
+    for level in range(min(per_mode_cutoff, total_cutoff) + 1):
+        for j in range(1, n_branches + 1):
+            ways[j, level:] += ways[j - 1, : total_cutoff + 1 - level]
+    acc = np.cumsum(ways[n_branches])
+    counts = acc.copy()
+    window = per_mode_cutoff + 1
+    if window <= total_cutoff:
+        counts[window:] -= acc[:-window]
+    return int(counts[parity::2].sum())
+
+
 # --- basis -----------------------------------------------------------------
 
 
@@ -163,6 +183,21 @@ def test_sector_width_and_dimension_do_not_grow_with_n(parity, dim):
         assert basis.occupations.shape == (dim, 14)
         assert np.all(basis.occupations[:, 1:].sum(axis=1) == n_atoms)
         assert np.all(np.diff(basis.keys) > 0)
+
+
+def test_sector_count_matches_branch_count_oracle():
+    for per_mode, total in ((2, 2), (4, 8), (6, 12), (8, 16), (12, 16), (16, 32), (24, 48), (2, 40)):
+        for n_atoms in range(1, 25):
+            for parity in (0, 1):
+                assert ed.count_sector_dimension(n_atoms + 1, per_mode, total, parity) == (
+                    sector_dimension_by_branch_count(n_atoms + 1, per_mode, total, parity)
+                )
+    for parity in (0, 1):
+        dim = ed.count_sector_dimension(1025, 12, 16, parity)
+        assert dim == sector_dimension_by_branch_count(1025, 12, 16, parity)
+        assert dim == ed.build_basis(
+            ed.EdConfig(n_atoms=1024, per_mode_cutoff=12, total_cutoff=16, parity=parity)
+        ).dim
 
 
 def test_many_atoms_at_tight_cutoffs(reference):

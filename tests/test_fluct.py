@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import fluct_cusp
 from srptsim import fluct, meanfield
 from srptsim.circuit import derive_linear
 from srptsim.constants import PHI0, h
@@ -123,8 +124,8 @@ def test_spectrum_scan_cusp_and_crossing(reference):
     L = np.arange(0.320e-9, 0.3601e-9, 0.002e-9)
     scan = fluct.spectrum_scan(reference, L)
     assert np.all(scan.omega_minus > 0.0)
-    i_cusp = fluct.locate_cusp(scan)
-    i_cross = fluct.locate_crossing(scan)
+    i_cusp = fluct_cusp.locate_cusp(scan)
+    i_cross = fluct_cusp.locate_crossing(scan)
     assert i_cross == i_cusp
     assert L[i_cusp] == pytest.approx(0.338e-9, abs=1e-15)
     assert scan.omega_minus[i_cusp] / (TWO_PI * GHZ) == pytest.approx(
@@ -132,7 +133,7 @@ def test_spectrum_scan_cusp_and_crossing(reference):
     )
     # single convex dip in the window around the cusp
     window = scan.omega_minus[max(0, i_cusp - 3) : i_cusp + 4]
-    assert fluct.count_convex_runs(window) == 1
+    assert fluct_cusp.count_convex_runs(window) == 1
     # order parameter onsets within one grid step of the cusp
     flags = scan.superradiant.astype(int)
     assert np.all(np.diff(flags) >= 0)
@@ -164,10 +165,10 @@ def test_fluctuation_spectrum_instability_raises(reference):
 
 def test_count_convex_runs_synthetic():
     x = np.linspace(-1.0, 1.0, 21)
-    assert fluct.count_convex_runs(x**2) == 1
-    assert fluct.count_convex_runs(np.zeros(21)) == 0
+    assert fluct_cusp.count_convex_runs(x**2) == 1
+    assert fluct_cusp.count_convex_runs(np.zeros(21)) == 0
     two_dips = np.concatenate([(x[:10] + 0.5) ** 2, (x[10:] - 0.5) ** 2 + 5.0])
-    assert fluct.count_convex_runs(two_dips) >= 2
+    assert fluct_cusp.count_convex_runs(two_dips) >= 2
 
 
 def test_one_dense_diagonalization_per_point(reference, monkeypatch):

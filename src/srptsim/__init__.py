@@ -54,7 +54,6 @@ __version__ = "0.1.0"
 # numpy-only layers and the meanfield and fluct subcommands never pay for it.
 _LAZY = {
     "EdConfig": "ed",
-    "EdResult": "ed",
     "EdScan": "ed",
     "build_hamiltonian": "ed",
     "build_sector_model": "ed",
@@ -105,7 +104,6 @@ __all__ = [
     "zero_point_shift",
     "spectrum_scan",
     "EdConfig",
-    "EdResult",
     "EdScan",
     "build_sector_model",
     "build_hamiltonian",

@@ -53,7 +53,8 @@ def load_config(path: str) -> dict:
 
     Recognized keys: L_J, L_g, C_J, C_R0, L_R0, E_J (as a frequency,
     converted through h), and N. A bare number without a unit is taken as
-    SI. E_J and L_J together are ambiguous and rejected.
+    SI. E_J and L_J together are ambiguous and rejected; E_J = 0 is a bare
+    LC branch, L_J = inf.
     """
     try:
         text = open(path).read()
@@ -97,7 +98,10 @@ def load_config(path: str) -> dict:
     if "E_J" in values:
         if "L_J" in values:
             raise ConfigError(f"{path}: give either E_J or L_J, not both")
-        values["L_J"] = (PHI0 / TWO_PI) ** 2 / (h * values.pop("E_J"))
+        E_J = h * values.pop("E_J")
+        if not E_J >= 0.0:
+            raise ConfigError(f"{path}: E_J must be non-negative, got {E_J / h:g} Hz")
+        values["L_J"] = math.inf if E_J == 0.0 else (PHI0 / TWO_PI) ** 2 / E_J
     return values
 
 
@@ -120,19 +124,26 @@ def resolve_params(args, N=None) -> CircuitParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_list(text: str, scale: float) -> np.ndarray:
+def _parse_list(flag: str, text: str, scale: float) -> np.ndarray:
     try:
         vals = np.array([float(tok) * scale for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}") from exc
+        raise ConfigError(f"{flag}: bad number list {text!r}") from exc
     if vals.size == 0:
-        raise ConfigError(f"empty value list {text!r}")
-    return vals
+        raise ConfigError(f"{flag}: empty value list {text!r}")
+    return _finite(flag, vals)
+
+
+def _finite(flag: str, value):
+    """value, or a ConfigError naming flag when any entry is nan or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def lr0_sweep(args) -> np.ndarray:
     if args.lr0:
-        return _parse_list(args.lr0, 1e-9)
+        return _parse_list("--lr0", args.lr0, 1e-9)
     if args.lr0_steps < 1:
         raise ConfigError(f"--lr0-steps must be >= 1, got {args.lr0_steps}")
     return np.linspace(args.lr0_min, args.lr0_max, args.lr0_steps) * 1e-9
@@ -140,10 +151,11 @@ def lr0_sweep(args) -> np.ndarray:
 
 def kt_sweep(args) -> np.ndarray:
     if args.kt:
-        return _parse_list(args.kt, h * GHZ)
+        return _parse_list("--kt", args.kt, h * GHZ)
     if args.kt_steps < 1:
         raise ConfigError(f"--kt-steps must be >= 1, got {args.kt_steps}")
-    return np.linspace(args.kt_min, args.kt_max, args.kt_steps) * h * GHZ
+    kt_min, kt_max = _finite("--kt-min", args.kt_min), _finite("--kt-max", args.kt_max)
+    return np.linspace(kt_min, kt_max, args.kt_steps) * h * GHZ
 
 
 def _fmt(value) -> str:
@@ -200,7 +212,7 @@ def cmd_classical(args) -> int:
     L_vals = lr0_sweep(args)
     if args.phi_steps < 1:
         raise ConfigError(f"--phi-steps must be >= 1, got {args.phi_steps}")
-    if args.phi_max < 0.0:
+    if _finite("--phi-max", args.phi_max) < 0.0:
         raise ConfigError(f"--phi-max must be >= 0, got {args.phi_max}")
     x_vals = np.linspace(-args.phi_max, args.phi_max, args.phi_steps)
     rows = []
@@ -217,7 +229,7 @@ def cmd_classical(args) -> int:
 
 def cmd_linear(args) -> int:
     params = resolve_params(args)
-    if args.g_scale < 0.0:
+    if _finite("--g-scale", args.g_scale) < 0.0:
         raise ConfigError(f"--g-scale must be >= 0, got {args.g_scale}")
     rows = []
     for L in lr0_sweep(args):
@@ -322,9 +334,8 @@ def cmd_ed(args) -> int:
     if args.compare_meanfield:
         # Thermodynamic-limit reference values, shared across the N rows.
         p_inf = resolve_params(args)
-        for L in L_vals:
+        for L, sol in zip(L_vals, meanfield.solve_sweep(p_inf, L_vals, 0.0)):
             p = p_inf.replace(L_R0=float(L))
-            sol = meanfield.solve(p, 0.0)
             ren = fluct.renormalize(p, sol)
             compare[float(L)] = (
                 sol.alpha_over_sqrt_n**2,
@@ -455,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-mode-cutoff", type=int, default=24)
     p.add_argument("--total-cutoff", type=int, default=48)
     p.add_argument("--k", type=int, default=6,
-                   help="EdConfig.n_eigenvalues; does not change the rows, which always "
-                        "solve two even and one odd eigenpair")
+                   help="EdConfig.n_eigenvalues, which sizes only a bare solve_sector call; "
+                        "the rows always solve two even and one odd eigenpair")
     p.add_argument("--potential", choices=("quartic", "cosine"), default="quartic")
     p.add_argument("--max-dim", type=int, default=400_000,
                    help="largest exchange-symmetric sector dimension to build")

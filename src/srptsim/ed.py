@@ -63,9 +63,9 @@ class EdConfig:
                       level
     total_cutoff    : highest total occupation, photons plus branch levels
     parity          : 0 for the even sector, 1 for the odd
-    n_eigenvalues   : eigenpairs solve_sector and truncation_error_study
-                      request from the bottom of a sector; scan needs
-                      and requests only two even and one odd pair
+    n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
+                      a sector when called without k; scan and
+                      truncation_error_study pass their own k
     quartic         : quartic branch potential when True, exact cosine
                       block otherwise
     max_dimension   : refuse to materialize symmetric sectors larger
@@ -250,7 +250,9 @@ def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.csr_matrix:
-    """The symmetric matrix whose strict upper triangle holds these triplets."""
+    """The symmetric matrix whose strict upper triangle holds these triplets, if any."""
+    if not vals:
+        return sp.csr_matrix((dim, dim))
     upper = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
     ).tocsr()
@@ -403,13 +405,11 @@ class SectorEigen:
     photon_number: float
 
 
-def solve_sector(
-    model: SectorModel, params: CircuitParams, seed: int | None = None, k: int | None = None
-) -> SectorEigen:
+def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None) -> SectorEigen:
     """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default."""
     H = hamiltonian_at(model, params)
     k = min(model.config.n_eigenvalues if k is None else k, H.shape[0])
-    w, v = lowest_eigenpairs(H, k, seed=model.config.seed if seed is None else seed)
+    w, v = lowest_eigenpairs(H, k, seed=model.config.seed)
     ground = v[:, 0]
     n_ph = float(np.sum(ground**2 * (model.photon_number - 0.5)))
     return SectorEigen(
@@ -433,67 +433,6 @@ def reference_branch_energy(params: CircuitParams, M: int = 60, *, quartic: bool
 
 
 @dataclass(frozen=True)
-class EdResult:
-    """Ground-sector observables at one resonator inductance.
-
-    Energies in joule. transition_even is the gap to the second even
-    state, transition_odd the gap to the lowest odd state, delta_eps the
-    ground energy per branch relative to photon zero point plus isolated
-    branch of the same potential. The ascending sector eigenvalues are kept
-    for callers that want more of the spectrum than the two gaps.
-    """
-
-    E_g: float
-    photon_number_per_atom: float
-    transition_even: float
-    transition_odd: float
-    delta_eps: float
-    eigenvalues_even: np.ndarray
-    eigenvalues_odd: np.ndarray
-    dim_even: int
-    dim_odd: int
-
-
-def observables(
-    config: EdConfig,
-    params: CircuitParams,
-    even: SectorEigen,
-    odd: SectorEigen,
-    epsilon_a0: float | None = None,
-) -> EdResult:
-    """Combine the two parity sectors into the reported observables.
-
-    The ground state must be even; an odd state below it means the
-    truncation broke the parity structure and the result would be
-    meaningless, so that raises instead of returning.
-    """
-    if even.parity != 0 or odd.parity != 1:
-        raise ValueError("pass the even sector first and the odd sector second")
-    E_g = float(even.values[0])
-    if odd.values[0] < E_g:
-        raise ConvergenceError(
-            "odd sector fell below the even ground state; cutoffs are too tight"
-        )
-    if even.values.size < 2:
-        raise ValueError("need at least two even eigenvalues for the even transition")
-    if epsilon_a0 is None:
-        epsilon_a0 = reference_branch_energy(params, quartic=config.quartic)
-    omega_c = derive_linear(params).omega_c
-    delta = (E_g - hbar * omega_c / 2.0) / config.n_atoms - epsilon_a0
-    return EdResult(
-        E_g=E_g,
-        photon_number_per_atom=even.photon_number / config.n_atoms,
-        transition_even=float(even.values[1] - E_g),
-        transition_odd=float(odd.values[0] - E_g),
-        delta_eps=float(delta),
-        eigenvalues_even=even.values,
-        eigenvalues_odd=odd.values,
-        dim_even=even.dim,
-        dim_odd=odd.dim,
-    )
-
-
-@dataclass(frozen=True)
 class EdScan:
     """Observables along a resonator-inductance sweep at fixed N."""
 
@@ -508,35 +447,49 @@ class EdScan:
     dim_odd: int
 
 
-def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
-    """Assemble both parity sectors once, then sweep the inductance.
+def _solved_sectors(params: CircuitParams, config: EdConfig, L_vals: np.ndarray, k_even: int, k_odd: int):
+    """Assemble both parity sectors once, then solve them at each L_R0 in turn.
 
-    Each point solves only the eigenpairs the observables read: the two
-    lowest even states and the lowest odd state, whatever
-    config.n_eigenvalues says.
+    Yields (params at L_R0, even, odd). The ground state must be even; an
+    odd state below it means the truncation broke the parity structure and
+    the point would be meaningless, so that raises instead of yielding.
     """
-    L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
-    eps_a0 = reference_branch_energy(params, quartic=config.quartic)
-    fields = {name: np.empty(L_vals.size) for name in
-              ("E_g", "photon_number_per_atom", "transition_even", "transition_odd", "delta_eps")}
-    for i, L in enumerate(L_vals):
+    for L in L_vals:
         p = params.replace(L_R0=float(L))
-        res = observables(
-            config,
-            p,
-            solve_sector(even_model, p, k=2),
-            solve_sector(odd_model, p, k=1),
-            epsilon_a0=eps_a0,
-        )
-        for name in fields:
-            fields[name][i] = getattr(res, name)
-    even_dim = even_model.basis.dim
-    odd_dim = odd_model.basis.dim
-    return EdScan(config=config, L_R0_values=L_vals, dim_even=even_dim, dim_odd=odd_dim, **fields)
+        even = solve_sector(even_model, p, k=k_even)
+        odd = solve_sector(odd_model, p, k=k_odd)
+        if odd.values[0] < even.values[0]:
+            raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
+        yield p, even, odd
+
+
+def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
+    """Ground-sector observables along the sweep, in joule.
+
+    Each point solves only the eigenpairs the observables read: the two
+    lowest even states and the lowest odd state, whatever
+    config.n_eigenvalues says. transition_even is the gap to the second
+    even state, transition_odd the gap to the lowest odd state, delta_eps
+    the ground energy per branch relative to photon zero point plus
+    isolated branch of the same potential.
+    """
+    L_vals = np.asarray(L_R0_values, dtype=float)
+    eps_a0 = reference_branch_energy(params, quartic=config.quartic)
+    N = config.n_atoms
+    rows = []
+    for p, even, odd in _solved_sectors(params, config, L_vals, 2, 1):
+        E_g = float(even.values[0])
+        zero_point = hbar * derive_linear(p).omega_c / 2.0
+        rows.append((E_g, even.photon_number / N, even.values[1] - E_g, odd.values[0] - E_g,
+                     (E_g - zero_point) / N - eps_a0))
+    E_g, photons, t_even, t_odd, delta = np.array(rows).T
+    return EdScan(config=config, L_R0_values=L_vals, E_g=E_g, photon_number_per_atom=photons,
+                  transition_even=t_even, transition_odd=t_odd, delta_eps=delta,
+                  dim_even=even.dim, dim_odd=odd.dim)
 
 
 @dataclass(frozen=True)
@@ -598,8 +551,6 @@ def truncation_error_study(
     otherwise basis-edge error masquerades as model error.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
-    if L_vals.ndim != 1 or L_vals.size == 0:
-        raise ValueError("L_R0_values must be a non-empty 1d array")
     if n_levels < 2:
         raise ValueError("n_levels must be at least 2")
     if atom_levels < n_levels + 2:
@@ -609,32 +560,17 @@ def truncation_error_study(
         w = np.linalg.eigvalsh(_atom_block(params, atom_levels, quartic))
         atom[label] = w[1:n_levels] - w[0]
     atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
-    base = dict(
-        n_atoms=n_atoms,
-        per_mode_cutoff=per_mode_cutoff,
-        total_cutoff=total_cutoff,
-        n_eigenvalues=n_levels,
-        seed=seed,
-    )
     transitions = {}
     even_gaps = {}
     for label, quartic in (("quartic", True), ("cosine", False)):
-        config = EdConfig(quartic=quartic, **base)
-        even_model = build_sector_model(params, config.sector(0))
-        odd_model = build_sector_model(params, config.sector(1))
-        rows = np.empty((L_vals.size, n_levels - 1))
-        gaps = np.empty(L_vals.size)
-        for i, L in enumerate(L_vals):
-            p = params.replace(L_R0=float(L))
-            even = solve_sector(even_model, p)
-            odd = solve_sector(odd_model, p)
-            if odd.values[0] < even.values[0]:
-                raise ConvergenceError("odd sector fell below the even ground state")
+        config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic, seed=seed)
+        rows, gaps = [], []
+        for _, even, odd in _solved_sectors(params, config, L_vals, n_levels, n_levels):
             merged = np.sort(np.concatenate([even.values, odd.values]))
-            rows[i] = merged[1:n_levels] - merged[0]
-            gaps[i] = even.values[1] - even.values[0]
-        transitions[label] = rows
-        even_gaps[label] = gaps
+            rows.append(merged[1:n_levels] - merged[0])
+            gaps.append(even.values[1] - even.values[0])
+        transitions[label] = np.array(rows)
+        even_gaps[label] = np.array(gaps)
     rel = np.abs(transitions["quartic"] - transitions["cosine"]) / transitions["cosine"]
     per_L = rel.max(axis=1)
     i_q = int(np.argmin(even_gaps["quartic"]))

@@ -64,7 +64,8 @@ class MeanFieldSolution:
                            phi_th / sqrt(2 hbar Z_c0)
     kT                   : temperature, joule
     action_per_atom    : free energy per branch at the minimum, joule
-    superradiant         : True when phi_th > 0
+    superradiant         : True when phi_th > 0; exact even where phi_th,
+                           below about 2e-6 Phi0, is not resolved
     converged            : False when the neighbours of the best scan
                            sample bracket no root of the residual, the
                            root did not converge or, in a phase_boundary
@@ -121,6 +122,11 @@ def solve_sweep(
     Each column's n_evaluations counts an equal share of its scan's
     samples, so the sweep's n_evaluations sum to the evaluations made.
     Returns one MeanFieldSolution per L_R0 value, in order.
+
+    The bracket starts at SNAP_FRACTION * Phi0, so phi_th below about
+    2e-6 Phi0 is not resolved: on the reference circuit at
+    L_c (1 + 1e-11) it reports 1.32e-6 Phi0 where the square-root onset
+    gives 3.7e-7 Phi0. The superradiant flag there is exact.
     """
     if kT < 0:
         raise ValueError(f"kT must be non-negative, got {kT}")

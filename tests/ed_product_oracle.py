@@ -8,13 +8,20 @@ that ed's permutation-symmetric sector leaves out. Each branch hops on
 its own, so there are no multiplicity factors and no re-sorting. The
 module shares BasisIndex, _locate and the branch block with ed, and
 nothing else.
+
+observables is the two-sector combine that ed.scan once went through,
+kept here so both oracles report a point the way the old scan did.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from srptsim import ed
-from srptsim.errors import ConfigError
+from srptsim.circuit import derive_linear
+from srptsim.constants import hbar
+from srptsim.errors import ConfigError, ConvergenceError
 
 
 def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int, parity: int) -> int:
@@ -171,8 +178,28 @@ def build_sector_model(params, config: ed.EdConfig) -> ed.SectorModel:
     )
 
 
+def observables(config: ed.EdConfig, params, even: ed.SectorEigen, odd: ed.SectorEigen,
+                epsilon_a0: float | None = None) -> SimpleNamespace:
+    """One scan point from the even and the odd sector solve, energies in joule."""
+    E_g = float(even.values[0])
+    if odd.values[0] < E_g:
+        raise ConvergenceError("odd sector fell below the even ground state")
+    if epsilon_a0 is None:
+        epsilon_a0 = ed.reference_branch_energy(params, quartic=config.quartic)
+    omega_c = derive_linear(params).omega_c
+    return SimpleNamespace(
+        E_g=E_g,
+        photon_number_per_atom=even.photon_number / config.n_atoms,
+        transition_even=float(even.values[1] - E_g),
+        transition_odd=float(odd.values[0] - E_g),
+        delta_eps=float((E_g - hbar * omega_c / 2.0) / config.n_atoms - epsilon_a0),
+        dim_even=even.dim,
+        dim_odd=odd.dim,
+    )
+
+
 def scan(params, config: ed.EdConfig, L_R0_values) -> list:
-    """ed.scan on the product basis: one ed.EdResult per inductance."""
+    """ed.scan on the product basis: one observables point per inductance."""
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
     eps_a0 = ed.reference_branch_energy(params, quartic=config.quartic)
@@ -180,7 +207,7 @@ def scan(params, config: ed.EdConfig, L_R0_values) -> list:
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))
         results.append(
-            ed.observables(
+            observables(
                 config,
                 p,
                 ed.solve_sector(even_model, p, k=2),

@@ -17,6 +17,7 @@ import pytest
 from scipy.io import mmread
 
 from srptsim import fock, meanfield
+from srptsim.circuit import derive_linear, polariton_frequencies
 from srptsim.cli import load_config, main
 from srptsim.errors import ConfigError
 from srptsim.validate import reference_params
@@ -56,6 +57,31 @@ def test_load_config_josephson_energy_as_frequency(tmp_path):
     f.write_text("E_J = 217.948683742374846 GHz\n")
     values = load_config(str(f))
     assert values["L_J"] == pytest.approx(0.75e-9, rel=1e-12)
+
+
+def test_ed_with_zero_josephson_energy(tmp_path, capsys):
+    """E_J = 0 makes the quartic block diagonal; ED still runs and reports the harmonic gap."""
+    f = tmp_path / "c.cfg"
+    f.write_text("E_J = 0 GHz\n")
+    assert load_config(str(f))["L_J"] == math.inf
+    rc = main(["ed", "--config", str(f), "--lr0", "0.3", "--per-mode-cutoff", "12",
+               "--total-cutoff", "24"])
+    assert rc == 0
+    header, row = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    p = reference_params().replace(L_J=math.inf, L_R0=0.3e-9)
+    d = derive_linear(p)
+    omega_minus = math.sqrt(polariton_frequencies(d.omega_c, d.omega_a, d.g)[1])
+    gap = float(row[header.index("transition_odd_GHz")])
+    assert gap == pytest.approx(omega_minus / (2 * math.pi * 1e9), rel=1e-9)
+
+
+def test_negative_josephson_energy_exits_2(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("E_J = -5 GHz\n")
+    with pytest.raises(ConfigError, match="E_J"):
+        load_config(str(f))
+    assert main(["linear", "--config", str(f)]) == 2
+    assert "E_J" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -166,6 +192,24 @@ def test_linear_g_scale_zero_decouples(tmp_path):
 
 def test_linear_negative_g_scale_exits_2():
     assert main(["linear", "--g-scale", "-0.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("meanfield", "--kt", "inf"),
+        ("meanfield", "--kt", "0,nan"),
+        ("meanfield", "--kt-min", "nan"),
+        ("meanfield", "--kt-max", "inf"),
+        ("linear", "--g-scale", "nan"),
+        ("linear", "--g-scale", "inf"),
+        ("classical", "--phi-max", "nan"),
+        ("classical", "--phi-max", "inf"),
+    ],
+)
+def test_non_finite_flags_exit_2(command, flag, value, capsys):
+    assert main([command, flag, value]) == 2
+    assert f"error: {flag} must be finite" in capsys.readouterr().err
 
 
 # --- meanfield -------------------------------------------------------------------

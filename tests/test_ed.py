@@ -20,7 +20,7 @@ from scipy.io import mmread
 
 import ed_product_oracle as product_oracle
 from srptsim import ed, fock
-from srptsim.circuit import TWO_PI, derive_linear
+from srptsim.circuit import TWO_PI, derive_linear, polariton_frequencies
 from srptsim.constants import PHI0, h, hbar
 from srptsim.errors import ConfigError, ConvergenceError
 
@@ -466,33 +466,30 @@ def test_lowest_eigenpairs_deterministic(reference):
     assert np.array_equal(v1, v2)
 
 
-# --- observables and sweeps ---------------------------------------------------
+# --- sweeps ------------------------------------------------------------------
 
 
-def test_observables_sector_order_enforced(reference):
-    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=4)
-    even_model = ed.build_sector_model(reference, cfg.sector(0))
-    odd_model = ed.build_sector_model(reference, cfg.sector(1))
-    even = ed.solve_sector(even_model, reference)
-    odd = ed.solve_sector(odd_model, reference)
-    res = ed.observables(cfg, reference, even, odd)
-    assert res.transition_even > 0.0 and res.transition_odd > 0.0
-    assert res.dim_even == 41 and res.dim_odd == 40
-    assert np.all(np.diff(res.eigenvalues_even) >= 0.0)
-    with pytest.raises(ValueError):
-        ed.observables(cfg, reference, odd, even)
+@pytest.mark.parametrize("sweep", ["scan", "truncation_error_study"])
+def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
+    """An odd sector below the even ground state fails the sweep instead of reporting."""
+    real_solve = ed.solve_sector
 
+    def odd_sinks(model, params, k=None):
+        eig = real_solve(model, params, k=k)
+        if eig.parity == 1:
+            # 1e-20 J is about 15 THz h, far below every level here
+            eig = replace(eig, values=eig.values - 1e-20)
+        return eig
 
-def test_observables_rejects_odd_ground_below_even(reference):
-    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=2)
-    fake_even = ed.SectorEigen(
-        parity=0, dim=4, values=np.array([1.0, 2.0]), vectors=np.eye(4)[:, :2], photon_number=0.0
-    )
-    fake_odd = ed.SectorEigen(
-        parity=1, dim=4, values=np.array([0.5, 3.0]), vectors=np.eye(4)[:, :2], photon_number=0.0
-    )
-    with pytest.raises(ConvergenceError):
-        ed.observables(cfg, reference, fake_even, fake_odd)
+    monkeypatch.setattr(ed, "solve_sector", odd_sinks)
+    L = np.array([0.30e-9, 0.52e-9])
+    with pytest.raises(ConvergenceError, match="odd sector fell below"):
+        if sweep == "scan":
+            ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), L)
+        else:
+            ed.truncation_error_study(
+                reference, 1, L, per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
+            )
 
 
 def test_reference_energy_matches_the_potential(reference):
@@ -529,7 +526,7 @@ def test_scan_photon_number_grows_across_transition(reference):
 
 
 def assert_same_observables(fast, i, slow, n_atoms):
-    """Row i of an EdScan against an EdResult: energies, then photons per atom."""
+    """Row i of an EdScan against an oracle point: energies, then photons per atom."""
     got = (
         fast.E_g[i],
         fast.E_g[i] + fast.transition_even[i],
@@ -554,7 +551,9 @@ def scan_oracle(params, config, L_R0_values):
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))
         results.append(
-            ed.observables(config, p, ed.solve_sector(even_model, p), ed.solve_sector(odd_model, p))
+            product_oracle.observables(
+                config, p, ed.solve_sector(even_model, p), ed.solve_sector(odd_model, p)
+            )
         )
     return results
 
@@ -640,6 +639,25 @@ def test_scan_cutoff_convergence_deep_normal(reference):
     lo = ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=16, total_cutoff=32), L)
     hi = ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=24, total_cutoff=48), L)
     assert abs(lo.E_g[0] - hi.E_g[0]) < 1e-9 * abs(hi.E_g[0])
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_scan_harmonic_limit_matches_linear_modes(reference, n_atoms):
+    """With E_J = 0 the branches are harmonic and ED must reproduce the linear modes.
+
+    The odd gap is the lower polariton; the ground energy is the zero point
+    of both polaritons plus that of the N - 1 uncoupled branch modes.
+    """
+    params = reference.replace(L_J=math.inf, N=n_atoms)
+    L = np.array([0.1e-9, 0.3e-9, 1.0e-9])
+    res = ed.scan(params, ed.EdConfig(n_atoms=n_atoms), L)
+    for i, L_R0 in enumerate(L):
+        d = derive_linear(params.replace(L_R0=float(L_R0)))
+        omega_plus, omega_minus_squared = polariton_frequencies(d.omega_c, d.omega_a, d.g)
+        omega_minus = math.sqrt(omega_minus_squared)
+        assert res.transition_odd[i] == pytest.approx(hbar * omega_minus, rel=1e-9)
+        E_g = hbar * (omega_plus + omega_minus) / 2.0 + (n_atoms - 1) * hbar * d.omega_a / 2.0
+        assert res.E_g[i] == pytest.approx(E_g, rel=1e-12)
 
 
 def test_ground_state_atom_exchange_symmetric(reference):

@@ -91,12 +91,16 @@ class CircuitParams:
         """
         if E_J < 0:
             raise ValueError(f"E_J must be non-negative, got {E_J}")
-        L_J = math.inf if E_J == 0 else (PHI0 / TWO_PI) ** 2 / E_J
-        return cls(L_J=L_J, L_g=L_g, C_J=C_J, C_R0=C_R0, L_R0=L_R0, N=N)
+        return cls(L_J=josephson_inductance(E_J), L_g=L_g, C_J=C_J, C_R0=C_R0, L_R0=L_R0, N=N)
 
     def replace(self, **changes) -> "CircuitParams":
         """Copy with selected fields replaced (convenience for sweeps)."""
         return dataclasses.replace(self, **changes)
+
+
+def josephson_inductance(E_J: float) -> float:
+    """(Phi0 / 2 pi)^2 / E_J in henry, sign kept; E_J = 0 is no junction, L_J = inf."""
+    return math.inf if E_J == 0 else (PHI0 / TWO_PI) ** 2 / E_J
 
 
 def reference_params(N: int | None = None) -> CircuitParams:

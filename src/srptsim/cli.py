@@ -11,6 +11,7 @@ as a list of objects, with null where CSV writes nan.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .circuit import (
     classical_critical_inductance,
     constrained_potential,
     derive_linear,
+    josephson_inductance,
     polariton_frequencies,
     reference_params,
 )
@@ -32,6 +34,15 @@ from .constants import PHI0, h
 from .errors import ConfigError, ConvergenceError
 
 GHZ = 1e9
+
+# Swept quantities by flag stem: name, display unit, display-to-SI scale, and
+# whether zero is allowed (kT = 0 is the ground state; L_R0 must be positive).
+SWEEPS = {"lr0": ("L_R0", "nH", 1e-9, False), "kt": ("kT/h", "GHz", h * GHZ, True)}
+
+# Smallest branch truncation meanfield and fluct accept. On the reference
+# circuit the zero-temperature L_c at M = 10 is within 6e-9 of M = 60; at
+# M = 3 it is 5 % off, and at M = 2 every L_R0 orders.
+MIN_FOCK_LEVELS = 10
 
 _UNIT_SCALE = {
     "H": 1.0, "uH": 1e-6, "nH": 1e-9, "pH": 1e-12,
@@ -101,7 +112,7 @@ def load_config(path: str) -> dict:
         E_J = h * values.pop("E_J")
         if not E_J >= 0.0:
             raise ConfigError(f"{path}: E_J must be non-negative, got {E_J / h:g} Hz")
-        values["L_J"] = math.inf if E_J == 0.0 else (PHI0 / TWO_PI) ** 2 / E_J
+        values["L_J"] = josephson_inductance(E_J)
     return values
 
 
@@ -124,38 +135,47 @@ def resolve_params(args, N=None) -> CircuitParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_list(flag: str, text: str, scale: float) -> np.ndarray:
-    try:
-        vals = np.array([float(tok) * scale for tok in text.split(",") if tok.strip()])
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: bad number list {text!r}") from exc
-    if vals.size == 0:
-        raise ConfigError(f"{flag}: empty value list {text!r}")
-    return _finite(flag, vals)
-
-
 def _finite(flag: str, value):
-    """value, or a ConfigError naming flag when any entry is nan or infinite."""
-    if not np.all(np.isfinite(value)):
+    """value, or a ConfigError naming flag when it is nan or infinite."""
+    if not math.isfinite(value):
         raise ConfigError(f"{flag} must be finite, got {value}")
     return value
 
 
-def lr0_sweep(args) -> np.ndarray:
-    if args.lr0:
-        return _parse_list("--lr0", args.lr0, 1e-9)
-    if args.lr0_steps < 1:
-        raise ConfigError(f"--lr0-steps must be >= 1, got {args.lr0_steps}")
-    return np.linspace(args.lr0_min, args.lr0_max, args.lr0_steps) * 1e-9
+def sweep_values(args, stem: str) -> np.ndarray:
+    """SI values of the --stem list, else of the --stem-min/-max/-steps grid.
+
+    Every value is checked in the display units it was typed in, and an
+    error names its flag.
+    """
+    _, _, scale, zero_ok = SWEEPS[stem]
+    flag, text = f"--{stem}", getattr(args, stem)
+    if text:
+        typed = [(flag, tok.strip()) for tok in text.split(",") if tok.strip()]
+        if not typed:
+            raise ConfigError(f"{flag}: empty value list {text!r}")
+    else:
+        steps = getattr(args, f"{stem}_steps")
+        if steps < 1:
+            raise ConfigError(f"{flag}-steps must be >= 1, got {steps}")
+        typed = [(f"{flag}-{end}", getattr(args, f"{stem}_{end}")) for end in ("min", "max")]
+    values = []
+    for name, raw in typed:
+        try:
+            v = float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: bad number list {text!r}") from exc
+        _finite(name, v)
+        if v < 0.0 or (v == 0.0 and not zero_ok):
+            raise ConfigError(f"{name} must be {'non-negative' if zero_ok else 'positive'}, got {raw}")
+        values.append(v)
+    return (np.array(values) if text else np.linspace(*values, steps)) * scale
 
 
-def kt_sweep(args) -> np.ndarray:
-    if args.kt:
-        return _parse_list("--kt", args.kt, h * GHZ)
-    if args.kt_steps < 1:
-        raise ConfigError(f"--kt-steps must be >= 1, got {args.kt_steps}")
-    kt_min, kt_max = _finite("--kt-min", args.kt_min), _finite("--kt-max", args.kt_max)
-    return np.linspace(kt_min, kt_max, args.kt_steps) * h * GHZ
+def fock_levels(args) -> int:
+    if args.fock_levels < MIN_FOCK_LEVELS:
+        raise ConfigError(f"--fock-levels must be >= {MIN_FOCK_LEVELS}, got {args.fock_levels}")
+    return args.fock_levels
 
 
 def _fmt(value) -> str:
@@ -179,26 +199,16 @@ def _native(value):
     return value
 
 
-def emit(args, columns, rows):
-    """Write the rows of a finished sweep to --out (or stdout) as CSV or JSON."""
-    rows = [list(r) for r in rows]
-    if args.format == "json":
+def emit(path, fmt, columns, rows):
+    """Write the rows of a finished sweep to path (stdout when None) as fmt, csv or json."""
+    if fmt == "json":
         payload = [{c: _native(v) for c, v in zip(columns, row)} for row in rows]
-        text = json.dumps(payload, indent=2, allow_nan=False)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text, flush=True)
-        return
-    target = open(args.out, "w") if args.out else sys.stdout
-    try:
-        print(",".join(columns), file=target, flush=True)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row), file=target, flush=True)
-    finally:
-        if args.out:
-            target.close()
+        lines = [json.dumps(payload, indent=2, allow_nan=False)]
+    else:
+        lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as target:
+        for line in lines:
+            print(line, file=target, flush=True)
 
 
 def cmd_classical(args) -> int:
@@ -209,7 +219,7 @@ def cmd_classical(args) -> int:
     curve shape. The classical threshold is printed as a note.
     """
     params = resolve_params(args)
-    L_vals = lr0_sweep(args)
+    L_vals = sweep_values(args, "lr0")
     if args.phi_steps < 1:
         raise ConfigError(f"--phi-steps must be >= 1, got {args.phi_steps}")
     if _finite("--phi-max", args.phi_max) < 0.0:
@@ -221,7 +231,7 @@ def cmd_classical(args) -> int:
         for x in x_vals:
             u = constrained_potential(x * PHI0 / TWO_PI, p, normalized=True)
             rows.append((L / 1e-9, x, u))
-    emit(args, ("L_R0_nH", "two_pi_phi_over_Phi0", "U_over_N_E_J"), rows)
+    emit(args.out, args.format, ("L_R0_nH", "two_pi_phi_over_Phi0", "U_over_N_E_J"), rows)
     note = f"classical threshold: L_R0 = {classical_critical_inductance(params) / 1e-9:.6f} nH"
     print(note, file=sys.stdout if args.out else sys.stderr)
     return 0
@@ -232,7 +242,7 @@ def cmd_linear(args) -> int:
     if _finite("--g-scale", args.g_scale) < 0.0:
         raise ConfigError(f"--g-scale must be >= 0, got {args.g_scale}")
     rows = []
-    for L in lr0_sweep(args):
+    for L in sweep_values(args, "lr0"):
         d = derive_linear(params.replace(L_R0=float(L)))
         wp, wm2 = polariton_frequencies(d.omega_c, d.omega_a, args.g_scale * d.g)
         rows.append(
@@ -247,7 +257,7 @@ def cmd_linear(args) -> int:
             )
         )
     emit(
-        args,
+        args.out, args.format,
         ("L_R0_nH", "omega_c_GHz", "omega_a_GHz", "g_GHz", "omega_plus_GHz",
          "omega_minus_squared_GHz2", "unstable"),
         rows,
@@ -257,9 +267,9 @@ def cmd_linear(args) -> int:
 
 def cmd_meanfield(args) -> int:
     params = resolve_params(args)
-    L_vals = lr0_sweep(args)
-    kT_vals = kt_sweep(args)
-    grid = meanfield.phase_boundary(params, L_vals, kT_vals, M=args.fock_levels)
+    L_vals = sweep_values(args, "lr0")
+    kT_vals = sweep_values(args, "kt")
+    grid = meanfield.phase_boundary(params, L_vals, kT_vals, M=fock_levels(args))
     bad = np.argwhere(~grid.converged)
     if bad.size:
         j, i = bad[0]
@@ -270,7 +280,7 @@ def cmd_meanfield(args) -> int:
         )
     boundary_rows = [(L / 1e-9, grid.boundary[i] / (h * GHZ)) for i, L in enumerate(L_vals)]
     if args.boundary:
-        emit(args, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
+        emit(args.out, args.format, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
         return 0
     rows = []
     for i, L in enumerate(L_vals):
@@ -284,17 +294,16 @@ def cmd_meanfield(args) -> int:
                     grid.phi[j, i] > 0.0,
                 )
             )
-    emit(args, ("L_R0_nH", "kBT_over_h_GHz", "alpha_over_sqrtN", "phi_th_Wb", "superradiant"), rows)
+    emit(args.out, args.format,
+         ("L_R0_nH", "kBT_over_h_GHz", "alpha_over_sqrtN", "phi_th_Wb", "superradiant"), rows)
     if args.boundary_out:
-        side = argparse.Namespace(**vars(args))
-        side.out = args.boundary_out
-        emit(side, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
+        emit(args.boundary_out, args.format, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
     return 0
 
 
 def cmd_fluct(args) -> int:
     params = resolve_params(args)
-    scan = fluct.spectrum_scan(params, lr0_sweep(args), M=args.fock_levels)
+    scan = fluct.spectrum_scan(params, sweep_values(args, "lr0"), M=fock_levels(args))
     rows = []
     for i, L in enumerate(scan.L_R0_values):
         rows.append(
@@ -310,7 +319,7 @@ def cmd_fluct(args) -> int:
             )
         )
     emit(
-        args,
+        args.out, args.format,
         ("L_R0_nH", "omega_bar_minus_GHz", "omega_bar_plus_GHz", "omega_bar_a_GHz",
          "g_bar_GHz", "g_crit_GHz", "delta_eps_over_h_GHz", "phase"),
         rows,
@@ -329,7 +338,7 @@ def cmd_ed(args) -> int:
         raise ConfigError(f"bad --n-atoms list {n_text!r}") from exc
     if not n_list:
         raise ConfigError("--n-atoms must name at least one atom count")
-    L_vals = lr0_sweep(args)
+    L_vals = sweep_values(args, "lr0")
     compare = {}
     if args.compare_meanfield:
         # Thermodynamic-limit reference values, shared across the N rows.
@@ -378,7 +387,7 @@ def cmd_ed(args) -> int:
             if compare:
                 row += list(compare[float(L)])
             rows.append(row)
-    emit(args, tuple(columns), rows)
+    emit(args.out, args.format, tuple(columns), rows)
     return 0
 
 
@@ -407,13 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", metavar="FILE", help="write rows here instead of stdout")
     out.add_argument("--format", choices=("csv", "json"), default="csv", help="row format")
 
-    def sweep(defaults):
+    def sweep_flags(stem, lo, hi, steps):
+        """--stem LIST, or a --stem-min/--stem-max/--stem-steps grid, in display units."""
+        name, unit, _, _ = SWEEPS[stem]
         p = argparse.ArgumentParser(add_help=False)
-        p.add_argument("--lr0", metavar="LIST", help="comma-separated L_R0 values, nH")
-        p.add_argument("--lr0-min", type=float, default=defaults[0], metavar="NH")
-        p.add_argument("--lr0-max", type=float, default=defaults[1], metavar="NH")
-        p.add_argument("--lr0-steps", type=int, default=defaults[2], metavar="K")
+        p.add_argument(f"--{stem}", metavar="LIST", help=f"comma-separated {name} values, {unit}")
+        p.add_argument(f"--{stem}-min", type=float, default=lo, metavar=unit.upper())
+        p.add_argument(f"--{stem}-max", type=float, default=hi, metavar=unit.upper())
+        p.add_argument(f"--{stem}-steps", type=int, default=steps, metavar="K")
         return p
+
+    fock_help = f"branch truncation, at least {MIN_FOCK_LEVELS}"
 
     parser = argparse.ArgumentParser(
         prog="srptsim",
@@ -421,26 +434,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classical", parents=[circuit, out, sweep((0.15, 0.75, 5))],
+    p = sub.add_parser("classical", parents=[circuit, out, sweep_flags("lr0", 0.15, 0.75, 5)],
                        help="constrained inductive-energy curves and the classical threshold")
     p.add_argument("--phi-max", type=float, default=math.pi, metavar="RAD",
                    help="half-width of the curve domain in 2 pi phi / Phi0")
     p.add_argument("--phi-steps", type=int, default=201, help="samples per curve")
     p.set_defaults(func=cmd_classical)
 
-    p = sub.add_parser("linear", parents=[circuit, out, sweep((0.1, 1.0, 19))],
+    p = sub.add_parser("linear", parents=[circuit, out, sweep_flags("lr0", 0.1, 1.0, 19)],
                        help="linearized mode frequencies and stability")
     p.add_argument("--g-scale", type=float, default=1.0, metavar="X",
                    help="multiply the coupling before the mode calculation (0 decouples)")
     p.set_defaults(func=cmd_linear)
 
-    p = sub.add_parser("meanfield", parents=[circuit, out, sweep((0.3, 1.0, 8))],
+    p = sub.add_parser("meanfield",
+                       parents=[circuit, out, sweep_flags("lr0", 0.3, 1.0, 8), sweep_flags("kt", 0.0, 200.0, 9)],
                        help="finite-temperature order parameter on an (L_R0, kT) grid")
-    p.add_argument("--kt", metavar="LIST", help="comma-separated kT/h values, GHz")
-    p.add_argument("--kt-min", type=float, default=0.0, metavar="GHZ")
-    p.add_argument("--kt-max", type=float, default=200.0, metavar="GHZ")
-    p.add_argument("--kt-steps", type=int, default=9, metavar="K")
-    p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
+    p.add_argument("--fock-levels", type=int, default=60, help=fock_help)
     p.add_argument("--boundary", action="store_true",
                    help="emit each column's closed-form critical temperature instead of the "
                         "grid; it may lie above the grid, and nan (null in JSON) means the "
@@ -449,12 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the boundary curve here when emitting the grid")
     p.set_defaults(func=cmd_meanfield)
 
-    p = sub.add_parser("fluct", parents=[circuit, out, sweep((0.1, 1.0, 46))],
+    p = sub.add_parser("fluct", parents=[circuit, out, sweep_flags("lr0", 0.1, 1.0, 46)],
                        help="fluctuation spectrum around the kT = 0 equilibrium")
-    p.add_argument("--fock-levels", type=int, default=60, help="branch truncation")
+    p.add_argument("--fock-levels", type=int, default=60, help=fock_help)
     p.set_defaults(func=cmd_fluct)
 
-    p = sub.add_parser("ed", parents=[circuit, out, sweep((0.2, 0.8, 7))],
+    p = sub.add_parser("ed", parents=[circuit, out, sweep_flags("lr0", 0.2, 0.8, 7)],
                        help="sparse diagonalization at finite N")
     p.add_argument("--n-atoms", metavar="LIST",
                    help="comma-separated atom counts, one scan per count; default the "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, meanfield
+from . import circuit, fock, meanfield
 from .circuit import TWO_PI, CircuitParams, DerivedLinear, derive_linear, polariton_frequencies
 from .constants import PHI0
 from .errors import ConvergenceError
@@ -66,8 +66,8 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60)
             "the mean-field solution is stale"
         )
     E_J_bar = params.E_J * cos_avg
-    L_J_bar = math.inf if E_J_bar == 0.0 else (PHI0 / TWO_PI) ** 2 / E_J_bar
-    v = 1.0 / params.L_g - (0.0 if E_J_bar == 0.0 else 1.0 / L_J_bar)
+    L_J_bar = circuit.josephson_inductance(E_J_bar)
+    v = 1.0 / params.L_g - 1.0 / L_J_bar
     if v <= 0.0:
         raise ConvergenceError("averaged junction curvature removed the restoring force")
     omega_a_bar = math.sqrt(v / params.C_J)

@@ -22,6 +22,7 @@ from srptsim.circuit import (
     constraint_slope,
     derive_linear,
     inductive_energy,
+    josephson_inductance,
     polariton_frequencies,
 )
 from srptsim.constants import PHI0, h
@@ -131,6 +132,12 @@ def test_josephson_energy_roundtrip(reference):
     )
     assert_allclose(p.L_J, reference.L_J, rtol=1e-14)
     assert_allclose(p.E_J, E_J, rtol=1e-14)
+
+
+def test_josephson_inductance_keeps_sign_and_maps_zero_to_no_junction(reference):
+    assert_allclose(josephson_inductance(reference.E_J), reference.L_J, rtol=1e-14)
+    assert josephson_inductance(-reference.E_J) == -josephson_inductance(reference.E_J)
+    assert josephson_inductance(0.0) == josephson_inductance(-0.0) == math.inf
 
 
 def test_zero_josephson_energy_limit(reference):

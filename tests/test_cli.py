@@ -212,6 +212,34 @@ def test_non_finite_flags_exit_2(command, flag, value, capsys):
     assert f"error: {flag} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["meanfield", "--kt", "-5"], "--kt must be non-negative, got -5"),
+        (["meanfield", "--kt-min", "-5"], "--kt-min must be non-negative, got -5.0"),
+        (["meanfield", "--lr0", "-0.3"], "--lr0 must be positive, got -0.3"),
+        (["linear", "--lr0", "0.3,0"], "--lr0 must be positive, got 0"),
+        (["meanfield", "--lr0-min", "nan"], "--lr0-min must be finite, got nan"),
+        (["classical", "--lr0-max", "inf"], "--lr0-max must be finite, got inf"),
+        (["fluct", "--lr0-steps", "0"], "--lr0-steps must be >= 1, got 0"),
+    ],
+)
+def test_sweep_values_checked_as_typed(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["meanfield", "fluct"])
+@pytest.mark.parametrize("levels, rc", [("1", 2), ("2", 2), ("10", 0)])
+def test_fock_levels_floor(command, levels, rc, capsys):
+    argv = [command, "--lr0", "0.3", "--fock-levels", levels]
+    if command == "meanfield":
+        argv += ["--kt", "0"]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert ("--fock-levels must be >= 10" in err) == (rc == 2)
+
+
 # --- meanfield -------------------------------------------------------------------
 
 
@@ -261,6 +289,20 @@ def test_meanfield_boundary_json_writes_null(capsys):
         raise ValueError(f"non-standard JSON constant {name}")
 
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    boundary = {row["L_R0_nH"]: row["kTc_over_h_GHz"] for row in payload}
+    # 0.25 nH never orders
+    assert boundary[0.25] is None
+    assert 100.0 < boundary[0.6] < 200.0
+
+
+def test_meanfield_json_boundary_out_writes_null(tmp_path, capsys):
+    bout = tmp_path / "boundary.json"
+    rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100", "--fock-levels", "40",
+               "--format", "json", "--boundary-out", str(bout)])
+    assert rc == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    payload = json.loads(bout.read_text())
+    assert isinstance(payload, list)
     boundary = {row["L_R0_nH"]: row["kTc_over_h_GHz"] for row in payload}
     # 0.25 nH never orders
     assert boundary[0.25] is None

@@ -65,20 +65,36 @@ def test_meanfield_and_fluct_subcommands_load_no_scipy(argv):
 
 
 def test_lazy_names_resolve_on_first_use():
+    """ed and validate load on first access; their functions are not package names."""
     lines = run_fresh("import sys, srptsim\n"
-                      "print(srptsim.EdConfig is srptsim.ed.EdConfig)\n"
-                      "print(srptsim.run_checks is srptsim.validate.run_checks)\n"
-                      "try:\n"
-                      "    srptsim.no_such_name\n"
-                      "except AttributeError:\n"
-                      "    print('AttributeError')\n"
+                      "print(srptsim.ed.EdConfig.__module__)\n"
+                      "print(srptsim.validate.run_checks.__module__)\n"
+                      "for name in ('EdConfig', 'scan', 'no_such_name'):\n"
+                      "    try:\n"
+                      "        getattr(srptsim, name)\n"
+                      "    except AttributeError:\n"
+                      "        print('AttributeError')\n"
                       "print(*sorted(sys.modules))")
-    same_config, same_checks, missing, modules = lines
-    assert same_config == same_checks == "True"
-    assert missing == "AttributeError"
+    config_module, checks_module, *missing, modules = lines
+    assert (config_module, checks_module) == ("srptsim.ed", "srptsim.validate")
+    assert missing == ["AttributeError"] * 3
     modules = modules.split()
     assert "scipy.sparse" in modules
     assert [m for m in modules if m.startswith(("scipy.optimize", "scipy.constants"))] == []
+
+
+def test_package_names_only_layers_params_and_errors():
+    """Every function lives in its layer module; the package adds no second name for it."""
+    lines = run_fresh("import inspect, srptsim\n"
+                      "print(*sorted(name for name, obj in vars(srptsim).items()\n"
+                      "              if not name.startswith('_')\n"
+                      "              and (inspect.isfunction(obj) or inspect.isclass(obj))))\n"
+                      "print(*srptsim.__all__)\n"
+                      "print(all(hasattr(srptsim, name) for name in srptsim.__all__))")
+    public, exported, resolved = lines
+    assert public.split() == ["CircuitParams", "ConfigError", "ConvergenceError"]
+    assert {"circuit", "fock", "meanfield", "fluct", "ed", "validate"} <= set(exported.split())
+    assert resolved == "True"
 
 
 def test_constants_equal_scipy_constants():

@@ -128,6 +128,9 @@ def resolve_params(args, N=None) -> CircuitParams:
     for flag, scale in (("L_J", 1e-9), ("L_g", 1e-9), ("C_J", 1e-15), ("C_R0", 1e-15), ("L_R0", 1e-9)):
         v = getattr(args, flag)
         if v is not None:
+            # an infinite L_J is a branch without a junction
+            if not (flag == "L_J" and v == math.inf):
+                _check_typed(f"--{flag}", v, v, scale, zero_ok=False)
             values[flag] = v * scale
     try:
         return CircuitParams(N=N if N is not None else config_N, **values)
@@ -140,6 +143,17 @@ def _finite(flag: str, value):
     if not math.isfinite(value):
         raise ConfigError(f"{flag} must be finite, got {value}")
     return value
+
+
+def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool) -> None:
+    """Raise a ConfigError naming flag `name` and the value raw as typed
+    unless v is finite, positive (or zero, with zero_ok) and still nonzero
+    once scaled to SI units, v * scale."""
+    _finite(name, v)
+    if v < 0.0 or (v == 0.0 and not zero_ok):
+        raise ConfigError(f"{name} must be {'non-negative' if zero_ok else 'positive'}, got {raw}")
+    if v != 0.0 and v * scale == 0.0:
+        raise ConfigError(f"{name} underflows to 0 in SI units, got {raw}")
 
 
 def sweep_values(args, stem: str) -> np.ndarray:
@@ -165,9 +179,7 @@ def sweep_values(args, stem: str) -> np.ndarray:
             v = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{flag}: bad number list {text!r}") from exc
-        _finite(name, v)
-        if v < 0.0 or (v == 0.0 and not zero_ok):
-            raise ConfigError(f"{name} must be {'non-negative' if zero_ok else 'positive'}, got {raw}")
+        _check_typed(name, raw, v, scale, zero_ok)
         values.append(v)
     return (np.array(values) if text else np.linspace(*values, steps)) * scale
 

@@ -80,7 +80,7 @@ def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
     return kinetic + potential + params.E_J * ops.cos_op
 
 
-def thermal_expectation(H: np.ndarray, A, kT: float):
+def thermal_expectation(H: np.ndarray, A, kT: float, response: np.ndarray | None = None):
     """Canonical expectation value of A in the Gibbs state of H.
 
     kT is in joule. At kT = 0 the expectation is averaged over the ground
@@ -90,6 +90,10 @@ def thermal_expectation(H: np.ndarray, A, kT: float):
     the free energy of H and the expectation of each operator, all from one
     eigendecomposition. F equals free_energy(H, kT) up to eigensolver
     rounding.
+
+    A Hermitian response operator B gives (F, averages, chi), chi the static
+    susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`),
+    from the same eigendecomposition.
     """
     if kT < 0:
         raise ValueError(f"kT must be non-negative, got {kT}")
@@ -100,12 +104,38 @@ def thermal_expectation(H: np.ndarray, A, kT: float):
         span = w[-1] - w[0]
         mask = w - w[0] <= DEGENERACY_RTOL * max(span, abs(w[0]))
         averages = tuple(float(np.mean(diag[mask])) for diag in diags)
+        p = mask / np.count_nonzero(mask)
     else:
         weights = np.exp(-(w - w[0]) / kT)
         averages = tuple(float(np.sum(weights * diag) / np.sum(weights)) for diag in diags)
+        p = weights / np.sum(weights)
+    if response is not None:
+        return _spectrum_free_energy(w, kT), averages, _static_response(w, v, response, p, kT)
     if not isinstance(A, tuple):
         return averages[0]
     return _spectrum_free_energy(w, kT), averages
+
+
+def _static_response(w, v, B, p, kT):
+    """Kubo sum for d<B>/dh of H - h B, given the eigenpairs (w, v) of H and state weights p.
+
+    At kT = 0, p is uniform on the ground multiplet and chi is
+    2 sum |B_gn|^2 / (E_n - E_g) over the rest. At kT > 0 it is
+    sum over m != n of (p_m - p_n) / (E_n - E_m) |B_mn|^2 plus the
+    variance of B's diagonal over kT. A pair with lower level m is
+    p_m (1 - exp(-Delta / kT)) / Delta, Delta = |E_n - E_m|, which tends to
+    p_m / kT as Delta -> 0 and cannot overflow; with that limit on the
+    diagonal of B - <B>, the variance term joins the same sum.
+    """
+    if kT == 0.0:
+        ground = p > 0.0
+        B2 = np.abs(v[:, ground].conj().T @ B @ v[:, ~ground]) ** 2
+        return float(2.0 * np.sum(p[ground] @ B2 / (w[~ground] - w[0])))
+    Bv = v.conj().T @ B @ v
+    Bv.flat[:: w.size + 1] -= np.sum(p * Bv.diagonal().real)
+    gap = np.abs(w - w[:, None])
+    pair = np.divide(-np.expm1(-gap / kT), gap, out=np.full_like(gap, 1.0 / kT), where=gap > 0.0)
+    return float(np.sum(np.maximum.outer(p, p) * pair * np.abs(Bv) ** 2))
 
 
 def free_energy(H: np.ndarray, kT: float) -> float:
@@ -160,6 +190,17 @@ class Branch:
     def thermal(self, phi: float, kT: float, *operators: np.ndarray):
         """(F, averages): free energy and the expectation of each operator, one eigensolve."""
         return thermal_expectation(self.hamiltonian(phi), operators, kT)
+
+    def response(self, phi: float, kT: float):
+        """(F, <psi>, chi) of the tilted branch at frozen resonator flux, one eigensolve.
+
+        chi = d<psi>/dh is the static response of the branch flux to the
+        tilt -h psi at h = phi / L_g, in henry; at phi = 0 it is
+        :meth:`susceptibility`.
+        """
+        psi_op = self.ops.psi_op
+        F, (psi,), chi = thermal_expectation(self.hamiltonian(phi), (psi_op,), kT, response=psi_op)
+        return F, psi, chi
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

@@ -14,7 +14,9 @@ minimum as a root of that residual. Temperatures enter as kT in joule.
 f is the free energy of H_atom - (phi / L_g) psi, so it is concave in phi
 at every kT, and its chord between two samples bounds A from below: the
 scan that brackets the root refines only the cells that could hold the
-minimum.
+minimum. The root itself is found by safeguarded Newton steps: the
+residual's slope 1/L_R0 + 1/L_g - chi / L_g^2, with chi the branch's
+static response at phi, comes from the same eigensolve as the residual.
 """
 
 import math
@@ -103,10 +105,11 @@ def solve_sweep(
 ) -> list[MeanFieldSolution]:
     """Minimize the per-branch free energy over phi >= 0 at each L_R0, one temperature.
 
-    A certified scan of the branch free energy, then one bracketed root of
-    the stationarity residual between the neighbours of each column's best
-    sample: the free energy is flat to float precision near its minimum
-    while the residual changes sign cleanly. A best sample at phi = 0 is the
+    A certified scan of the branch free energy, then the root of the
+    stationarity residual between the neighbours of each column's best
+    sample, by safeguarded Newton steps (:func:`_newton`): the free energy
+    is flat to float precision near its minimum while the residual changes
+    sign cleanly. A best sample at phi = 0 is the
     normal phase, phi_th = 0, when phi = 0 is stable by the closed form
     1/L_R0 + 1/L_g >= chi(kT) / L_g^2 or when the residual at 1e-6 Phi0 is
     non-negative.
@@ -210,38 +213,90 @@ def _refine(params, kT, M, phi, f, window, shared):
     """Refine one column from the branch free energy f sampled at the ascending phi.
 
     The residual is bracketed by the neighbours of the best sample inside
-    the column's window. The column reports `shared` of the samples in its
+    the column's window, and its root is found by :func:`_newton` from one
+    eigensolve per step. The column reports `shared` of the samples in its
     n_evaluations.
     """
-    seen = {}
+    kernel = fock.branch(params, M)
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
+    made = 0
 
     def g(x):
-        # brentq re-evaluates the bracket ends, which are already known
-        if x not in seen:
-            seen[x] = selfconsistency_residual(x, kT, params, M)
-        return seen[x]
+        # the residual u x - <psi> / L_g and its slope u - chi / L_g^2
+        nonlocal made
+        made += 1
+        _, psi, chi = kernel.response(x, kT)
+        return u * x - psi / params.L_g, u - chi / params.L_g**2
 
     def package(phi_th, converged):
-        return _package(params, phi_th, kT, M, converged, n_evaluations=len(seen) + shared)
+        return _package(params, phi_th, kT, M, converged, n_evaluations=made + shared)
 
     action = np.where(phi <= window, _resonator_action(params, phi) + f, np.inf)
     best_i = int(np.argmin(action))
     # phi = 0 is stable while the stiffness u outweighs the branch's
     # softening chi / L_g^2; at L_c the residual at the snap flux is
     # rounding noise, so this closed form decides first
-    u = 1.0 / params.L_R0 + 1.0 / params.L_g
-    if best_i == 0 and u >= fock.branch(params, M).susceptibility(kT) / params.L_g**2:
+    if best_i == 0 and u >= kernel.susceptibility(kT) / params.L_g**2:
         return package(0.0, True)
     # the residual is dA/dphi: it rises through zero at a minimum
     a = max(float(phi[max(best_i - 1, 0)]), SNAP_FRACTION * PHI0)
     b = float(phi[min(best_i + 1, phi.size - 1)])
     ga = g(a)
-    if best_i == 0 and ga >= 0.0:
+    if best_i == 0 and ga[0] >= 0.0:
         return package(0.0, True)
-    if ga > 0.0 or g(b) < 0.0:
+    if ga[0] > 0.0:
         return package(float(phi[best_i]), False)
-    phi_th, converged = brentq(g, a, b)
-    return package(phi_th, converged)
+    gb = g(b)
+    if gb[0] < 0.0:
+        return package(float(phi[best_i]), False)
+    return package(*_newton(g, a, b, ga, gb))
+
+
+def _newton(g, a, b, ga, gb):
+    """Root of a residual rising through zero on [a, b]; (root, converged).
+
+    g(x) returns the residual and its slope; ga and gb are its values at
+    the bracket ends, ga[0] <= 0 <= gb[0]. The first iterate is the root of
+    the cubic Hermite interpolant of the two ends. Each residual sign
+    shrinks the bracket, and a Newton step that leaves it or meets a
+    non-positive slope is replaced by bisection. The root is the corrected
+    point of the first step no larger than 1e-10 |x|; not converged after
+    100 steps.
+    """
+    if ga[0] == 0.0:
+        return a, True
+    if gb[0] == 0.0:
+        return b, True
+    x = _hermite_root(a, b, ga, gb)
+    for _ in range(100):
+        r, slope = g(x)
+        if r == 0.0:
+            return x, True
+        if r < 0.0:
+            a = x
+        else:
+            b = x
+        new = x - r / slope if slope > 0.0 else math.nan
+        if not a < new < b:
+            new = 0.5 * (a + b)
+        x, step = new, abs(new - x)
+        if step <= 1e-10 * abs(x):
+            return x, True
+    return x, False
+
+
+def _hermite_root(a, b, ga, gb):
+    """Root in (a, b) of the cubic with the values and slopes ga, gb at the ends.
+
+    The lowest one when there are three; the secant root when rounding
+    leaves none inside.
+    """
+    d = b - a
+    (ra, sa), (rb, sb) = ga, gb
+    cubic = [2.0 * (ra - rb) + d * (sa + sb), 3.0 * (rb - ra) - d * (2.0 * sa + sb), d * sa, ra]
+    t = np.roots(cubic)
+    t = t.real[(np.abs(t.imag) <= 1e-12) & (t.real > 0.0) & (t.real < 1.0)]
+    return a + d * (t.min() if t.size else ra / (ra - rb))
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):

@@ -7,7 +7,9 @@ bracket-triple variants because the minimum may sit on the boundary of
 the physical window, where no interior bracket exists.
 
 uniform_sweep_oracle is mean field's shared uniform phi profile, which
-the certified scan of meanfield.solve_sweep replaced.
+the certified scan of meanfield.solve_sweep replaced, and brent_refine is
+the Brent root of the stationarity residual that its Newton refinement
+replaced.
 """
 
 import math
@@ -19,6 +21,7 @@ from srptsim.circuit import (
     SNAP_FRACTION,
     CircuitParams,
     ClassicalMinimum,
+    brentq,
     classical_critical_inductance,
     constrained_potential,
     constraint_slope,
@@ -144,3 +147,36 @@ def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int =
             solutions[k] = meanfield._refine(
                 columns[k], kT, M, phi, profile, phi[count - 1], share + (n < extra))
     return solutions
+
+
+def brent_refine(params, kT, M, phi, f, window, shared):
+    """Slow path of meanfield._refine: Brent's method on the residual values alone.
+
+    Same bracket, sign checks and packaging as the Newton refinement;
+    brentq (rtol 4 eps) finds the root from residual values only.
+    """
+    seen = {}
+
+    def g(x):
+        # brentq re-evaluates the bracket ends, which are already known
+        if x not in seen:
+            seen[x] = meanfield.selfconsistency_residual(x, kT, params, M)
+        return seen[x]
+
+    def package(phi_th, converged):
+        return meanfield._package(params, phi_th, kT, M, converged, n_evaluations=len(seen) + shared)
+
+    action = np.where(phi <= window, meanfield._resonator_action(params, phi) + f, np.inf)
+    best_i = int(np.argmin(action))
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
+    if best_i == 0 and u >= fock.branch(params, M).susceptibility(kT) / params.L_g**2:
+        return package(0.0, True)
+    a = max(float(phi[max(best_i - 1, 0)]), SNAP_FRACTION * PHI0)
+    b = float(phi[min(best_i + 1, phi.size - 1)])
+    ga = g(a)
+    if best_i == 0 and ga >= 0.0:
+        return package(0.0, True)
+    if ga > 0.0 or g(b) < 0.0:
+        return package(float(phi[best_i]), False)
+    phi_th, converged = brentq(g, a, b)
+    return package(phi_th, converged)

@@ -222,11 +222,37 @@ def test_non_finite_flags_exit_2(command, flag, value, capsys):
         (["meanfield", "--lr0-min", "nan"], "--lr0-min must be finite, got nan"),
         (["classical", "--lr0-max", "inf"], "--lr0-max must be finite, got inf"),
         (["fluct", "--lr0-steps", "0"], "--lr0-steps must be >= 1, got 0"),
+        # positive as typed, zero in joule: it must not run at kT = 0
+        (["meanfield", "--lr0", "0.3", "--kt", "1e-300"], "--kt underflows to 0 in SI units, got 1e-300"),
+        (["meanfield", "--lr0", "0.3", "--kt-max", "1e-300"],
+         "--kt-max underflows to 0 in SI units, got 1e-300"),
     ],
 )
 def test_sweep_values_checked_as_typed(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--C_J", "-24", "--C_J must be positive, got -24.0"),
+        ("--C_R0", "0", "--C_R0 must be positive, got 0.0"),
+        ("--L_g", "nan", "--L_g must be finite, got nan"),
+        ("--L_R0", "inf", "--L_R0 must be finite, got inf"),
+        ("--C_J", "1e-320", "--C_J underflows to 0 in SI units, got 1e-320"),
+    ],
+)
+def test_circuit_flags_checked_as_typed(flag, value, message, capsys):
+    assert main(["linear", flag, value, "--lr0", "0.3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_infinite_junction_inductance_flag_is_a_bare_branch(capsys):
+    assert main(["linear", "--L_J", "inf", "--lr0", "0.3"]) == 0
+    p = reference_params().replace(L_J=math.inf, L_R0=0.3e-9)
+    omega_a = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    assert omega_a == pytest.approx(derive_linear(p).omega_a / (2e9 * math.pi), rel=1e-9)
 
 
 @pytest.mark.parametrize("command", ["meanfield", "fluct"])

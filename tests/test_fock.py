@@ -358,3 +358,32 @@ def test_susceptibility_is_free_energy_curvature(reference):
         assert b.susceptibility(kT) == pytest.approx(curvature, rel=1e-6)
     with pytest.raises(ValueError):
         b.susceptibility(-h * GHZ)
+
+
+def test_response_is_flux_derivative(reference):
+    """chi of Branch.response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
+    b = branch(reference, 60)
+    for kT in h * np.array([0.0, 20.0, 200.0]) * GHZ:
+        _, _, chi = b.response(0.0, kT)
+        assert chi == pytest.approx(b.susceptibility(kT), rel=1e-12, abs=0.0)
+        for phi in (0.05 * PHI0, 0.2 * PHI0):
+            F, psi, chi = b.response(phi, kT)
+            assert (F, (psi,)) == b.thermal(phi, kT, b.ops.psi_op)
+            dphi = 1e-4 * phi
+            _, (up,) = b.thermal(phi + dphi, kT, b.ops.psi_op)
+            _, (down,) = b.thermal(phi - dphi, kT, b.ops.psi_op)
+            assert chi == pytest.approx((up - down) / (2.0 * dphi / b.L_g), rel=1e-8)
+
+
+def test_static_response_with_degenerate_levels():
+    """An exactly degenerate excited pair takes the p / kT limit; chi is still d<B>/dh."""
+    H = np.diag([0.0, 1.0, 1.0, 2.5])
+    B = np.random.default_rng(3).normal(size=(4, 4))
+    B = B + B.T
+    dh = 1e-5
+    for kT in (0.05, 0.7, 30.0):
+        F, (mean,), chi = thermal_expectation(H, (B,), kT, response=B)
+        assert (F, (mean,)) == thermal_expectation(H, (B,), kT)
+        up = thermal_expectation(H - dh * B, B, kT)
+        down = thermal_expectation(H + dh * B, B, kT)
+        assert chi == pytest.approx((up - down) / (2.0 * dh), rel=1e-8)

@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from search_oracle import scan_then_refine, uniform_sweep_oracle
+from search_oracle import brent_refine, scan_then_refine, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear
 from srptsim.constants import PHI0, h, hbar
@@ -486,11 +486,62 @@ def test_certified_scan_brackets_edge_minima_like_the_lattice():
     assert phi[best] == ends[2]
 
 
+def test_newton_refine_matches_brent_oracle(reference, monkeypatch):
+    """Newton roots equal Brent's, with the same flags, in fewer evaluations.
+
+    On criterion 4's grid and on a 2 pH kT = 0 sweep across L_c, the
+    oracle refines the same certified-scan brackets by Brent's method on
+    the residual alone.
+    """
+    L_c = meanfield.critical_inductance_at_zero_T(reference)
+    fine = np.arange(L_c - 20e-12, L_c + 21e-12, 2e-12)
+    sweeps = [(GRID_L, float(kT)) for kT in GRID_KT] + [(fine, 0.0)]
+    newton = [*grid_sweeps(reference), meanfield.solve_sweep(reference, fine, 0.0)]
+    monkeypatch.setattr(meanfield, "_refine", brent_refine)
+    brent = [meanfield.solve_sweep(reference, L, kT) for L, kT in sweeps]
+    for fast, slow in zip(newton, brent):
+        assert [s.superradiant for s in fast] == [s.superradiant for s in slow]
+        assert [s.converged for s in fast] == [s.converged for s in slow]
+        assert_allclose([s.phi_th for s in fast], [s.phi_th for s in slow], rtol=1e-10, atol=0.0)
+        assert_allclose([s.psi_th for s in fast], [s.psi_th for s in slow], rtol=1e-10, atol=0.0)
+    assert any(s.superradiant for s in newton[-1]) and not all(s.superradiant for s in newton[-1])
+    for fast, slow in ((newton[:-1], brent[:-1]), (newton[-1:], brent[-1:])):
+        assert sum(s.n_evaluations for r in fast for s in r) < sum(s.n_evaluations for r in slow for s in r)
+
+
+def test_newton_safeguards():
+    """Stand-in residuals: a root past a falling stretch, bisection, an end root, no false claim."""
+    def solve(residual, slope, a=0.1, b=1.0):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return residual(x), slope(x)
+
+        root, converged = meanfield._newton(g, a, b, g(a), g(b))
+        return root, converged, len(calls)
+
+    # x^3 - x / 4 falls until x = 0.29 and rises through its root 0.5
+    root, converged, calls = solve(lambda x: x**3 - x / 4.0, lambda x: 3.0 * x**2 - 0.25)
+    assert converged and root == pytest.approx(0.5, rel=1e-15) and calls <= 10
+    # a non-positive slope leaves only bisection, which still converges
+    root, converged, _ = solve(lambda x: x - 0.3, lambda x: -1.0)
+    assert converged and root == pytest.approx(0.3, rel=1e-10)
+    assert solve(lambda x: x - 0.1, lambda x: 1.0)[:2] == (0.1, True)
+    # a slope 1000 times too steep creeps: 100 steps end unconverged
+    root, converged, calls = solve(lambda x: x - 0.3, lambda x: 1e3)
+    assert not converged and calls == 102 and 0.1 < root < 0.3
+
+
 def test_work_ceilings(reference):
-    """The certified scan's evaluation counts; the uniform profile took 258-265 and 11,959."""
+    """The certified scan's evaluation counts with Newton roots.
+
+    The uniform profile took 258-265 and 11,959; Brent roots on the
+    certified scan took 28-45 and 5,606.
+    """
     for L in (0.25e-9, 0.6e-9):
-        assert meanfield.solve(reference.replace(L_R0=L), 0.0).n_evaluations <= 64
-    assert sum(s.n_evaluations for row in grid_sweeps(reference) for s in row) <= 6000
+        assert meanfield.solve(reference.replace(L_R0=L), 0.0).n_evaluations <= 32
+    assert sum(s.n_evaluations for row in grid_sweeps(reference) for s in row) <= 4500
 
 
 def test_phase_boundary_validation(reference):

@@ -7,13 +7,13 @@ inductance and capacitance are L_R0 and C_R0. The flux bias is fixed at
 half a flux quantum, so the junction branch energy enters with a positive
 cosine, +E_J cos(2 pi psi / Phi0). All quantities are SI.
 
-brentq, a port of scipy's Brent root finder, is the package's one root
-finder; mean field uses it as well.
+newton_root, safeguarded Newton steps on a residual and its exact slope,
+is the package's one root finder: the classical minimum, mean field's
+order parameter and its critical temperature all use it.
 """
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,76 +218,53 @@ def constrained_potential(phi, params: CircuitParams, normalized=False):
     return float(out) if out.ndim == 0 else out
 
 
-def brentq(f, a, b, xtol=1e-300, rtol=4.0 * sys.float_info.epsilon, maxiter=100):
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+def newton_root(g, a, b, ga, gb):
+    """Root of a residual rising through zero on [a, b]; (root, converged).
 
-    A line-for-line port of scipy's brentq (scipy/optimize/Zeros/brentq.c):
-    the same steps give the same root and flag, bit for bit. The tolerance
-    is xtol + rtol |x|; the defaults ask for the last bits of a double.
-    Returns (root, converged), converged being False after maxiter
-    iterations without meeting the tolerance. ValueError when f(a) and
-    f(b) have the same sign or f returns NaN.
+    The package's one root finder. g(x) returns the residual and its
+    slope; ga and gb are its values at the bracket ends,
+    ga[0] <= 0 <= gb[0]. The first iterate is the root of the cubic
+    Hermite interpolant of the two ends. Each residual sign shrinks the
+    bracket, and a Newton step that leaves it or meets a non-positive slope
+    is replaced by bisection, unless the step is already within tolerance:
+    a converged step may round onto the bracket end just set. The root is
+    the corrected point of the first step no larger than 1e-10 |x|, a
+    Python float; not converged after 100 steps.
     """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0.0:
-        return xpre, True
-    if fcur == 0.0:
-        return xcur, True
-    # a nonzero value's sign bit is set exactly when it is negative
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, True
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to an infinity or a NaN here, which fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
+    if ga[0] == 0.0:
+        return float(a), True
+    if gb[0] == 0.0:
+        return float(b), True
+    x = _hermite_root(a, b, ga, gb)
+    for _ in range(100):
+        r, slope = g(x)
+        if r == 0.0:
+            return float(x), True
+        if r < 0.0:
+            a = x
         else:
-            # bisect
-            spre = scur = sbis
+            b = x
+        new = x - r / slope if slope > 0.0 else math.nan
+        if not (a < new < b or abs(new - x) <= 1e-10 * abs(new)):
+            new = 0.5 * (a + b)
+        x, step = new, abs(new - x)
+        if step <= 1e-10 * abs(x):
+            return float(x), True
+    return float(x), False
 
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    return xcur, False
+
+def _hermite_root(a, b, ga, gb):
+    """Root in (a, b) of the cubic with the values and slopes ga, gb at the ends.
+
+    The lowest one when there are three; the secant root when rounding
+    leaves none inside.
+    """
+    d = b - a
+    (ra, sa), (rb, sb) = ga, gb
+    cubic = [2.0 * (ra - rb) + d * (sa + sb), 3.0 * (rb - ra) - d * (2.0 * sa + sb), d * sa, ra]
+    t = np.roots(cubic)
+    t = t.real[(np.abs(t.imag) <= 1e-12) & (t.real > 0.0) & (t.real < 1.0)]
+    return a + d * (t.min() if t.size else ra / (ra - rb))
 
 
 @dataclass(frozen=True)
@@ -325,7 +302,11 @@ def classical_minimum(params: CircuitParams) -> ClassicalMinimum:
     if params.L_R0 <= classical_critical_inductance(params) or a >= 1.0:
         phi0 = 0.0
     else:
-        x, converged = brentq(lambda x: np.sinc(x / math.pi) - a, 0.0, math.pi)
+        def g(x):
+            # a - sin x / x and its slope; at x = 0 the limits a - 1 and 0
+            return a - math.sin(x) / x, (math.sin(x) - x * math.cos(x)) / x**2
+
+        x, converged = newton_root(g, 0.0, math.pi, (a - 1.0, 0.0), g(math.pi))
         if not converged:
             raise ConvergenceError(
                 f"sin x / x = {a!r} did not converge on (0, pi), last x = {x!r}")

@@ -125,6 +125,7 @@ def resolve_params(args, N=None) -> CircuitParams:
         loaded = load_config(args.config)
         config_N = loaded.pop("N", None)
         values.update(loaded)
+    typed = {}
     for flag, scale in (("L_J", 1e-9), ("L_g", 1e-9), ("C_J", 1e-15), ("C_R0", 1e-15), ("L_R0", 1e-9)):
         v = getattr(args, flag)
         if v is not None:
@@ -132,6 +133,13 @@ def resolve_params(args, N=None) -> CircuitParams:
             if not (flag == "L_J" and v == math.inf):
                 _check_typed(f"--{flag}", v, v, scale, zero_ok=False)
             values[flag] = v * scale
+            typed[flag] = v
+    # CircuitParams makes the same check in SI; this one quotes nH and the flags typed
+    if all(v > 0.0 for v in values.values()) and not values["L_g"] < values["L_J"]:
+        L_g, L_J = (f"--{key} = {typed[key]!r}" if key in typed else f"{key} = {values[key] / 1e-9:.12g}"
+                    for key in ("L_g", "L_J"))
+        raise ConfigError(f"{L_g} nH must be smaller than {L_J} nH: "
+                          "the junction branch loses its restoring force otherwise")
     try:
         return CircuitParams(N=N if N is not None else config_N, **values)
     except ValueError as exc:

@@ -14,9 +14,11 @@ minimum as a root of that residual. Temperatures enter as kT in joule.
 f is the free energy of H_atom - (phi / L_g) psi, so it is concave in phi
 at every kT, and its chord between two samples bounds A from below: the
 scan that brackets the root refines only the cells that could hold the
-minimum. The root itself is found by safeguarded Newton steps: the
-residual's slope 1/L_R0 + 1/L_g - chi / L_g^2, with chi the branch's
-static response at phi, comes from the same eigensolve as the residual.
+minimum. The root itself is found by safeguarded Newton steps
+(circuit.newton_root): the residual's slope 1/L_R0 + 1/L_g - chi / L_g^2,
+with chi the branch's static response at phi, comes from the same
+eigensolve as the residual. The critical temperature of phase_boundary is
+found by the same steps, its slope from the levels of the untilted branch.
 """
 
 import math
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .circuit import SNAP_FRACTION, CircuitParams, brentq, constraint_slope, derive_linear
+from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear, newton_root
 from .constants import PHI0, hbar
 from .errors import ConvergenceError
 
@@ -107,10 +109,10 @@ def solve_sweep(
 
     A certified scan of the branch free energy, then the root of the
     stationarity residual between the neighbours of each column's best
-    sample, by safeguarded Newton steps (:func:`_newton`): the free energy
-    is flat to float precision near its minimum while the residual changes
-    sign cleanly. A best sample at phi = 0 is the
-    normal phase, phi_th = 0, when phi = 0 is stable by the closed form
+    sample, by safeguarded Newton steps (:func:`circuit.newton_root`): the
+    free energy is flat to float precision near its minimum while the
+    residual changes sign cleanly. A best sample at phi = 0 is the normal
+    phase, phi_th = 0, when phi = 0 is stable by the closed form
     1/L_R0 + 1/L_g >= chi(kT) / L_g^2 or when the residual at 1e-6 Phi0 is
     non-negative.
 
@@ -213,9 +215,9 @@ def _refine(params, kT, M, phi, f, window, shared):
     """Refine one column from the branch free energy f sampled at the ascending phi.
 
     The residual is bracketed by the neighbours of the best sample inside
-    the column's window, and its root is found by :func:`_newton` from one
-    eigensolve per step. The column reports `shared` of the samples in its
-    n_evaluations.
+    the column's window, and its root is found by :func:`circuit.newton_root`
+    from one eigensolve per step. The column reports `shared` of the samples
+    in its n_evaluations.
     """
     kernel = fock.branch(params, M)
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
@@ -249,54 +251,7 @@ def _refine(params, kT, M, phi, f, window, shared):
     gb = g(b)
     if gb[0] < 0.0:
         return package(float(phi[best_i]), False)
-    return package(*_newton(g, a, b, ga, gb))
-
-
-def _newton(g, a, b, ga, gb):
-    """Root of a residual rising through zero on [a, b]; (root, converged).
-
-    g(x) returns the residual and its slope; ga and gb are its values at
-    the bracket ends, ga[0] <= 0 <= gb[0]. The first iterate is the root of
-    the cubic Hermite interpolant of the two ends. Each residual sign
-    shrinks the bracket, and a Newton step that leaves it or meets a
-    non-positive slope is replaced by bisection. The root is the corrected
-    point of the first step no larger than 1e-10 |x|; not converged after
-    100 steps.
-    """
-    if ga[0] == 0.0:
-        return a, True
-    if gb[0] == 0.0:
-        return b, True
-    x = _hermite_root(a, b, ga, gb)
-    for _ in range(100):
-        r, slope = g(x)
-        if r == 0.0:
-            return x, True
-        if r < 0.0:
-            a = x
-        else:
-            b = x
-        new = x - r / slope if slope > 0.0 else math.nan
-        if not a < new < b:
-            new = 0.5 * (a + b)
-        x, step = new, abs(new - x)
-        if step <= 1e-10 * abs(x):
-            return x, True
-    return x, False
-
-
-def _hermite_root(a, b, ga, gb):
-    """Root in (a, b) of the cubic with the values and slopes ga, gb at the ends.
-
-    The lowest one when there are three; the secant root when rounding
-    leaves none inside.
-    """
-    d = b - a
-    (ra, sa), (rb, sb) = ga, gb
-    cubic = [2.0 * (ra - rb) + d * (sa + sb), 3.0 * (rb - ra) - d * (2.0 * sa + sb), d * sa, ra]
-    t = np.roots(cubic)
-    t = t.real[(np.abs(t.imag) <= 1e-12) & (t.real > 0.0) & (t.real < 1.0)]
-    return a + d * (t.min() if t.size else ra / (ra - rb))
+    return package(*newton_root(g, a, b, ga, gb))
 
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
@@ -352,17 +307,36 @@ class PhaseDiagramGrid:
 
 
 def _critical_temperature(kernel: fock.Branch, u: float) -> float:
-    """Root of chi(kT) / L_g^2 = u; NaN when chi(0) / L_g^2 <= u, so the column never orders."""
-    def excess(kT):
-        return kernel.susceptibility(kT) / kernel.L_g**2 - u
+    """Root of chi(kT) / L_g^2 = u; NaN when chi(0) / L_g^2 <= u, so the column never orders.
 
-    if excess(0.0) <= 0.0:
+    chi comes from kernel.susceptibility and its kT-derivative from the
+    same levels: with Boltzmann weights p, Z = sum p and
+    c_m = sum_n |psi_mn|^2 / (E_n - E_m), chi = 2 p.c / Z, so
+    dchi/dkT = (2 dp.c - chi sum dp) / Z with dp_m = p_m (E_m - E_0) / kT^2,
+    zero at kT = 0. The residual u - chi / L_g^2 rises through kTc, and
+    :func:`circuit.newton_root` finds it inside a doubling bracket.
+    """
+    E = kernel.levels
+    psi2 = kernel.psi_levels**2
+    # the unit diagonal divides psi_mm^2 = 0, by the parity of the untilted branch
+    c = np.sum(psi2 / (E[None, :] - E[:, None] + np.eye(E.size)), axis=1)
+
+    def g(kT):
+        chi = kernel.susceptibility(kT)
+        if kT == 0.0:
+            return u - chi / kernel.L_g**2, 0.0
+        p = np.exp(-(E - E[0]) / kT)
+        dp = p * (E - E[0]) / kT**2
+        return u - chi / kernel.L_g**2, -(2.0 * dp @ c - chi * dp.sum()) / p.sum() / kernel.L_g**2
+
+    ga = g(0.0)
+    if ga[0] >= 0.0:
         return math.nan
     # chi -> 0 as kT grows, so doubling the bracket ends
-    lo, hi = 0.0, float(kernel.levels[1] - kernel.levels[0])
-    while excess(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    kTc, converged = brentq(excess, lo, hi)
+    lo, hi = 0.0, float(E[1] - E[0])
+    while (gb := g(hi))[0] < 0.0:
+        lo, hi, ga = hi, 2.0 * hi, gb
+    kTc, converged = newton_root(g, lo, hi, ga, gb)
     if not converged:
         raise ConvergenceError(
             f"critical temperature did not converge in [{lo!r}, {hi!r}], last kT = {kTc!r}")

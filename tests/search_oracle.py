@@ -15,13 +15,13 @@ replaced.
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from srptsim import fock, meanfield
 from srptsim.circuit import (
     SNAP_FRACTION,
     CircuitParams,
     ClassicalMinimum,
-    brentq,
     classical_critical_inductance,
     constrained_potential,
     constraint_slope,
@@ -29,6 +29,7 @@ from srptsim.circuit import (
 from srptsim.constants import PHI0
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = np.finfo(float).eps
 
 
 def golden_section(f, lo, hi, rtol=1e-10, max_iter=200):
@@ -153,7 +154,7 @@ def brent_refine(params, kT, M, phi, f, window, shared):
     """Slow path of meanfield._refine: Brent's method on the residual values alone.
 
     Same bracket, sign checks and packaging as the Newton refinement;
-    brentq (rtol 4 eps) finds the root from residual values only.
+    scipy's brentq (rtol 4 eps) finds the root from residual values only.
     """
     seen = {}
 
@@ -178,5 +179,5 @@ def brent_refine(params, kT, M, phi, f, window, shared):
         return package(0.0, True)
     if ga > 0.0 or g(b) < 0.0:
         return package(float(phi[best_i]), False)
-    phi_th, converged = brentq(g, a, b)
-    return package(phi_th, converged)
+    phi_th, info = brentq(g, a, b, xtol=1e-300, rtol=4.0 * EPS, full_output=True, disp=False)
+    return package(phi_th, info.converged)

@@ -234,6 +234,26 @@ def test_sweep_values_checked_as_typed(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, cfg, quoted",
+    [
+        (["--L_J", "0.3", "--L_g", "0.45"], None, "--L_g = 0.45 nH must be smaller than --L_J = 0.3 nH"),
+        (["--L_J", "0.3"], None, "L_g = 0.45 nH must be smaller than --L_J = 0.3 nH"),
+        (["--L_g", "0.75"], None, "--L_g = 0.75 nH must be smaller than L_J = 0.75 nH"),
+        ([], "L_g = 800 pH\n", "L_g = 0.8 nH must be smaller than L_J = 0.75 nH"),
+    ],
+    ids=["both-flags", "L_J-flag", "L_g-flag", "config"],
+)
+def test_inductance_order_checked_in_nanohenry(tmp_path, argv, cfg, quoted, capsys):
+    """L_g < L_J is checked on the merged values and quoted in nH, naming each flag typed."""
+    if cfg is not None:
+        (tmp_path / "c.cfg").write_text(cfg)
+        argv = ["--config", str(tmp_path / "c.cfg"), *argv]
+    assert main(["linear", "--lr0", "0.3", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {quoted}: the junction branch loses its restoring force otherwise\n")
+
+
+@pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--C_J", "-24", "--C_J must be positive, got -24.0"),

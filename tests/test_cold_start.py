@@ -3,8 +3,8 @@
 Every CLI call is a new process, so the import is paid per call. Only ed
 (and validate, which runs ED checks) needs scipy.sparse; the package
 loads them on first use. Nothing in the package needs any other part of
-scipy: its one root finder is circuit.brentq, and its constants are the
-exact SI literals.
+scipy: its one root finder is circuit.newton_root, and its constants are
+the exact SI literals.
 """
 
 import os

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 from search_oracle import brent_refine, scan_then_refine, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
-from srptsim.circuit import classical_minimum, constraint_slope, derive_linear
+from srptsim.circuit import classical_minimum, constraint_slope, derive_linear, newton_root
 from srptsim.constants import PHI0, h, hbar
 
 GHZ = 1e9
@@ -518,7 +518,8 @@ def test_newton_safeguards():
             calls.append(x)
             return residual(x), slope(x)
 
-        root, converged = meanfield._newton(g, a, b, g(a), g(b))
+        root, converged = newton_root(g, a, b, g(a), g(b))
+        assert type(root) is float
         return root, converged, len(calls)
 
     # x^3 - x / 4 falls until x = 0.29 and rises through its root 0.5
@@ -531,6 +532,10 @@ def test_newton_safeguards():
     # a slope 1000 times too steep creeps: 100 steps end unconverged
     root, converged, calls = solve(lambda x: x - 0.3, lambda x: 1e3)
     assert not converged and calls == 102 and 0.1 < root < 0.3
+    # the Hermite start 0.5 is the rounded root of x - 0.5 - 1e-17, so the
+    # Newton step rounds onto the bracket end just set: it is accepted, not
+    # bisected away from (which took 32 more steps and ended 2.9e-11 off)
+    assert solve(lambda x: x - 0.5 - 1e-17, lambda x: 1.0, 0.25, 0.75) == (0.5, True, 3)
 
 
 def test_work_ceilings(reference):

@@ -414,7 +414,11 @@ def cmd_ed(args) -> int:
 def cmd_validate(args) -> int:
     from . import validate
 
-    names = [tok.strip() for tok in args.only.split(",") if tok.strip()] if args.only else None
+    names = None if args.only is None else [tok.strip() for tok in args.only.split(",") if tok.strip()]
+    if names == []:
+        raise ConfigError(f"--only: empty check list {args.only!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
     results = validate.run_checks(names=names, seed=args.seed)
     for r in results:
         print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)

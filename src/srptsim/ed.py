@@ -64,8 +64,8 @@ class EdConfig:
     total_cutoff    : highest total occupation, photons plus branch levels
     parity          : 0 for the even sector, 1 for the odd
     n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
-                      a sector when called without k; scan and
-                      truncation_error_study pass their own k
+                      a sector when called without k; scan, and with it
+                      truncation_error_study, passes its own k
     quartic         : quartic branch potential when True, exact cosine
                       block otherwise
     max_dimension   : refuse to materialize symmetric sectors larger
@@ -447,41 +447,33 @@ class EdScan:
     dim_odd: int
 
 
-def _solved_sectors(params: CircuitParams, config: EdConfig, L_vals: np.ndarray, k_even: int, k_odd: int):
-    """Assemble both parity sectors once, then solve them at each L_R0 in turn.
-
-    Yields (params at L_R0, even, odd). The ground state must be even; an
-    odd state below it means the truncation broke the parity structure and
-    the point would be meaningless, so that raises instead of yielding.
-    """
-    if L_vals.ndim != 1 or L_vals.size == 0:
-        raise ValueError("L_R0_values must be a non-empty 1d array")
-    even_model = build_sector_model(params, config.sector(0))
-    odd_model = build_sector_model(params, config.sector(1))
-    for L in L_vals:
-        p = params.replace(L_R0=float(L))
-        even = solve_sector(even_model, p, k=k_even)
-        odd = solve_sector(odd_model, p, k=k_odd)
-        if odd.values[0] < even.values[0]:
-            raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
-        yield p, even, odd
-
-
 def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     """Ground-sector observables along the sweep, in joule.
 
-    Each point solves only the eigenpairs the observables read: the two
-    lowest even states and the lowest odd state, whatever
-    config.n_eigenvalues says. transition_even is the gap to the second
-    even state, transition_odd the gap to the lowest odd state, delta_eps
-    the ground energy per branch relative to photon zero point plus
-    isolated branch of the same potential.
+    Both parity sectors are assembled once and solved at each L_R0 in
+    turn, for only the eigenpairs the observables read: the two lowest
+    even states and the lowest odd state, whatever config.n_eigenvalues
+    says. transition_even is the gap to the second even state,
+    transition_odd the gap to the lowest odd state, delta_eps the ground
+    energy per branch relative to photon zero point plus isolated branch
+    of the same potential. The ground state must be even; an odd state
+    below it means the truncation broke the parity structure and the point
+    would be meaningless, so that raises ConvergenceError.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
+    if L_vals.ndim != 1 or L_vals.size == 0:
+        raise ValueError("L_R0_values must be a non-empty 1d array")
     eps_a0 = reference_branch_energy(params, quartic=config.quartic)
+    even_model = build_sector_model(params, config.sector(0))
+    odd_model = build_sector_model(params, config.sector(1))
     N = config.n_atoms
     rows = []
-    for p, even, odd in _solved_sectors(params, config, L_vals, 2, 1):
+    for L in L_vals:
+        p = params.replace(L_R0=float(L))
+        even = solve_sector(even_model, p, k=2)
+        odd = solve_sector(odd_model, p, k=1)
+        if odd.values[0] < even.values[0]:
+            raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
         E_g = float(even.values[0])
         zero_point = hbar * derive_linear(p).omega_c / 2.0
         rows.append((E_g, even.photon_number / N, even.values[1] - E_g, odd.values[0] - E_g,
@@ -501,14 +493,10 @@ class TruncationStudy:
     excitation energies of each model at a converged level count and
     their worst relative deviation.
 
-    The remaining fields compare the full coupled system along the sweep.
-    transitions arrays have shape (len(L_R0_values), n_levels - 1) and
-    hold excitation energies above the even ground state, both sectors
-    merged; max_rel_deviation is per inductance, worst over transitions.
-    Near the transition these deviations grow far beyond the atomic
-    figure because the two models place the gap dip at slightly
-    different inductances, so the dip itself is compared separately:
-    even_gap tracks the lowest even-sector transition per model,
+    The remaining fields compare the coupled system along the sweep
+    through its gap dip: each model places the dip at a slightly different
+    inductance, so the coupled spectra are compared there and not point by
+    point. even_gap is each model's transition_even from :func:`scan`,
     dip_value_shift the relative gap difference at each model's own
     minimum, dip_location_shift the relative displacement of those
     minima (both meaningful only when the sweep brackets the dip).
@@ -518,10 +506,6 @@ class TruncationStudy:
     atom_quartic_transitions: np.ndarray
     atom_cosine_transitions: np.ndarray
     atom_max_rel_deviation: float
-    quartic_transitions: np.ndarray
-    cosine_transitions: np.ndarray
-    max_rel_deviation: np.ndarray
-    worst: float
     quartic_even_gap: np.ndarray
     cosine_even_gap: np.ndarray
     quartic_dip_L: float
@@ -542,10 +526,11 @@ def truncation_error_study(
 ) -> TruncationStudy:
     """Bound the quartic-potential truncation error against the exact cosine.
 
-    At n_atoms >= 2 the coupled spectra are those of the symmetric sector:
-    the exchange-odd "dark" states of the product basis are not among
-    the transitions. The acceptance criterion and the validate check run
-    it at n_atoms = 1, where the two bases coincide.
+    The coupled system is one :func:`scan` per potential. At n_atoms >= 2
+    its spectra are those of the symmetric sector: the exchange-odd "dark"
+    states of the product basis are not among the transitions. The
+    acceptance criterion and the validate check run it at n_atoms = 1,
+    where the two bases coincide.
     atom_levels sets the isolated-branch comparison dimension; it must be
     large enough that the n_levels-th branch transition has converged,
     otherwise basis-edge error masquerades as model error.
@@ -555,38 +540,23 @@ def truncation_error_study(
         raise ValueError("n_levels must be at least 2")
     if atom_levels < n_levels + 2:
         raise ValueError(f"atom_levels {atom_levels} too small for {n_levels} levels")
-    atom = {}
+    atom, gaps = {}, {}
     for label, quartic in (("quartic", True), ("cosine", False)):
         w = np.linalg.eigvalsh(_atom_block(params, atom_levels, quartic))
         atom[label] = w[1:n_levels] - w[0]
-    atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
-    transitions = {}
-    even_gaps = {}
-    for label, quartic in (("quartic", True), ("cosine", False)):
         config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic, seed=seed)
-        rows, gaps = [], []
-        for _, even, odd in _solved_sectors(params, config, L_vals, n_levels, n_levels):
-            merged = np.sort(np.concatenate([even.values, odd.values]))
-            rows.append(merged[1:n_levels] - merged[0])
-            gaps.append(even.values[1] - even.values[0])
-        transitions[label] = np.array(rows)
-        even_gaps[label] = np.array(gaps)
-    rel = np.abs(transitions["quartic"] - transitions["cosine"]) / transitions["cosine"]
-    per_L = rel.max(axis=1)
-    i_q = int(np.argmin(even_gaps["quartic"]))
-    i_c = int(np.argmin(even_gaps["cosine"]))
-    gap_q, gap_c = even_gaps["quartic"][i_q], even_gaps["cosine"][i_c]
+        gaps[label] = scan(params, config, L_vals).transition_even
+    atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
+    i_q = int(np.argmin(gaps["quartic"]))
+    i_c = int(np.argmin(gaps["cosine"]))
+    gap_q, gap_c = gaps["quartic"][i_q], gaps["cosine"][i_c]
     return TruncationStudy(
         L_R0_values=L_vals,
         atom_quartic_transitions=atom["quartic"],
         atom_cosine_transitions=atom["cosine"],
         atom_max_rel_deviation=atom_rel,
-        quartic_transitions=transitions["quartic"],
-        cosine_transitions=transitions["cosine"],
-        max_rel_deviation=per_L,
-        worst=float(per_L.max()),
-        quartic_even_gap=even_gaps["quartic"],
-        cosine_even_gap=even_gaps["cosine"],
+        quartic_even_gap=gaps["quartic"],
+        cosine_even_gap=gaps["cosine"],
         quartic_dip_L=float(L_vals[i_q]),
         cosine_dip_L=float(L_vals[i_c]),
         dip_value_shift=float(abs(gap_q - gap_c) / gap_c),

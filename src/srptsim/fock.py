@@ -80,62 +80,67 @@ def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
     return kinetic + potential + params.E_J * ops.cos_op
 
 
-def thermal_expectation(H: np.ndarray, A, kT: float, response: np.ndarray | None = None):
-    """Canonical expectation value of A in the Gibbs state of H.
+def gibbs_weights(w: np.ndarray, kT: float) -> np.ndarray:
+    """Normalized Gibbs weights of the ascending spectrum w at kT, joule.
 
-    kT is in joule. At kT = 0 the expectation is averaged over the ground
-    multiplet, with degeneracy resolved at 1e-12 of the spectral span.
+    Uniform over the ground multiplet at kT = 0, degeneracy resolved at
+    DEGENERACY_RTOL of the spectral span; above, the Boltzmann factors
+    shifted so that the ground one is 1, which keeps their sum finite.
+    """
+    if kT < 0:
+        raise ValueError(f"kT must be non-negative, got {kT}")
+    if kT == 0.0:
+        mask = w - w[0] <= DEGENERACY_RTOL * max(w[-1] - w[0], abs(w[0]))
+        return mask / np.count_nonzero(mask)
+    weights = np.exp(-(w - w[0]) / kT)
+    return weights / np.sum(weights)
 
-    A is one operator, or a tuple of operators; a tuple gives (F, averages),
-    the free energy of H and the expectation of each operator, all from one
-    eigendecomposition. F equals free_energy(H, kT) up to eigensolver
-    rounding.
+
+def thermal_expectation(H: np.ndarray, operators: tuple, kT: float, response: np.ndarray | None = None):
+    """Free energy and canonical expectations in the Gibbs state of H.
+
+    kT is in joule; the state has the weights of :func:`gibbs_weights`.
+    Returns (F, averages), the free energy of H and the expectation of
+    each operator in the tuple, all from one eigendecomposition. F equals
+    free_energy(H, kT) up to eigensolver rounding.
 
     A Hermitian response operator B gives (F, averages, chi), chi the static
     susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`),
     from the same eigendecomposition.
     """
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
     w, v = np.linalg.eigh(H)
-    operators = A if isinstance(A, tuple) else (A,)
-    diags = [np.einsum("ij,ij->j", v.conj(), op @ v).real for op in operators]
-    if kT == 0.0:
-        span = w[-1] - w[0]
-        mask = w - w[0] <= DEGENERACY_RTOL * max(span, abs(w[0]))
-        averages = tuple(float(np.mean(diag[mask])) for diag in diags)
-        p = mask / np.count_nonzero(mask)
-    else:
-        weights = np.exp(-(w - w[0]) / kT)
-        averages = tuple(float(np.sum(weights * diag) / np.sum(weights)) for diag in diags)
-        p = weights / np.sum(weights)
-    if response is not None:
-        return _spectrum_free_energy(w, kT), averages, _static_response(w, v, response, p, kT)
-    if not isinstance(A, tuple):
-        return averages[0]
-    return _spectrum_free_energy(w, kT), averages
+    p = gibbs_weights(w, kT)
+    averages = tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
+    F = _spectrum_free_energy(w, kT)
+    if response is None:
+        return F, averages
+    # at kT = 0 the Kubo sum reads only the rows of the ground multiplet
+    rows = v if kT > 0.0 else v[:, p > 0.0]
+    return F, averages, _static_response(w, rows.conj().T @ response @ v, p, kT)
 
 
-def _static_response(w, v, B, p, kT):
-    """Kubo sum for d<B>/dh of H - h B, given the eigenpairs (w, v) of H and state weights p.
+def _static_response(w, Bv, p, kT):
+    """Kubo sum for d<B>/dh of H - h B, given B in the eigenbasis of H.
 
-    At kT = 0, p is uniform on the ground multiplet and chi is
-    2 sum |B_gn|^2 / (E_n - E_g) over the rest. At kT > 0 it is
-    sum over m != n of (p_m - p_n) / (E_n - E_m) |B_mn|^2 plus the
-    variance of B's diagonal over kT. A pair with lower level m is
+    w are the ascending levels of H, Bv the matrix of B between them and p
+    their weights (:func:`gibbs_weights`). At kT = 0, p is uniform on the
+    ground multiplet, only the rows of Bv on it are read, and chi is
+    2 sum |B_gn|^2 / (E_n - E_g) over the rest. At kT > 0 it is sum over
+    m != n of (p_m - p_n) / (E_n - E_m) |B_mn|^2 plus the variance of B's
+    diagonal over kT. A pair with lower level m is
     p_m (1 - exp(-Delta / kT)) / Delta, Delta = |E_n - E_m|, which tends to
     p_m / kT as Delta -> 0 and cannot overflow; with that limit on the
     diagonal of B - <B>, the variance term joins the same sum.
     """
     if kT == 0.0:
-        ground = p > 0.0
-        B2 = np.abs(v[:, ground].conj().T @ B @ v[:, ~ground]) ** 2
-        return float(2.0 * np.sum(p[ground] @ B2 / (w[~ground] - w[0])))
-    Bv = v.conj().T @ B @ v
-    Bv.flat[:: w.size + 1] -= np.sum(p * Bv.diagonal().real)
+        g = np.count_nonzero(p)
+        B2 = np.abs(Bv[:g, g:]) ** 2
+        return float(2.0 * np.sum(p[:g] @ B2 / (w[g:] - w[0])))
+    B2 = np.abs(Bv) ** 2
+    np.fill_diagonal(B2, np.abs(Bv.diagonal() - np.sum(p * Bv.diagonal().real)) ** 2)
     gap = np.abs(w - w[:, None])
     pair = np.divide(-np.expm1(-gap / kT), gap, out=np.full_like(gap, 1.0 / kT), where=gap > 0.0)
-    return float(np.sum(np.maximum.outer(p, p) * pair * np.abs(Bv) ** 2))
+    return float(np.sum(np.maximum.outer(p, p) * pair * B2))
 
 
 def free_energy(H: np.ndarray, kT: float) -> float:
@@ -205,20 +210,13 @@ class Branch:
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.
 
-        chi = -d^2 F / dh^2 by the Kubo sum over the eigenpairs of H_atom:
+        chi = -d^2 F / dh^2 by the Kubo sum (:func:`_static_response`) on
+        levels and psi_levels with the weights p of :func:`gibbs_weights`:
         2 sum_n |psi_0n|^2 / (E_n - E_0) at kT = 0, else sum over m != n of
-        (p_m - p_n) / (E_n - E_m) |psi_mn|^2 with Boltzmann weights p. There
-        is no m = n term: psi_mm = 0 by the parity of the untilted branch.
+        (p_m - p_n) / (E_n - E_m) |psi_mn|^2, psi_mm being 0 up to rounding
+        by the parity of the untilted branch.
         """
-        if kT < 0:
-            raise ValueError(f"kT must be non-negative, got {kT}")
-        E, psi2 = self.levels, self.psi_levels**2
-        if kT == 0.0:
-            return float(2.0 * np.sum(psi2[0, 1:] / (E[1:] - E[0])))
-        p = np.exp(-(E - E[0]) / kT)
-        # the unit diagonal only ever divides p_m - p_m = 0
-        gap = E[None, :] - E[:, None] + np.eye(E.size)
-        return float(np.sum((p[:, None] - p[None, :]) / gap * psi2) / p.sum())
+        return _static_response(self.levels, self.psi_levels, gibbs_weights(self.levels, kT), kT)
 
 
 def branch(params: CircuitParams, M: int = 60) -> Branch:

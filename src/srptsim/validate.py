@@ -225,7 +225,7 @@ def _check_truncation_study(rng):
     )
     return (
         f"branch transitions agree within {study.atom_max_rel_deviation:.2%}; "
-        f"coupled spectra differ up to {study.worst:.2%} at L_R0 = 0.45 nH"
+        f"coupled even gaps differ by {study.dip_value_shift:.2%} at L_R0 = 0.45 nH"
     )
 
 

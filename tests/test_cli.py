@@ -532,3 +532,18 @@ def test_validate_only_selection(capsys):
 def test_validate_unknown_check_exits_2(capsys):
     assert main(["validate", "--only", "bogus"]) == 2
     assert "unknown checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only", [",", " , ", ""])
+def test_validate_empty_only_list_exits_2(capsys, only):
+    assert main(["validate", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert f"--only: empty check list {only!r}" in captured.err
+    assert "checks passed" not in captured.out
+
+
+def test_validate_negative_seed_exits_2(capsys):
+    assert main(["validate", "--only", "vieta", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be a nonnegative integer, got -1" in captured.err
+    assert captured.out == ""

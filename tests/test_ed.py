@@ -604,7 +604,7 @@ def test_scan_matches_product_basis(reference, n_atoms, per_mode, total, L_nH):
 
 
 def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
-    """scan asks ARPACK for 2 even and 1 odd pair; the wider callers keep theirs."""
+    """scan, and the truncation study through it, asks ARPACK for 2 even and 1 odd pair."""
     calls = []
     real_eigsh = ed.eigsh
 
@@ -628,8 +628,8 @@ def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
         reference, 1, np.array([0.45e-9, 0.52e-9]), per_mode_cutoff=8, total_cutoff=16,
         n_levels=4, atom_levels=30,
     )
-    assert len(calls) == 8
-    assert {k for _, k in calls} == {4}
+    # two inductances for each of the two potentials
+    assert calls == [(41, 2), (40, 1)] * 4
 
 
 def test_scan_cutoff_convergence_deep_normal(reference):
@@ -703,8 +703,7 @@ def test_truncation_study_atom_level(reference):
     assert study.cosine_dip_L == pytest.approx(0.52e-9)
     assert study.dip_location_shift == 0.0
     assert 0.0 < study.dip_value_shift < 0.15
-    assert study.max_rel_deviation.shape == (4,)
-    assert study.worst == study.max_rel_deviation.max()
+    assert study.quartic_even_gap.shape == study.cosine_even_gap.shape == (4,)
 
 
 def test_truncation_study_weak_anharmonicity_limit(reference):

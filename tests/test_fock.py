@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, logsumexp
 
+from kubo_oracle import level_susceptibility
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim import ed
@@ -209,7 +210,7 @@ def test_effective_hamiltonian_flux_behaviour(linear, reference):
     # a positive tilt pulls the branch flux to positive values
     _, (mean_psi,) = b.thermal(phi, 0.0, b.ops.psi_op)
     assert mean_psi > 0.0
-    assert mean_psi == thermal_expectation(b.hamiltonian(phi), b.ops.psi_op, 0.0)
+    assert mean_psi == thermal_expectation(b.hamiltonian(phi), (b.ops.psi_op,), 0.0)[1][0]
 
 
 def test_thermal_expectation_identity_and_parity(linear, reference):
@@ -218,8 +219,9 @@ def test_thermal_expectation_identity_and_parity(linear, reference):
     eye = np.eye(30)
     psi_scale = math.sqrt(hbar * linear.Z_a / 2.0)
     for kT in (0.0, h * 5 * GHZ, h * 200 * GHZ):
-        assert thermal_expectation(H, eye, kT) == pytest.approx(1.0, rel=1e-12)
-        assert abs(thermal_expectation(H, ops.psi_op, kT)) < 1e-12 * psi_scale
+        _, (norm, psi) = thermal_expectation(H, (eye, ops.psi_op), kT)
+        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert abs(psi) < 1e-12 * psi_scale
 
 
 def test_thermal_expectation_high_temperature_limit(linear, reference):
@@ -228,14 +230,14 @@ def test_thermal_expectation_high_temperature_limit(linear, reference):
     H = atom_hamiltonian(ops, reference)
     w = np.linalg.eigvalsh(H)
     kT = 1e4 * (w[-1] - w[0])
-    avg = thermal_expectation(H, ops.number_op, kT)
+    _, (avg,) = thermal_expectation(H, (ops.number_op,), kT)
     assert avg == pytest.approx((M - 1) / 2.0, rel=1e-3)
 
 
 def test_thermal_expectation_degenerate_ground():
     H = np.diag([0.0, 0.0, 1.0])
     A = np.diag([1.0, -1.0, 5.0])
-    assert thermal_expectation(H, A, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert thermal_expectation(H, (A,), 0.0)[1][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_thermal_expectation_zero_temperature_continuity(linear, reference):
@@ -243,8 +245,8 @@ def test_thermal_expectation_zero_temperature_continuity(linear, reference):
     H = atom_hamiltonian(ops, reference)
     w = np.linalg.eigvalsh(H)
     gap = w[1] - w[0]
-    cold = thermal_expectation(H, ops.number_op, 1e-6 * gap)
-    frozen = thermal_expectation(H, ops.number_op, 0.0)
+    _, (cold,) = thermal_expectation(H, (ops.number_op,), 1e-6 * gap)
+    _, (frozen,) = thermal_expectation(H, (ops.number_op,), 0.0)
     assert cold == pytest.approx(frozen, abs=1e-10)
 
 
@@ -252,7 +254,15 @@ def test_thermal_expectation_rejects_negative_temperature(linear, reference):
     ops = build_operators(linear, 5)
     H = atom_hamiltonian(ops, reference)
     with pytest.raises(ValueError):
-        thermal_expectation(H, ops.number_op, -1.0)
+        thermal_expectation(H, (ops.number_op,), -1.0)
+
+
+def test_thermal_expectation_rejects_a_bare_operator(linear, reference):
+    # the rows of a bare matrix are not operators
+    ops = build_operators(linear, 5)
+    H = atom_hamiltonian(ops, reference)
+    with pytest.raises(ValueError):
+        thermal_expectation(H, ops.number_op, 0.0)
 
 
 def test_free_energy_single_level(reference):
@@ -360,6 +370,22 @@ def test_susceptibility_is_free_energy_curvature(reference):
         b.susceptibility(-h * GHZ)
 
 
+def test_susceptibility_matches_level_oracle(reference):
+    """The Kubo sum on the branch levels equals their level formula; exactly at kT = 0."""
+    rng = np.random.default_rng(173601)
+    circuits = [reference] + [
+        reference.replace(**{name: getattr(reference, name) * (1.0 + 0.03 * rng.uniform(-1.0, 1.0))
+                             for name in ("L_J", "L_g", "C_J")})
+        for _ in range(2)
+    ]
+    for p in circuits:
+        b = branch(p, 60)
+        assert b.susceptibility(0.0) == level_susceptibility(b, 0.0)
+        for f in (5.0, 20.0, 200.0):
+            kT = h * f * GHZ
+            assert b.susceptibility(kT) == pytest.approx(level_susceptibility(b, kT), rel=1e-14, abs=0.0)
+
+
 def test_response_is_flux_derivative(reference):
     """chi of Branch.response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
     b = branch(reference, 60)
@@ -384,6 +410,6 @@ def test_static_response_with_degenerate_levels():
     for kT in (0.05, 0.7, 30.0):
         F, (mean,), chi = thermal_expectation(H, (B,), kT, response=B)
         assert (F, (mean,)) == thermal_expectation(H, (B,), kT)
-        up = thermal_expectation(H - dh * B, B, kT)
-        down = thermal_expectation(H + dh * B, B, kT)
+        _, (up,) = thermal_expectation(H - dh * B, (B,), kT)
+        _, (down,) = thermal_expectation(H + dh * B, (B,), kT)
         assert chi == pytest.approx((up - down) / (2.0 * dh), rel=1e-8)

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import kubo_oracle
 from search_oracle import brent_refine, scan_then_refine, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear, newton_root
@@ -300,6 +301,21 @@ def test_boundary_closed_form_against_grid_oracle(reference):
     # 0.25 nH never orders; 1.0 nH is ordered in every row and orders above the grid
     assert not ordered[:, 0].any() and math.isnan(g.boundary[0])
     assert ordered[:, 3].all() and g.boundary[3] > T[-1]
+
+
+def test_critical_temperature_matches_level_oracle(reference):
+    """kTc from the Kubo sum and normalized weights, against the level formulas, on criterion 4's columns."""
+    kernel = fock.branch(reference, 60)
+    ordered = 0
+    for L in np.linspace(0.30e-9, 1.0e-9, 20):
+        u = 1.0 / L + 1.0 / reference.L_g
+        kTc = meanfield._critical_temperature(kernel, u)
+        expected = kubo_oracle.critical_temperature(kernel, u)
+        assert math.isnan(kTc) == math.isnan(expected), L
+        if not math.isnan(expected):
+            assert kTc == pytest.approx(expected, rel=1e-14, abs=0.0), L
+            ordered += 1
+    assert 0 < ordered < 20
 
 
 @pytest.mark.parametrize("scale", [0.0, 10.0])

@@ -83,16 +83,6 @@ class CircuitParams:
         """Josephson energy (Phi0 / 2 pi)^2 / L_J in joule."""
         return (PHI0 / TWO_PI) ** 2 / self.L_J
 
-    @classmethod
-    def from_josephson_energy(cls, E_J, L_g, C_J, C_R0, L_R0, N=None):
-        """Construct from the Josephson energy (joule) instead of L_J.
-
-        E_J = 0 maps to an infinite Josephson inductance (bare LC branch).
-        """
-        if E_J < 0:
-            raise ValueError(f"E_J must be non-negative, got {E_J}")
-        return cls(L_J=josephson_inductance(E_J), L_g=L_g, C_J=C_J, C_R0=C_R0, L_R0=L_R0, N=N)
-
     def replace(self, **changes) -> "CircuitParams":
         """Copy with selected fields replaced (convenience for sweeps)."""
         return dataclasses.replace(self, **changes)

@@ -39,6 +39,11 @@ GHZ = 1e9
 # whether zero is allowed (kT = 0 is the ground state; L_R0 must be positive).
 SWEEPS = {"lr0": ("L_R0", "nH", 1e-9, False), "kt": ("kT/h", "GHz", h * GHZ, True)}
 
+# The ed flag that sets each EdConfig field, so that EdConfig's errors name the flags
+ED_FLAGS = {"n_atoms": "--n-atoms", "per_mode_cutoff": "--per-mode-cutoff",
+            "total_cutoff": "--total-cutoff", "n_eigenvalues": "--k", "max_dimension": "--max-dim",
+            "seed": "--seed"}
+
 # Smallest branch truncation meanfield and fluct accept. On the reference
 # circuit the zero-temperature L_c at M = 10 is within 6e-9 of M = 60; at
 # M = 3 it is 5 % off, and at M = 2 every L_R0 orders.
@@ -64,8 +69,9 @@ def load_config(path: str) -> dict:
 
     Recognized keys: L_J, L_g, C_J, C_R0, L_R0, E_J (as a frequency,
     converted through h), and N. A bare number without a unit is taken as
-    SI. E_J and L_J together are ambiguous and rejected; E_J = 0 is a bare
-    LC branch, L_J = inf.
+    SI. Numbers are checked as typed, like the flags, and an error names
+    the file and line. E_J and L_J together are ambiguous and rejected;
+    E_J = 0 is a bare LC branch, L_J = inf.
     """
     try:
         text = open(path).read()
@@ -81,6 +87,7 @@ def load_config(path: str) -> dict:
         key, _, rhs = line.partition("=")
         key = key.strip()
         tokens = rhs.split()
+        name = f"{path}:{lineno}: {key}"
         if key == "N":
             if len(tokens) != 1:
                 raise ConfigError(f"{path}:{lineno}: N takes a bare integer")
@@ -88,6 +95,7 @@ def load_config(path: str) -> dict:
                 values["N"] = int(tokens[0])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad integer {tokens[0]!r}") from exc
+            _check_typed(name, tokens[0], values["N"], 1.0, zero_ok=False)
             continue
         if key not in _KEY_UNITS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -97,6 +105,7 @@ def load_config(path: str) -> dict:
             number = float(tokens[0])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad number {tokens[0]!r}") from exc
+        scale = 1.0
         if len(tokens) == 2:
             unit = tokens[1]
             if unit not in _KEY_UNITS[key]:
@@ -104,19 +113,18 @@ def load_config(path: str) -> dict:
                     f"{path}:{lineno}: unit {unit!r} not valid for {key}; "
                     f"use one of {', '.join(_KEY_UNITS[key])}"
                 )
-            number *= _UNIT_SCALE[unit]
-        values[key] = number
+            scale = _UNIT_SCALE[unit]
+        _check_typed(name, " ".join(tokens), number, scale * h if key == "E_J" else scale,
+                     zero_ok=key == "E_J", inf_ok=key == "L_J")
+        values[key] = number * scale
     if "E_J" in values:
         if "L_J" in values:
             raise ConfigError(f"{path}: give either E_J or L_J, not both")
-        E_J = h * values.pop("E_J")
-        if not E_J >= 0.0:
-            raise ConfigError(f"{path}: E_J must be non-negative, got {E_J / h:g} Hz")
-        values["L_J"] = josephson_inductance(E_J)
+        values["L_J"] = josephson_inductance(h * values.pop("E_J"))
     return values
 
 
-def resolve_params(args, N=None) -> CircuitParams:
+def resolve_params(args) -> CircuitParams:
     """Merge defaults, config file, and explicit flags into CircuitParams."""
     reference = reference_params()
     values = {key: getattr(reference, key) for key in ("L_J", "L_g", "C_J", "C_R0", "L_R0")}
@@ -129,9 +137,7 @@ def resolve_params(args, N=None) -> CircuitParams:
     for flag, scale in (("L_J", 1e-9), ("L_g", 1e-9), ("C_J", 1e-15), ("C_R0", 1e-15), ("L_R0", 1e-9)):
         v = getattr(args, flag)
         if v is not None:
-            # an infinite L_J is a branch without a junction
-            if not (flag == "L_J" and v == math.inf):
-                _check_typed(f"--{flag}", v, v, scale, zero_ok=False)
+            _check_typed(f"--{flag}", v, v, scale, zero_ok=False, inf_ok=flag == "L_J")
             values[flag] = v * scale
             typed[flag] = v
     # CircuitParams makes the same check in SI; this one quotes nH and the flags typed
@@ -141,7 +147,7 @@ def resolve_params(args, N=None) -> CircuitParams:
         raise ConfigError(f"{L_g} nH must be smaller than {L_J} nH: "
                           "the junction branch loses its restoring force otherwise")
     try:
-        return CircuitParams(N=N if N is not None else config_N, **values)
+        return CircuitParams(N=config_N, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -153,11 +159,13 @@ def _finite(flag: str, value):
     return value
 
 
-def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool) -> None:
-    """Raise a ConfigError naming flag `name` and the value raw as typed
-    unless v is finite, positive (or zero, with zero_ok) and still nonzero
-    once scaled to SI units, v * scale."""
-    _finite(name, v)
+def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool, inf_ok: bool = False) -> None:
+    """Raise a ConfigError naming `name` (a flag or a config line) and the
+    value raw as typed unless v is finite (or inf, with inf_ok: an infinite
+    L_J is a branch without a junction), positive (or zero, with zero_ok)
+    and still nonzero once scaled to SI units, v * scale."""
+    if not (math.isfinite(v) or (inf_ok and v == math.inf)):
+        raise ConfigError(f"{name} must be finite, got {raw}")
     if v < 0.0 or (v == 0.0 and not zero_ok):
         raise ConfigError(f"{name} must be {'non-negative' if zero_ok else 'positive'}, got {raw}")
     if v != 0.0 and v * scale == 0.0:
@@ -350,21 +358,31 @@ def cmd_fluct(args) -> int:
 def cmd_ed(args) -> int:
     from . import ed
 
+    base = resolve_params(args)
     # without --n-atoms, the config file's N, else one atom
-    n_text = args.n_atoms if args.n_atoms is not None else str(resolve_params(args).N or 1)
+    n_text = args.n_atoms if args.n_atoms is not None else str(base.N or 1)
     try:
         n_list = [int(tok) for tok in n_text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --n-atoms list {n_text!r}") from exc
     if not n_list:
         raise ConfigError("--n-atoms must name at least one atom count")
+    try:
+        configs = [ed.EdConfig(n_atoms=n, per_mode_cutoff=args.per_mode_cutoff,
+                               total_cutoff=args.total_cutoff, n_eigenvalues=args.k,
+                               quartic=args.potential == "quartic", max_dimension=args.max_dim,
+                               seed=args.seed) for n in n_list]
+    except ConfigError as exc:
+        message = str(exc)
+        for field, flag in ED_FLAGS.items():
+            message = message.replace(field, flag)
+        raise ConfigError(message) from exc
     L_vals = sweep_values(args, "lr0")
     compare = {}
     if args.compare_meanfield:
         # Thermodynamic-limit reference values, shared across the N rows.
-        p_inf = resolve_params(args)
-        for L, sol in zip(L_vals, meanfield.solve_sweep(p_inf, L_vals, 0.0)):
-            p = p_inf.replace(L_R0=float(L))
+        for L, sol in zip(L_vals, meanfield.solve_sweep(base, L_vals, 0.0)):
+            p = base.replace(L_R0=float(L))
             ren = fluct.renormalize(p, sol)
             compare[float(L)] = (
                 sol.alpha_over_sqrt_n**2,
@@ -375,18 +393,9 @@ def cmd_ed(args) -> int:
     if compare:
         columns += ["photons_per_atom_mf", "delta_eps_over_h_GHz_mf"]
     rows = []
-    for n_index, n_atoms in enumerate(n_list):
-        params = resolve_params(args, N=n_atoms)
-        config = ed.EdConfig(
-            n_atoms=n_atoms,
-            per_mode_cutoff=args.per_mode_cutoff,
-            total_cutoff=args.total_cutoff,
-            n_eigenvalues=args.k,
-            quartic=args.potential == "quartic",
-            max_dimension=args.max_dim,
-            seed=args.seed,
-        )
-        if args.dump_matrix and n_index == 0:
+    for config in configs:
+        params = base.replace(N=config.n_atoms)
+        if args.dump_matrix and config is configs[0]:
             H = ed.build_hamiltonian(config.sector(0), params.replace(L_R0=float(L_vals[0])))
             written = ed.export_matrix(args.dump_matrix, H)
             print(f"even-sector Hamiltonian at L_R0 = {L_vals[0] / 1e-9:.6g} nH written to {written}",

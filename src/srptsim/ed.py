@@ -157,17 +157,6 @@ class BasisIndex:
     def dim(self) -> int:
         return self.keys.size
 
-    def index_of(self, occupations) -> tuple:
-        """Positions of occupation rows in the basis plus a validity mask.
-
-        A row is valid when the stored row at its key equals it: with tight
-        place values an out-of-range entry can alias another row's key.
-        """
-        occ = np.atleast_2d(np.asarray(occupations, dtype=np.int64))
-        pos = np.searchsorted(self.keys, occ @ self.radix_powers)
-        pos_c = np.minimum(pos, self.dim - 1)
-        return pos_c, np.all(self.occupations[pos_c] == occ, axis=1)
-
 
 def build_basis(config: EdConfig) -> BasisIndex:
     """Enumerate the symmetric parity sector, guarded by config.max_dimension.
@@ -569,5 +558,7 @@ def export_matrix(path: str, matrix: sp.spmatrix) -> str:
     from scipy.io import mmwrite
 
     target = path if os.path.splitext(path)[1] else path + ".mtx"
-    mmwrite(target, sp.coo_matrix(matrix))
+    # a path given to mmwrite whose directory is missing is skipped without an error
+    with open(target, "wb") as fh:
+        mmwrite(fh, sp.coo_matrix(matrix))
     return target

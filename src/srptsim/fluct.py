@@ -31,17 +31,14 @@ class RenormalizedParams:
     E_J_bar   : E_J <cos>, the averaged junction curvature scale (joule);
                 negative past the point where the branch flux crosses a
                 quarter period
-    L_J_bar   : (Phi0 / 2 pi)^2 / E_J_bar, signed (henry)
-    omega_a_bar, Z_a_bar, g_bar : branch frequency, impedance and coupling
-                rebuilt from the averaged curvature
+    omega_a_bar, g_bar : branch frequency and coupling rebuilt from the
+                averaged curvature
     phi_th, psi_th : equilibrium fluxes the averages were taken at (weber)
     cos_avg   : ground-state expectation of cos(2 pi psi / Phi0)
     """
 
     E_J_bar: float
-    L_J_bar: float
     omega_a_bar: float
-    Z_a_bar: float
     g_bar: float
     phi_th: float
     psi_th: float
@@ -75,9 +72,7 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60)
     g_bar = math.sqrt(derive_linear(params).Z_c0 * Z_a_bar) / (2.0 * params.L_g)
     return RenormalizedParams(
         E_J_bar=E_J_bar,
-        L_J_bar=L_J_bar,
         omega_a_bar=omega_a_bar,
-        Z_a_bar=Z_a_bar,
         g_bar=g_bar,
         phi_th=solution.phi_th,
         psi_th=solution.psi_th,
@@ -165,34 +160,17 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
-    n = L_vals.size
-    out = {
-        name: np.empty(n)
-        for name in (
-            "omega_c",
-            "omega_plus",
-            "omega_minus",
-            "omega_a_bar",
-            "g_bar",
-            "g_crit",
-            "delta_eps",
-            "phi_th",
-        )
-    }
-    superradiant = np.empty(n, dtype=bool)
     solutions = meanfield.solve_sweep(params, L_vals, 0.0, M=M)
-    for i, (L, sol) in enumerate(zip(L_vals, solutions)):
+    rows = []
+    for L, sol in zip(L_vals, solutions):
         p = params.replace(L_R0=float(L))
         ren = renormalize(p, sol, M=M)
         der = derive_linear(p)
         w_plus, w_minus = fluctuation_spectrum(ren, der)
-        out["omega_c"][i] = der.omega_c
-        out["omega_plus"][i] = w_plus
-        out["omega_minus"][i] = w_minus
-        out["omega_a_bar"][i] = ren.omega_a_bar
-        out["g_bar"][i] = ren.g_bar
-        out["g_crit"][i] = 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c)
-        out["delta_eps"][i] = zero_point_shift(p, sol, ren)
-        out["phi_th"][i] = sol.phi_th
-        superradiant[i] = sol.superradiant
-    return FluctScan(L_R0_values=L_vals, superradiant=superradiant, **out)
+        g_crit = 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c)
+        rows.append((der.omega_c, w_plus, w_minus, ren.omega_a_bar, ren.g_bar, g_crit,
+                     zero_point_shift(p, sol, ren), sol.phi_th))
+    omega_c, omega_plus, omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th = np.array(rows).T
+    return FluctScan(L_R0_values=L_vals, omega_c=omega_c, omega_plus=omega_plus, omega_minus=omega_minus,
+                     omega_a_bar=omega_a_bar, g_bar=g_bar, g_crit=g_crit, delta_eps=delta_eps, phi_th=phi_th,
+                     superradiant=np.array([sol.superradiant for sol in solutions], dtype=bool))

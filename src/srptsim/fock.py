@@ -102,7 +102,7 @@ def thermal_expectation(H: np.ndarray, operators: tuple, kT: float, response: np
     kT is in joule; the state has the weights of :func:`gibbs_weights`.
     Returns (F, averages), the free energy of H and the expectation of
     each operator in the tuple, all from one eigendecomposition. F equals
-    free_energy(H, kT) up to eigensolver rounding.
+    :meth:`Branch.free_energy` at the same tilt up to eigensolver rounding.
 
     A Hermitian response operator B gives (F, averages, chi), chi the static
     susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`),
@@ -141,13 +141,6 @@ def _static_response(w, Bv, p, kT):
     gap = np.abs(w - w[:, None])
     pair = np.divide(-np.expm1(-gap / kT), gap, out=np.full_like(gap, 1.0 / kT), where=gap > 0.0)
     return float(np.sum(np.maximum.outer(p, p) * pair * B2))
-
-
-def free_energy(H: np.ndarray, kT: float) -> float:
-    """Helmholtz free energy of the truncated spectrum of H; the ground energy at kT = 0."""
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
-    return _spectrum_free_energy(np.linalg.eigvalsh(H), kT)
 
 
 def _spectrum_free_energy(w: np.ndarray, kT: float) -> float:
@@ -189,8 +182,10 @@ class Branch:
         return self.H_atom - (phi / self.L_g) * self.ops.psi_op
 
     def free_energy(self, phi: float, kT: float) -> float:
-        """Branch free energy at frozen resonator flux, joule (eigenvalues only)."""
-        return free_energy(self.hamiltonian(phi), kT)
+        """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0."""
+        if kT < 0:
+            raise ValueError(f"kT must be non-negative, got {kT}")
+        return _spectrum_free_energy(np.linalg.eigvalsh(self.hamiltonian(phi)), kT)
 
     def thermal(self, phi: float, kT: float, *operators: np.ndarray):
         """(F, averages): free energy and the expectation of each operator, one eigensolve."""

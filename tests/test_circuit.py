@@ -127,9 +127,7 @@ def test_params_reject_non_finite():
 
 def test_josephson_energy_roundtrip(reference):
     E_J = reference.E_J
-    p = CircuitParams.from_josephson_energy(
-        E_J, L_g=reference.L_g, C_J=reference.C_J, C_R0=reference.C_R0, L_R0=reference.L_R0
-    )
+    p = reference.replace(L_J=josephson_inductance(E_J))
     assert_allclose(p.L_J, reference.L_J, rtol=1e-14)
     assert_allclose(p.E_J, E_J, rtol=1e-14)
 
@@ -142,9 +140,7 @@ def test_josephson_inductance_keeps_sign_and_maps_zero_to_no_junction(reference)
 
 def test_zero_josephson_energy_limit(reference):
     # E_J = 0 means an open junction branch: the atom is the bare L_g C_J mode.
-    p = CircuitParams.from_josephson_energy(
-        0.0, L_g=reference.L_g, C_J=reference.C_J, C_R0=reference.C_R0, L_R0=reference.L_R0
-    )
+    p = reference.replace(L_J=josephson_inductance(0.0))
     assert math.isinf(p.L_J)
     d = derive_linear(p)
     assert_allclose(d.omega_a, 1.0 / math.sqrt(p.L_g * p.C_J), rtol=1e-14)

@@ -85,6 +85,35 @@ def test_negative_josephson_energy_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("C_J = -24 fF", "C_J must be positive, got -24 fF"),
+        ("E_J = inf GHz", "E_J must be finite, got inf GHz"),
+        ("E_J = nan GHz", "E_J must be finite, got nan GHz"),
+        ("L_R0 = 1e-320 nH", "L_R0 underflows to 0 in SI units, got 1e-320 nH"),
+        ("E_J = 1e-300 GHz", "E_J underflows to 0 in SI units, got 1e-300 GHz"),
+        ("L_J = -inf nH", "L_J must be finite, got -inf nH"),
+        ("N = 0", "N must be positive, got 0"),
+    ],
+)
+def test_config_numbers_checked_as_typed(tmp_path, line, message, capsys):
+    """Each config number is checked like its flag; the error names file, line and key."""
+    f = tmp_path / "c.cfg"
+    f.write_text(f"# checked as typed\n{line}\n")
+    assert main(["linear", "--config", str(f), "--lr0", "0.3"]) == 2
+    assert capsys.readouterr().err == f"error: {f}:2: {message}\n"
+
+
+def test_infinite_junction_inductance_in_config_is_a_bare_branch(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("L_J = inf nH\n")
+    assert main(["linear", "--config", str(f), "--lr0", "0.3"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["linear", "--L_J", "inf", "--lr0", "0.3"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "L_X = 1 nH\n",
@@ -435,6 +464,17 @@ def test_ed_dump_matrix(tmp_path, capsys):
     assert H.shape[0] == H.shape[1] > 0
 
 
+def test_ed_dump_matrix_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "h"
+    rc = main(["ed", "--n-atoms", "2", "--lr0", "0.3", "--per-mode-cutoff", "4", "--total-cutoff", "6",
+               "--dump-matrix", str(target)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "written to" not in captured.err
+    assert not target.parent.exists()
+
+
 def test_ed_rejects_bad_atom_list():
     assert main(["ed", "--n-atoms", "1,x", "--lr0", "0.45"]) == 2
     assert main(["ed", "--n-atoms", ",", "--lr0", "0.45"]) == 2
@@ -466,6 +506,41 @@ def test_ed_negative_seed_exits_2():
     for per_mode, total in (("4", "8"), ("8", "16")):
         assert main(["ed", "--lr0", "0.45", "--seed", "-1", "--per-mode-cutoff", per_mode,
                      "--total-cutoff", total]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--k", "0"], "--k must be an integer >= 1, got 0"),
+        (["--max-dim", "0"], "--max-dim must be an integer >= 1, got 0"),
+        (["--per-mode-cutoff", "3", "--total-cutoff", "2"], "--per-mode-cutoff 3 exceeds --total-cutoff 2"),
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        (["--n-atoms", "0"], "--n-atoms must be an integer >= 1, got 0"),
+        (["--n-atoms", "2,-1"], "--n-atoms must be an integer >= 1, got -1"),
+    ],
+)
+def test_ed_errors_name_the_flags(argv, message, capsys):
+    assert main(["ed", "--lr0", "0.45", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ed_resolves_the_circuit_once(tmp_path, monkeypatch, capsys):
+    """The config file is read once, whatever the number of atom counts and columns."""
+    from srptsim import cli
+
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("N = 2\n")
+    calls = []
+    resolve = cli.resolve_params
+    monkeypatch.setattr(cli, "resolve_params", lambda args: calls.append(args) or resolve(args))
+    argv = ["ed", "--config", str(cfg), "--compare-meanfield", "--lr0", "0.45",
+            "--per-mode-cutoff", "4", "--total-cutoff", "8"]
+    for extra in ([], ["--n-atoms", "1,2"]):
+        calls.clear()
+        assert main(argv + extra) == 0
+        assert len(calls) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[0] for r in rows] == ["N", "2", "N", "1", "2"]
 
 
 def test_ed_reruns_byte_identical(tmp_path):

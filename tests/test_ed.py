@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.io import mmread
+from scipy.io import mmread, mmwrite
 
 import ed_product_oracle as product_oracle
 from srptsim import ed, fock
@@ -32,6 +32,17 @@ def brute_force_sector(n_modes, per_mode, total, parity):
         if sum(occ) <= total and sum(occ) % 2 == parity
     ]
     return sorted(out)
+
+
+def index_of(basis, occupations):
+    """Positions of occupation rows in basis plus a validity mask.
+
+    A row is valid when the stored row at its key equals it: with tight
+    place values an out-of-range entry can alias another row's key.
+    """
+    occ = np.atleast_2d(np.asarray(occupations, dtype=np.int64))
+    pos = np.minimum(np.searchsorted(basis.keys, occ @ basis.radix_powers), basis.dim - 1)
+    return pos, np.all(basis.occupations[pos] == occ, axis=1)
 
 
 def level_tuples(occupations):
@@ -158,7 +169,7 @@ def test_reference_sector_dimensions():
 def test_index_of_round_trip_and_rejection():
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6)
     basis = ed.build_basis(cfg)
-    pos, valid = basis.index_of(basis.occupations)
+    pos, valid = index_of(basis, basis.occupations)
     assert valid.all()
     assert np.array_equal(pos, np.arange(basis.dim))
     # photon above its cutoff, odd parity, a negative photon, and a row whose
@@ -168,7 +179,7 @@ def test_index_of_round_trip_and_rejection():
     alias[2] -= 1
     alias[1] += basis.radix_powers[2] // basis.radix_powers[1]
     assert alias @ basis.radix_powers == basis.keys[row]
-    _, bad = basis.index_of([[5, 2, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [-1, 2, 0, 0, 0, 0], alias])
+    _, bad = index_of(basis, [[5, 2, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [-1, 2, 0, 0, 0, 0], alias])
     assert not bad.any()
 
 
@@ -204,7 +215,7 @@ def test_many_atoms_at_tight_cutoffs(reference):
     """N = 40 at 2/2: the vacuum couples to one photon plus one lifted branch with sqrt(N)."""
     model = ed.build_sector_model(reference, ed.EdConfig(n_atoms=40, per_mode_cutoff=2, total_cutoff=2))
     assert model.basis.dim == ed.count_sector_dimension(41, 2, 2, 0) == 5
-    (vac, one), valid = model.basis.index_of([[0, 40, 0, 0], [1, 39, 1, 0]])
+    (vac, one), valid = index_of(model.basis, [[0, 40, 0, 0], [1, 39, 1, 0]])
     assert valid.all()
     assert model.coupling[vac, one] == model.coupling[one, vac] == pytest.approx(math.sqrt(40), rel=1e-15)
 
@@ -311,7 +322,7 @@ def test_vacuum_diagonal_closed_form(reference):
         cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=6, total_cutoff=8)
         H = ed.build_hamiltonian(cfg, reference)
         basis = ed.build_basis(cfg)
-        pos, valid = basis.index_of([[0, n_atoms] + [0] * 6])
+        pos, valid = index_of(basis, [[0, n_atoms] + [0] * 6])
         assert valid.all()
         expected = hbar * d.omega_c / 2.0 + n_atoms * (
             hbar * d.omega_a / 2.0 + reference.E_J + reference.E_J * lam_sq**2 / 8.0
@@ -365,7 +376,7 @@ def symmetrizer(sym_basis, prod_basis):
     rows, cols, vals = [], [], []
     for i, (n, *levels) in enumerate(level_tuples(sym_basis.occupations)):
         orders = sorted(set(itertools.permutations(levels)))
-        pos, valid = prod_basis.index_of([[n, *order] for order in orders])
+        pos, valid = index_of(prod_basis, [[n, *order] for order in orders])
         assert valid.all()
         rows.extend(pos)
         cols.extend([i] * len(orders))
@@ -674,7 +685,7 @@ def test_ground_state_atom_exchange_symmetric(reference):
     basis = model.basis
     rows = np.random.default_rng(0).choice(basis.dim, 25, replace=False)
     swapped = basis.occupations[rows][:, [0, 2, 1]]
-    pos, valid = basis.index_of(swapped)
+    pos, valid = index_of(basis, swapped)
     assert valid.all()
     assert np.abs(np.abs(v[rows]) - np.abs(v[pos])).max() < 1e-8
 
@@ -726,6 +737,21 @@ def test_truncation_study_validation(reference):
 
 
 # --- export -------------------------------------------------------------------
+
+
+def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference):
+    """A missing directory raises instead of passing for a written file.
+
+    scipy's mmwrite given that path returns without an error and writes
+    nothing; to an open file it writes what it would write to a path.
+    """
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6), reference)
+    with pytest.raises(FileNotFoundError):
+        ed.export_matrix(str(tmp_path / "missing" / "sector"), H)
+    assert not (tmp_path / "missing").exists()
+    mmwrite(str(tmp_path / "direct.mtx"), sp.coo_matrix(H))
+    written = ed.export_matrix(str(tmp_path / "sector"), H)
+    assert open(written, "rb").read() == (tmp_path / "direct.mtx").read_bytes()
 
 
 def test_export_matrix_roundtrip(tmp_path, reference):

@@ -200,3 +200,36 @@ def test_one_dense_diagonalization_per_point(reference, monkeypatch):
             count = 0
             call()
             assert count == 1
+
+
+def test_spectrum_scan_rows_match_the_per_point_calls(reference):
+    """Each FluctScan column holds the quantity of its name, point for point.
+
+    The scan assembles its columns from rows by position, so two swapped
+    entries (omega_a_bar and g_bar, say) would pass every other test.
+    """
+    L = np.array([0.2e-9, 0.3e-9, 0.6e-9, 0.9e-9])  # normal, normal, superradiant, superradiant
+    scan = fluct.spectrum_scan(reference, L)
+    for i, (x, sol) in enumerate(zip(L, meanfield.solve_sweep(reference, L, 0.0))):
+        p = reference.replace(L_R0=float(x))
+        der = derive_linear(p)
+        ren = fluct.renormalize(p, sol)
+        omega_plus, omega_minus = fluct.fluctuation_spectrum(ren, der)
+        expected = {
+            "L_R0_values": x,
+            "omega_c": der.omega_c,
+            "omega_plus": omega_plus,
+            "omega_minus": omega_minus,
+            "omega_a_bar": ren.omega_a_bar,
+            "g_bar": ren.g_bar,
+            "g_crit": 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c),
+            "delta_eps": fluct.zero_point_shift(p, sol, ren),
+            "phi_th": sol.phi_th,
+            "superradiant": sol.superradiant,
+        }
+        assert expected.keys() == {f.name for f in dataclasses.fields(scan)}
+        for name, value in expected.items():
+            assert getattr(scan, name)[i] == value, name
+    assert scan.superradiant.tolist() == [False, False, True, True]
+    for f in dataclasses.fields(scan):
+        assert getattr(scan, f.name).dtype == (bool if f.name == "superradiant" else float), f.name

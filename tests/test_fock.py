@@ -20,7 +20,6 @@ from srptsim.fock import (
     atom_hamiltonian,
     branch,
     build_operators,
-    free_energy,
     thermal_expectation,
 )
 
@@ -317,10 +316,10 @@ def test_free_energy_matches_logsumexp_oracle(reference):
 
 
 def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
-    H = branch(reference, 30).hamiltonian(0.05 * PHI0)
-    assert free_energy(H, 0.0) == np.linalg.eigvalsh(H)[0]
+    b = branch(reference, 30)
+    assert b.free_energy(0.05 * PHI0, 0.0) == np.linalg.eigvalsh(b.hamiltonian(0.05 * PHI0))[0]
     with pytest.raises(ValueError):
-        free_energy(H, -h * GHZ)
+        b.free_energy(0.05 * PHI0, -h * GHZ)
 
 
 def test_branch_rejects_negative_temperature(reference):

@@ -384,7 +384,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(fock, "free_energy", counting(fock.free_energy))
+    monkeypatch.setattr(fock.Branch, "free_energy", counting(fock.Branch.free_energy))
     monkeypatch.setattr(fock, "thermal_expectation", counting(fock.thermal_expectation))
     # 0.05 nH has a window 3.6x narrower than the next column, so it gets a
     # grid of its own; the other three share one

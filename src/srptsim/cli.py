@@ -5,9 +5,10 @@ bifurcation, linearized spectrum, finite-temperature mean field,
 fluctuation spectrum, finite-N diagonalization, and the internal check
 registry. Circuit values are given in display units (nH, fF, GHz) on the
 command line and in config files; everything is converted to SI at the
-boundary. Output is CSV by default, one row per sweep point, written
-once the whole sweep has been computed; --format json emits the same rows
-as a list of objects, with null where CSV writes nan.
+boundary. Output is CSV by default, one row per sweep point, each row
+written as soon as its point is computed; --format json emits the same
+rows as a list of objects, with null where CSV writes nan, written whole
+once the sweep is done. meanfield writes its grid or boundary whole too.
 """
 
 import argparse
@@ -228,15 +229,21 @@ def _native(value):
 
 
 def emit(path, fmt, columns, rows):
-    """Write the rows of a finished sweep to path (stdout when None) as fmt, csv or json."""
-    if fmt == "json":
-        payload = [{c: _native(v) for c, v in zip(columns, row)} for row in rows]
-        lines = [json.dumps(payload, indent=2, allow_nan=False)]
-    else:
-        lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    """Write rows, any iterable, to path (stdout when None) as fmt, csv or json.
+
+    path is opened before the first row is asked for. CSV writes each row
+    as it arrives, the header together with the first, so an error before
+    the first row writes nothing and rows written before a later error
+    stay. JSON is one document, written once rows is exhausted.
+    """
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as target:
-        for line in lines:
-            print(line, file=target, flush=True)
+        if fmt == "json":
+            payload = [{c: _native(v) for c, v in zip(columns, row)} for row in rows]
+            print(json.dumps(payload, indent=2, allow_nan=False), file=target, flush=True)
+            return
+        for i, row in enumerate(rows):
+            line = ",".join(_fmt(v) for v in row)
+            print(f"{','.join(columns)}\n{line}" if i == 0 else line, file=target, flush=True)
 
 
 def cmd_classical(args) -> int:
@@ -253,13 +260,14 @@ def cmd_classical(args) -> int:
     if _finite("--phi-max", args.phi_max) < 0.0:
         raise ConfigError(f"--phi-max must be >= 0, got {args.phi_max}")
     x_vals = np.linspace(-args.phi_max, args.phi_max, args.phi_steps)
-    rows = []
-    for L in L_vals:
-        p = params.replace(L_R0=float(L))
-        for x in x_vals:
-            u = constrained_potential(x * PHI0 / TWO_PI, p, normalized=True)
-            rows.append((L / 1e-9, x, u))
-    emit(args.out, args.format, ("L_R0_nH", "two_pi_phi_over_Phi0", "U_over_N_E_J"), rows)
+
+    def rows():
+        for L in L_vals:
+            p = params.replace(L_R0=float(L))
+            for x in x_vals:
+                yield L / 1e-9, x, constrained_potential(x * PHI0 / TWO_PI, p, normalized=True)
+
+    emit(args.out, args.format, ("L_R0_nH", "two_pi_phi_over_Phi0", "U_over_N_E_J"), rows())
     note = f"classical threshold: L_R0 = {classical_critical_inductance(params) / 1e-9:.6f} nH"
     print(note, file=sys.stdout if args.out else sys.stderr)
     return 0
@@ -269,12 +277,13 @@ def cmd_linear(args) -> int:
     params = resolve_params(args)
     if _finite("--g-scale", args.g_scale) < 0.0:
         raise ConfigError(f"--g-scale must be >= 0, got {args.g_scale}")
-    rows = []
-    for L in sweep_values(args, "lr0"):
-        d = derive_linear(params.replace(L_R0=float(L)))
-        wp, wm2 = polariton_frequencies(d.omega_c, d.omega_a, args.g_scale * d.g)
-        rows.append(
-            (
+    L_vals = sweep_values(args, "lr0")
+
+    def rows():
+        for L in L_vals:
+            d = derive_linear(params.replace(L_R0=float(L)))
+            wp, wm2 = polariton_frequencies(d.omega_c, d.omega_a, args.g_scale * d.g)
+            yield (
                 L / 1e-9,
                 d.omega_c / (TWO_PI * GHZ),
                 d.omega_a / (TWO_PI * GHZ),
@@ -283,12 +292,12 @@ def cmd_linear(args) -> int:
                 wm2 / (TWO_PI * GHZ) ** 2,
                 wm2 < 0.0,
             )
-        )
+
     emit(
         args.out, args.format,
         ("L_R0_nH", "omega_c_GHz", "omega_a_GHz", "g_GHz", "omega_plus_GHz",
          "omega_minus_squared_GHz2", "unstable"),
-        rows,
+        rows(),
     )
     return 0
 
@@ -331,21 +340,22 @@ def cmd_meanfield(args) -> int:
 
 def cmd_fluct(args) -> int:
     params = resolve_params(args)
-    scan = fluct.spectrum_scan(params, sweep_values(args, "lr0"), M=fock_levels(args))
-    rows = []
-    for i, L in enumerate(scan.L_R0_values):
-        rows.append(
-            (
-                L / 1e-9,
-                scan.omega_minus[i] / (TWO_PI * GHZ),
-                scan.omega_plus[i] / (TWO_PI * GHZ),
-                scan.omega_a_bar[i] / (TWO_PI * GHZ),
-                scan.g_bar[i] / (TWO_PI * GHZ),
-                scan.g_crit[i] / (TWO_PI * GHZ),
-                scan.delta_eps[i] / (h * GHZ),
-                "superradiant" if scan.superradiant[i] else "normal",
-            )
+    L_vals = sweep_values(args, "lr0")
+    points = fluct._scan_points(params, L_vals, fock_levels(args))
+    rows = (
+        (
+            L / 1e-9,
+            w_minus / (TWO_PI * GHZ),
+            w_plus / (TWO_PI * GHZ),
+            omega_a_bar / (TWO_PI * GHZ),
+            g_bar / (TWO_PI * GHZ),
+            g_crit / (TWO_PI * GHZ),
+            delta_eps / (h * GHZ),
+            "superradiant" if superradiant else "normal",
         )
+        for L, ((_, w_plus, w_minus, omega_a_bar, g_bar, g_crit, delta_eps, _), superradiant)
+        in zip(L_vals, points)
+    )
     emit(
         args.out, args.format,
         ("L_R0_nH", "omega_bar_minus_GHz", "omega_bar_plus_GHz", "omega_bar_a_GHz",
@@ -353,6 +363,18 @@ def cmd_fluct(args) -> int:
         rows,
     )
     return 0
+
+
+@contextlib.contextmanager
+def _named_by_ed_flags():
+    """Re-raise a ConfigError with each EdConfig field name replaced by the ed flag that sets it."""
+    try:
+        yield
+    except ConfigError as exc:
+        message = str(exc)
+        for field, flag in ED_FLAGS.items():
+            message = message.replace(field, flag)
+        raise ConfigError(message) from exc
 
 
 def cmd_ed(args) -> int:
@@ -367,16 +389,11 @@ def cmd_ed(args) -> int:
         raise ConfigError(f"bad --n-atoms list {n_text!r}") from exc
     if not n_list:
         raise ConfigError("--n-atoms must name at least one atom count")
-    try:
+    with _named_by_ed_flags():
         configs = [ed.EdConfig(n_atoms=n, per_mode_cutoff=args.per_mode_cutoff,
                                total_cutoff=args.total_cutoff, n_eigenvalues=args.k,
                                quartic=args.potential == "quartic", max_dimension=args.max_dim,
                                seed=args.seed) for n in n_list]
-    except ConfigError as exc:
-        message = str(exc)
-        for field, flag in ED_FLAGS.items():
-            message = message.replace(field, flag)
-        raise ConfigError(message) from exc
     L_vals = sweep_values(args, "lr0")
     compare = {}
     if args.compare_meanfield:
@@ -392,31 +409,23 @@ def cmd_ed(args) -> int:
                "transition_even_GHz", "transition_odd_GHz", "delta_eps_over_h_GHz"]
     if compare:
         columns += ["photons_per_atom_mf", "delta_eps_over_h_GHz_mf"]
-    rows = []
-    for config in configs:
-        params = base.replace(N=config.n_atoms)
-        if args.dump_matrix and config is configs[0]:
-            H = ed.build_hamiltonian(config.sector(0), params.replace(L_R0=float(L_vals[0])))
-            written = ed.export_matrix(args.dump_matrix, H)
-            print(f"even-sector Hamiltonian at L_R0 = {L_vals[0] / 1e-9:.6g} nH written to {written}",
-                  file=sys.stderr)
-        scan = ed.scan(params, config, L_vals)
-        for i, L in enumerate(scan.L_R0_values):
-            row = [
-                config.n_atoms,
-                L / 1e-9,
-                scan.dim_even,
-                scan.dim_odd,
-                scan.E_g[i] / (h * GHZ),
-                scan.photon_number_per_atom[i],
-                scan.transition_even[i] / (h * GHZ),
-                scan.transition_odd[i] / (h * GHZ),
-                scan.delta_eps[i] / (h * GHZ),
-            ]
-            if compare:
-                row += list(compare[float(L)])
-            rows.append(row)
-    emit(args.out, args.format, tuple(columns), rows)
+
+    def rows():
+        for config in configs:
+            params = base.replace(N=config.n_atoms)
+            if args.dump_matrix and config is configs[0]:
+                H = ed.build_hamiltonian(config.sector(0), params.replace(L_R0=float(L_vals[0])))
+                written = ed.export_matrix(args.dump_matrix, H)
+                print(f"even-sector Hamiltonian at L_R0 = {L_vals[0] / 1e-9:.6g} nH written to {written}",
+                      file=sys.stderr)
+            for L, (dims, point) in zip(L_vals, ed._scan_points(params, config, L_vals)):
+                E_g, photons, t_even, t_odd, delta_eps = point
+                yield [config.n_atoms, L / 1e-9, *dims, E_g / (h * GHZ), photons, t_even / (h * GHZ),
+                       t_odd / (h * GHZ), delta_eps / (h * GHZ), *(compare[float(L)] if compare else ())]
+
+    # build_basis raises the sector-size errors once the sweep starts
+    with _named_by_ed_flags():
+        emit(args.out, args.format, tuple(columns), rows())
     return 0
 
 
@@ -428,12 +437,12 @@ def cmd_validate(args) -> int:
         raise ConfigError(f"--only: empty check list {args.only!r}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
-    results = validate.run_checks(names=names, seed=args.seed)
-    for r in results:
+    n_run = n_pass = 0
+    for r in validate.check_results(names=names, seed=args.seed):
         print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}", flush=True)
-    n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed", flush=True)
-    return 0 if n_pass == len(results) else 1
+        n_run, n_pass = n_run + 1, n_pass + r.passed
+    print(f"{n_pass}/{n_run} checks passed", flush=True)
+    return 0 if n_pass == n_run else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

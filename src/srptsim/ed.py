@@ -450,13 +450,23 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     would be meaningless, so that raises ConvergenceError.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
+    dims, rows = zip(*_scan_points(params, config, L_vals))
+    E_g, photons, t_even, t_odd, delta = np.array(rows).T
+    return EdScan(config=config, L_R0_values=L_vals, E_g=E_g, photon_number_per_atom=photons,
+                  transition_even=t_even, transition_odd=t_odd, delta_eps=delta,
+                  dim_even=dims[-1][0], dim_odd=dims[-1][1])
+
+
+def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
+    """The points of :func:`scan`, each yielded once its two sectors are solved: (dim_even,
+    dim_odd) and (E_g, photon_number_per_atom, transition_even, transition_odd, delta_eps)."""
+    L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
     eps_a0 = reference_branch_energy(params, quartic=config.quartic)
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
     N = config.n_atoms
-    rows = []
     for L in L_vals:
         p = params.replace(L_R0=float(L))
         even = solve_sector(even_model, p, k=2)
@@ -465,12 +475,8 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
             raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
         E_g = float(even.values[0])
         zero_point = hbar * derive_linear(p).omega_c / 2.0
-        rows.append((E_g, even.photon_number / N, even.values[1] - E_g, odd.values[0] - E_g,
-                     (E_g - zero_point) / N - eps_a0))
-    E_g, photons, t_even, t_odd, delta = np.array(rows).T
-    return EdScan(config=config, L_R0_values=L_vals, E_g=E_g, photon_number_per_atom=photons,
-                  transition_even=t_even, transition_odd=t_odd, delta_eps=delta,
-                  dim_even=even.dim, dim_odd=odd.dim)
+        yield (even.dim, odd.dim), (E_g, even.photon_number / N, even.values[1] - E_g,
+                                    odd.values[0] - E_g, (E_g - zero_point) / N - eps_a0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ed, fluct, fock, meanfield
+from . import fluct, fock, meanfield
 from .circuit import (
     CircuitParams,
     bosonic_srpt_condition,
@@ -157,6 +157,7 @@ def _check_stationarity(rng):
 
 
 def _check_dense_vs_sparse(rng):
+    from . import ed  # scipy loads with the first ED check
     p = reference_params()
     config = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=6)
     H = ed.build_hamiltonian(config, p)
@@ -168,6 +169,7 @@ def _check_dense_vs_sparse(rng):
 
 
 def _check_ed_vacuum_diagonal(rng):
+    from . import ed
     p = reference_params()
     config = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=12)
     model = ed.build_sector_model(p, config)
@@ -184,6 +186,7 @@ def _check_ed_vacuum_diagonal(rng):
 
 
 def _check_ed_symmetry(rng):
+    from . import ed
     p = reference_params()
     for quartic in (True, False):
         config = ed.EdConfig(n_atoms=2, per_mode_cutoff=8, total_cutoff=12, quartic=quartic, parity=1)
@@ -215,6 +218,7 @@ def _check_renormalized_spectrum(rng):
 
 
 def _check_truncation_study(rng):
+    from . import ed
     p = reference_params(N=1)
     study = ed.truncation_error_study(
         p, 1, np.array([0.45e-9]), per_mode_cutoff=16, total_cutoff=32
@@ -264,19 +268,24 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, seed: int = 0) -> list:
-    """Run the named checks (all by default) and return their results."""
+def check_results(names=None, seed: int = 0):
+    """Run the named checks (all by default), yielding each result as its check finishes;
+    unknown names raise ConfigError before any check runs."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}; known: {', '.join(CHECKS)}")
-    results = []
     for name in names:
         rng = np.random.default_rng(seed)
         try:
-            detail = CHECKS[name](rng)
-            results.append(CheckResult(name=name, passed=True, detail=detail))
+            result = CheckResult(name=name, passed=True, detail=CHECKS[name](rng))
         except Exception as exc:
-            results.append(CheckResult(name=name, passed=False, detail=f"{type(exc).__name__}: {exc}"))
-    return results
+            result = CheckResult(name=name, passed=False, detail=f"{type(exc).__name__}: {exc}")
+        yield result
+
+
+def run_checks(names=None, seed: int = 0) -> list:
+    """The list of :func:`check_results`, for callers that want every result at once,
+    such as the benchmark's cli_session check."""
+    return list(check_results(names, seed))

@@ -19,7 +19,7 @@ from scipy.io import mmread
 from srptsim import fock, meanfield
 from srptsim.circuit import derive_linear, polariton_frequencies
 from srptsim.cli import load_config, main
-from srptsim.errors import ConfigError
+from srptsim.errors import ConfigError, ConvergenceError
 from srptsim.validate import reference_params
 
 
@@ -522,6 +522,65 @@ def test_ed_negative_seed_exits_2():
 def test_ed_errors_name_the_flags(argv, message, capsys):
     assert main(["ed", "--lr0", "0.45", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ed_sector_size_error_names_the_flag(fmt, capsys):
+    """build_basis refuses the sector before the first row, so nothing reaches stdout."""
+    assert main(["ed", "--lr0", "0.3", "--max-dim", "10", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: sector dimension 313 exceeds --max-dim = 10; "
+                            "raise the limit explicitly if this size is intended\n")
+    assert captured.out == ""
+
+
+def _ed_solves(monkeypatch, on_even):
+    """Patch ed.solve_sector to call on_even(count) before every even-sector solve."""
+    from srptsim import ed
+
+    real_solve, count = ed.solve_sector, []
+
+    def solve(model, params, k=None):
+        if model.config.parity == 0:
+            count.append(1)
+            on_even(len(count))
+        return real_solve(model, params, k=k)
+
+    monkeypatch.setattr(ed, "solve_sector", solve)
+
+
+ED_TWO_POINTS = ["ed", "--lr0", "0.3,0.52", "--per-mode-cutoff", "6", "--total-cutoff", "12"]
+
+
+def test_ed_rows_stream_before_the_next_point(monkeypatch):
+    """The header and the first row are written before the second L_R0 is solved."""
+    out, seen = io.StringIO(), {}
+    monkeypatch.setattr(sys, "stdout", out)
+    _ed_solves(monkeypatch, lambda n: seen.setdefault(n, out.getvalue()))
+    assert main(ED_TWO_POINTS) == 0
+    header, first, _ = out.getvalue().splitlines()
+    assert seen == {1: "", 2: f"{header}\n{first}\n"}
+    assert header.startswith("N,L_R0_nH,") and first.startswith("1,0.3,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ed_failure_at_the_second_point_keeps_written_rows(fmt, monkeypatch, capsys):
+    """A later point's failure exits 1; CSV keeps the rows already written, JSON writes nothing."""
+
+    def fail_second(n):
+        if n == 2:
+            raise ConvergenceError("forced at the second point")
+
+    _ed_solves(monkeypatch, fail_second)
+    assert main(ED_TWO_POINTS + ["--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: forced at the second point\n"
+    if fmt == "json":
+        assert captured.out == ""
+    else:
+        header, *rows = captured.out.splitlines()
+        assert header.startswith("N,L_R0_nH,")
+        assert len(rows) == 1 and rows[0].startswith("1,0.3,")
 
 
 def test_ed_resolves_the_circuit_once(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 """What a fresh `import srptsim` and the numpy-only CLI calls load.
 
 Every CLI call is a new process, so the import is paid per call. Only ed
-(and validate, which runs ED checks) needs scipy.sparse; the package
-loads them on first use. Nothing in the package needs any other part of
+(and validate's ED checks) needs scipy.sparse; the package loads it on
+first use. Nothing in the package needs any other part of
 scipy: its one root finder is circuit.newton_root, and its constants are
 the exact SI literals.
 """
@@ -53,8 +53,10 @@ def test_cli_import_loads_no_scipy_optimize_or_constants():
 @pytest.mark.parametrize("argv", [
     ["fluct", "--lr0", "0.3,0.6"],
     ["meanfield", "--lr0", "0.6", "--kt", "0,50", "--boundary"],
+    ["validate", "--only", "vieta,gaussian-cosine"],
 ])
 def test_meanfield_and_fluct_subcommands_load_no_scipy(argv):
+    """Nor do validate's checks that run no ED."""
     *_, rc, modules = run_fresh("import sys\n"
                                 "from srptsim import cli\n"
                                 f"rc = cli.main({argv!r})\n"
@@ -62,6 +64,34 @@ def test_meanfield_and_fluct_subcommands_load_no_scipy(argv):
                                 "print(*sorted(sys.modules))")
     assert rc == "0"
     assert scipy_modules(modules) == []
+
+
+def test_validate_writes_each_line_before_the_ed_checks_load_scipy():
+    """Each check's line is written as it finishes; scipy.sparse loads with the first ED check."""
+    *_, rc, counts, recorded = run_fresh(
+        "import sys\n"
+        "from srptsim import cli, validate\n"
+        "class Recorder:\n"
+        "    def __init__(self):\n"
+        "        self.loaded = []\n"
+        "    def write(self, text):\n"
+        "        self.loaded += ['scipy.sparse' in sys.modules] * text.count('\\n')\n"
+        "        return len(text)\n"
+        "    def flush(self):\n"
+        "        pass\n"
+        "real, sys.stdout = sys.stdout, Recorder()\n"
+        "rc = cli.main(['validate'])\n"
+        "recorder, sys.stdout = sys.stdout, real\n"
+        "print(rc)\n"
+        "print(list(validate.CHECKS).index('dense-vs-sparse'), len(validate.CHECKS))\n"
+        "print(*(int(flag) for flag in recorder.loaded))")
+    n_before, n_checks = map(int, counts.split())
+    loaded = recorded.split()
+    assert rc == "0" and n_before == 9
+    # one line per check and the summary
+    assert len(loaded) == n_checks + 1
+    assert loaded[:n_before] == ["0"] * n_before
+    assert loaded[n_before:] == ["1"] * (len(loaded) - n_before)
 
 
 def test_lazy_names_resolve_on_first_use():

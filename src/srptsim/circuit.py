@@ -105,7 +105,6 @@ class DerivedLinear:
     omega_c, Z_c0 : resonator frequency (rad/s) and per-branch impedance (ohm)
     omega_a, Z_a  : junction-branch frequency and impedance
     g             : photon-junction coupling rate (rad/s)
-    E_J           : Josephson energy (joule)
     """
 
     omega_c: float
@@ -113,7 +112,6 @@ class DerivedLinear:
     Z_c0: float
     Z_a: float
     g: float
-    E_J: float
 
 
 def derive_linear(params: CircuitParams) -> DerivedLinear:
@@ -130,7 +128,7 @@ def derive_linear(params: CircuitParams) -> DerivedLinear:
     omega_a = math.sqrt(v / params.C_J)
     Z_a = math.sqrt(1.0 / (v * params.C_J))
     g = math.sqrt(Z_c0 * Z_a) / (2.0 * params.L_g)
-    return DerivedLinear(omega_c=omega_c, omega_a=omega_a, Z_c0=Z_c0, Z_a=Z_a, g=g, E_J=params.E_J)
+    return DerivedLinear(omega_c=omega_c, omega_a=omega_a, Z_c0=Z_c0, Z_a=Z_a, g=g)
 
 
 def polariton_frequencies(omega_c, omega_a, g):

@@ -306,6 +306,9 @@ def cmd_meanfield(args) -> int:
     params = resolve_params(args)
     L_vals = sweep_values(args, "lr0")
     kT_vals = sweep_values(args, "kt")
+    if np.any(np.diff(kT_vals) <= 0):
+        flag, typed = ("--kt", args.kt) if args.kt else ("--kt-min to --kt-max", f"{args.kt_min} to {args.kt_max}")
+        raise ConfigError(f"{flag} must be strictly increasing, got {typed}")
     grid = meanfield.phase_boundary(params, L_vals, kT_vals, M=fock_levels(args))
     bad = np.argwhere(~grid.converged)
     if bad.size:

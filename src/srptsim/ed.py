@@ -413,10 +413,13 @@ def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None
 def reference_branch_energy(params: CircuitParams, M: int = 60, *, quartic: bool) -> float:
     """Ground energy of the isolated branch on M levels, joule.
 
-    The lowest eigenvalue of the block the sectors are built from, quartic
-    or cosine as in EdConfig.quartic, so each potential is referenced to
-    its own branch. The cosine value is the kernel's ground energy
-    fock.branch(params, M).free_energy(0, 0), bit for bit.
+    The lowest eigenvalue of the sectors' branch potential, quartic or
+    cosine as in EdConfig.quartic, so each potential is referenced to its
+    own branch. The sectors keep R = per_mode_cutoff + 1 of its levels; on
+    the reference circuit their ground energy is within 1e-9 relative of
+    M = 60's at R = 9 and 4e-13 at R >= 13. The cosine value is the
+    kernel's ground energy fock.branch(params, M).free_energy(0, 0), bit
+    for bit.
     """
     return float(np.linalg.eigvalsh(_atom_block(params, M, quartic))[0])
 

@@ -33,7 +33,6 @@ class FockOperatorSet:
     Z_a: float
     psi_op: np.ndarray
     rho_op: np.ndarray
-    number_op: np.ndarray
     cos_op: np.ndarray
     sin_op: np.ndarray
 
@@ -57,15 +56,14 @@ def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     lower = np.diag(np.sqrt(np.arange(1.0, M)), k=1)
     psi_op = np.sqrt(hbar * Z_a / 2.0) * (lower + lower.T)
     rho_op = 1j * np.sqrt(hbar / (2.0 * Z_a)) * (lower.T - lower)
-    number_op = np.diag(np.arange(float(M)))
     evals, evecs = np.linalg.eigh(psi_op)
     phase = TWO_PI * evals / PHI0
     cos_op = (evecs * np.cos(phase)) @ evecs.T
     sin_op = (evecs * np.sin(phase)) @ evecs.T
-    for a in (psi_op, rho_op, number_op, cos_op, sin_op):
+    for a in (psi_op, rho_op, cos_op, sin_op):
         a.setflags(write=False)
     return FockOperatorSet(
-        M=M, Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, number_op=number_op, cos_op=cos_op, sin_op=sin_op
+        M=M, Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, cos_op=cos_op, sin_op=sin_op
     )
 
 

@@ -31,8 +31,9 @@ from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_line
 from .constants import PHI0, hbar
 from .errors import ConvergenceError
 
-# Every cell that could hold a column's minimum is refined to
-# window / (COARSE_POINTS - 1) or finer.
+# Lattice points across a sweep's window, its widest column's. An ordered
+# column has L_R0 > L_c > L_J - L_g, so on the reference circuit it still gets
+# 255 / 2.5 = 102 steps or more across its own window; chi decides the rest.
 COARSE_POINTS = 256
 
 
@@ -116,15 +117,15 @@ def solve_sweep(
     1/L_R0 + 1/L_g >= chi(kT) / L_g^2 or when the residual at 1e-6 Phi0 is
     non-negative.
 
-    Only the resonator term of the action depends on L_R0, so the scan
-    (:func:`_certified_scan`) is shared. It refines every cell that could
-    hold a column's minimum to window / (COARSE_POINTS - 1) or finer, and
-    each column's best sample is the best point of a uniform profile with
-    COARSE_POINTS samples across the narrowest window. Columns whose
-    windows differ by more than a factor two get separate scans, and a
-    lone column sees the scan of its own window.
+    Only the resonator term of the action depends on L_R0, so one scan
+    (:func:`_certified_scan`) serves the sweep: each column's best sample
+    is the best point of a uniform profile with COARSE_POINTS samples
+    across the widest window, W = 1.5 (Phi0 / 2) / min constraint_slope.
+    Each column's minimum lies inside its own window, inside W, and
+    truncating the branch only raises f (Rayleigh-Ritz at kT = 0, Cauchy
+    interlacing above), so the search past it finds no spurious minimum.
 
-    Each column's n_evaluations counts an equal share of its scan's
+    Each column's n_evaluations counts an equal share of the scan's
     samples, so the sweep's n_evaluations sum to the evaluations made.
     Returns one MeanFieldSolution per L_R0 value, in order.
 
@@ -138,84 +139,68 @@ def solve_sweep(
     columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
     if not columns:
         raise ValueError("L_R0_values must not be empty")
-    windows = np.array([1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns])
+    window = 1.5 * (PHI0 / 2.0) / min(constraint_slope(p) for p in columns)
     u = np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
-    kernel = fock.branch(params, M)
-    solutions = [None] * len(columns)
-    order = sorted(range(len(columns)), key=windows.__getitem__)
-    while order:
-        group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
-        order = order[len(group):]
-        phi, f, ends = _certified_scan(kernel, kT, u[group], windows[group])
-        share, extra = divmod(phi.size, len(group))
-        for n, k in enumerate(group):
-            solutions[k] = _refine(columns[k], kT, M, phi, f, ends[n], share + (n < extra))
-    return solutions
+    phi, f, end = _certified_scan(fock.branch(params, M), kT, u, window)
+    share, extra = divmod(phi.size, len(columns))
+    return [_refine(p, kT, M, phi, f, end, share + (n < extra)) for n, p in enumerate(columns)]
 
 
-def _certified_scan(kernel, kT, u, windows):
+def _certified_scan(kernel, kT, u, window):
     """Ascending samples (phi, f) of the branch free energy, refined where a minimum could lie.
 
-    u and windows hold each column's resonator stiffness 1/L_R0 + 1/L_g and
-    phi window. Samples sit on the lattice phi = i * step, step putting
-    COARSE_POINTS samples across the narrowest window, and each column's
-    window ends at its last lattice point, returned in ends. The first
-    cells are 32 steps wide, so at most 16 of them cover windows up to
-    twice the narrowest. A cell is bisected while it is wider than one step
-    and its bound (:func:`_cell_bounds`) is within a slack of some column's
-    best sample, so every lattice point that could beat a column's best
-    sample gets sampled, and the cells on both sides of the best sample,
-    a window's end included, shrink to one step: the bracket is the best
-    sample's two lattice neighbours. The slack, 1e-10 of the largest |f|, is about 200
-    times the eigensolver's backward error, so rounding cannot prune the
-    minimum.
+    u holds each column's resonator stiffness 1/L_R0 + 1/L_g. Samples sit on
+    the lattice phi = i * step, COARSE_POINTS of it up to the window's end,
+    which is returned with them. The scan starts from 8 cells 32 steps wide
+    and one sample past the end. A cell is bisected while it is wider than
+    one step and its bound (:func:`_cell_bounds`) is within a slack of some
+    column's best sample, so every lattice point that could beat a column's
+    best sample gets sampled, and the cells on both sides of the best
+    sample, the window's end included, shrink to one step: the bracket is
+    the best sample's two lattice neighbours. The slack, 1e-10 of the
+    largest |f|, is about 200 times the eigensolver's backward error, so
+    rounding cannot prune the minimum.
     """
-    step = windows.min() / (COARSE_POINTS - 1)
-    # the factor absorbs the rounding of step, so the narrowest window
-    # keeps exactly COARSE_POINTS lattice points
-    last = (windows / step * (1.0 + 1e-12)).astype(int)
-    ends = last * step
-    # one sample past the widest window: a best sample at its end still
-    # has a right neighbour for the bracket
-    index = np.arange(0, last.max() + 33, 32)
+    step = window / (COARSE_POINTS - 1)
+    end = (COARSE_POINTS - 1) * step
+    # the sample past the end is the right bracket end of a best sample there
+    index = np.arange(0, COARSE_POINTS + 32, 32)
     f = np.array([kernel.free_energy(i * step, kT) for i in index])
     while True:
         phi = index * step
-        best = np.where(phi <= ends[:, None], u[:, None] * phi**2 / 2.0 + f, np.inf).min(axis=1)
+        # every sample but the one past the end lies inside the window
+        best = (u[:, None] * phi[:-1] ** 2 / 2.0 + f[:-1]).min(axis=1)
         slack = 1e-10 * np.abs(f).max()
-        open_ = _cell_bounds(phi, f, u, ends) <= best[:, None] + slack
+        open_ = _cell_bounds(phi, f, u, end) <= best[:, None] + slack
         cells = np.nonzero(open_.any(axis=0) & (np.diff(index) > 1))[0]
         if cells.size == 0:
-            return phi, f, ends
+            return phi, f, end
         mid = (index[cells] + index[cells + 1]) // 2
         index = np.insert(index, cells + 1, mid)
         f = np.insert(f, cells + 1, [kernel.free_energy(i * step, kT) for i in mid])
 
 
-def _cell_bounds(phi, f, u, windows):
+def _cell_bounds(phi, f, u, end):
     """Lower bounds of u phi^2 / 2 + f on each cell between samples, one row per column.
 
     f is the free energy of a branch tilted by -(phi / L_g) psi, so it is
     concave in phi (its curvature is -chi / L_g^2) and lies above its chord
     through the two samples of a cell. The bound is the minimum of u phi^2 / 2
-    plus that chord over the part of the cell inside the column's window:
-    the action at the window's end for the cell that starts there, so the
-    cell is bisected when that end is the best sample and the bracket gets
-    its lattice neighbour; +inf for cells that start past the window.
+    plus that chord over the part of the cell up to the window's end. The
+    last cell reaches past the end, to one sample; its bound is at most the
+    action at the end, so it shrinks to one step when the end is the best.
     """
     a, b = phi[:-1], phi[1:]
     slope = np.diff(f) / (b - a)
-    top = np.minimum(b, windows[:, None])
-    x = np.clip(-slope / u[:, None], a, top)
-    bound = u[:, None] * x**2 / 2.0 + f[:-1] + slope * (x - a)
-    return np.where(a <= windows[:, None], bound, np.inf)
+    x = np.clip(-slope / u[:, None], a, np.minimum(b, end))
+    return u[:, None] * x**2 / 2.0 + f[:-1] + slope * (x - a)
 
 
 def _refine(params, kT, M, phi, f, window, shared):
     """Refine one column from the branch free energy f sampled at the ascending phi.
 
-    The residual is bracketed by the neighbours of the best sample inside
-    the column's window, and its root is found by :func:`circuit.newton_root`
+    The residual is bracketed by the neighbours of the best sample up to
+    the window's end, and its root is found by :func:`circuit.newton_root`
     from one eigensolve per step. The column reports `shared` of the samples
     in its n_evaluations.
     """
@@ -376,7 +361,6 @@ class ConvergenceReport:
     """Truncation study of the branch free energy at one (phi, kT) point."""
 
     M_values: tuple
-    free_energies: np.ndarray
     increments: np.ndarray
     passed: bool
 
@@ -401,7 +385,6 @@ def free_energy_convergence_check(
     passed = bool(np.all(np.diff(increments) < 0.0) and increments[-1] < 1e-8 * params.E_J)
     return ConvergenceReport(
         M_values=tuple(int(M) for M in M_values),
-        free_energies=free_energies,
         increments=increments,
         passed=passed,
     )

@@ -121,33 +121,21 @@ def classical_minimum_scan(params: CircuitParams, grid_points=4096) -> Classical
 def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int = 60) -> list:
     """Slow path of meanfield.solve_sweep: a uniform shared profile, then meanfield._refine.
 
-    Columns are grouped as solve_sweep groups them. Each group samples the
-    branch free energy at phi_i = i * step, where step puts COARSE_POINTS
-    samples across the group's narrowest window, and each column takes
-    the samples inside its own window, so no column is scanned more
-    coarsely than COARSE_POINTS over its window.
+    The branch free energy is sampled at phi_i = i * step, where step puts
+    COARSE_POINTS samples across the widest column's window, and each
+    column takes its best sample from the whole profile.
     """
     columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
-    windows = [1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns]
+    window = max(1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns)
+    step = window / (meanfield.COARSE_POINTS - 1)
+    # one lattice point past the window, never sampled: it is only the
+    # right bracket end of a best sample at the window's end
+    phi = step * np.arange(meanfield.COARSE_POINTS + 1)
     kernel = fock.branch(params, M)
-    solutions = [None] * len(columns)
-    order = sorted(range(len(columns)), key=windows.__getitem__)
-    while order:
-        step = windows[order[0]] / (meanfield.COARSE_POINTS - 1)
-        group = [k for k in order if windows[k] <= 2.0 * windows[order[0]]]
-        order = order[len(group):]
-        # the factor absorbs the rounding of step, so the narrowest window
-        # keeps exactly COARSE_POINTS samples
-        counts = [int(windows[k] / step * (1.0 + 1e-12)) + 1 for k in group]
-        # one lattice point past the widest window, never sampled: it is
-        # only the right bracket end of a best sample at that window's end
-        phi = step * np.arange(max(counts) + 1)
-        profile = np.append([kernel.free_energy(x, kT) for x in phi[:-1]], np.inf)
-        share, extra = divmod(max(counts), len(group))
-        for n, (k, count) in enumerate(zip(group, counts)):
-            solutions[k] = meanfield._refine(
-                columns[k], kT, M, phi, profile, phi[count - 1], share + (n < extra))
-    return solutions
+    profile = np.append([kernel.free_energy(x, kT) for x in phi[:-1]], np.inf)
+    share, extra = divmod(meanfield.COARSE_POINTS, len(columns))
+    return [meanfield._refine(p, kT, M, phi, profile, phi[-2], share + (n < extra))
+            for n, p in enumerate(columns)]
 
 
 def brent_refine(params, kT, M, phi, f, window, shared):

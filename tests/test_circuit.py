@@ -66,7 +66,7 @@ def test_reference_derived_values(reference):
     assert_allclose(d.g / (TWO_PI * GHZ), REF_G_GHZ, rtol=1e-12)
     assert_allclose(d.Z_c0, REF_Z_C0, rtol=1e-12)
     assert_allclose(d.Z_a, REF_Z_A, rtol=1e-12)
-    assert_allclose(d.E_J / h / GHZ, REF_E_J_GHZ, rtol=1e-12)
+    assert_allclose(reference.E_J / h / GHZ, REF_E_J_GHZ, rtol=1e-12)
 
 
 def test_derived_values_randomized_against_oracle(rng):

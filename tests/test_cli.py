@@ -263,6 +263,22 @@ def test_sweep_values_checked_as_typed(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kt", "50,0"], "--kt must be strictly increasing, got 50,0"),
+        (["--kt-min", "100", "--kt-max", "0", "--kt-steps", "3"],
+         "--kt-min to --kt-max must be strictly increasing, got 100.0 to 0.0"),
+    ],
+    ids=["list", "grid"],
+)
+def test_meanfield_temperatures_must_increase(argv, message, capsys):
+    """The flag that set the temperatures is named, with its values as typed."""
+    assert main(["meanfield", "--lr0", "0.3,0.6", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv, cfg, quoted",
     [
         (["--L_J", "0.3", "--L_g", "0.45"], None, "--L_g = 0.45 nH must be smaller than --L_J = 0.3 nH"),

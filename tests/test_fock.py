@@ -52,7 +52,7 @@ def linear(reference):
 def test_operator_shapes_and_structure(linear):
     ops = build_operators(linear, 7)
     assert ops.M == 7 and ops.Z_a == linear.Z_a
-    for a in (ops.psi_op, ops.rho_op, ops.number_op, ops.cos_op):
+    for a in (ops.psi_op, ops.rho_op, ops.cos_op, ops.sin_op):
         assert a.shape == (7, 7)
         assert not a.flags.writeable
     assert np.array_equal(ops.psi_op, ops.psi_op.T)
@@ -136,7 +136,7 @@ def test_two_assembly_identity(linear, reference):
     H_direct = atom_hamiltonian(ops, reference)
     phase = TWO_PI * ops.psi_op / PHI0
     ph_sq = phase @ phase
-    H_split = hbar * linear.omega_a * (ops.number_op + 0.5 * np.eye(M)) + reference.E_J * (
+    H_split = hbar * linear.omega_a * (np.diag(np.arange(M)) + 0.5 * np.eye(M)) + reference.E_J * (
         ops.cos_op + ph_sq / 2.0
     )
     diff = H_direct - H_split
@@ -229,7 +229,7 @@ def test_thermal_expectation_high_temperature_limit(linear, reference):
     H = atom_hamiltonian(ops, reference)
     w = np.linalg.eigvalsh(H)
     kT = 1e4 * (w[-1] - w[0])
-    _, (avg,) = thermal_expectation(H, (ops.number_op,), kT)
+    _, (avg,) = thermal_expectation(H, (np.diag(np.arange(float(M))),), kT)
     assert avg == pytest.approx((M - 1) / 2.0, rel=1e-3)
 
 
@@ -240,28 +240,26 @@ def test_thermal_expectation_degenerate_ground():
 
 
 def test_thermal_expectation_zero_temperature_continuity(linear, reference):
-    ops = build_operators(linear, 30)
-    H = atom_hamiltonian(ops, reference)
+    H = atom_hamiltonian(build_operators(linear, 30), reference)
+    number = np.diag(np.arange(30.0))
     w = np.linalg.eigvalsh(H)
     gap = w[1] - w[0]
-    _, (cold,) = thermal_expectation(H, (ops.number_op,), 1e-6 * gap)
-    _, (frozen,) = thermal_expectation(H, (ops.number_op,), 0.0)
+    _, (cold,) = thermal_expectation(H, (number,), 1e-6 * gap)
+    _, (frozen,) = thermal_expectation(H, (number,), 0.0)
     assert cold == pytest.approx(frozen, abs=1e-10)
 
 
 def test_thermal_expectation_rejects_negative_temperature(linear, reference):
-    ops = build_operators(linear, 5)
-    H = atom_hamiltonian(ops, reference)
+    H = atom_hamiltonian(build_operators(linear, 5), reference)
     with pytest.raises(ValueError):
-        thermal_expectation(H, (ops.number_op,), -1.0)
+        thermal_expectation(H, (np.diag(np.arange(5.0)),), -1.0)
 
 
 def test_thermal_expectation_rejects_a_bare_operator(linear, reference):
     # the rows of a bare matrix are not operators
-    ops = build_operators(linear, 5)
-    H = atom_hamiltonian(ops, reference)
+    H = atom_hamiltonian(build_operators(linear, 5), reference)
     with pytest.raises(ValueError):
-        thermal_expectation(H, ops.number_op, 0.0)
+        thermal_expectation(H, np.diag(np.arange(5.0)), 0.0)
 
 
 def test_free_energy_single_level(reference):

@@ -29,8 +29,8 @@ REF_PHI_06 = 2.447378803730821e-16
 # bisection result for the zero-temperature onset, M = 60
 REF_L_CRIT = 3.38568115234375e-10
 
-# Oracle columns: their windows differ by 1.9x, so the shared coarse scan
-# gives each a different number of samples. Normal and superradiant points
+# Oracle columns: their windows differ by 1.9x, so the shared scan runs
+# past the narrower columns' own windows. Normal and superradiant points
 # both occur at every temperature but the highest.
 ORACLE_L = np.array([0.25e-9, 0.45e-9, 0.6e-9, 1.0e-9])
 ORACLE_KT = h * np.array([0.0, 50.0, 150.0]) * GHZ
@@ -386,8 +386,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
 
     monkeypatch.setattr(fock.Branch, "free_energy", counting(fock.Branch.free_energy))
     monkeypatch.setattr(fock, "thermal_expectation", counting(fock.thermal_expectation))
-    # 0.05 nH has a window 3.6x narrower than the next column, so it gets a
-    # grid of its own; the other three share one
+    # the windows span 6.9x, one scan for all four columns
     L = np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9])
     kT = h * 50 * GHZ
     sweep = meanfield.solve_sweep(reference, L, kT)
@@ -396,8 +395,23 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
 
     singles = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
     assert sum(s.n_evaluations for s in sweep) < sum(s.n_evaluations for s in singles)
-    # a column alone on its grid is exactly the single-point solve
-    assert sweep[0] == singles[0]
+    # the widest column sees the lattice of its lone solve
+    assert replace(sweep[3], n_evaluations=0) == replace(singles[3], n_evaluations=0)
+
+
+@pytest.mark.parametrize(
+    "L, kT_GHz",
+    [(np.linspace(0.1e-9, 1.0e-9, 46), 0.0), (np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9]), 50.0)],
+    ids=["46-point-zero-T", "4-column-50GHz"],
+)
+def test_sweep_agrees_with_lone_solves(reference, L, kT_GHz):
+    """A shared scan finds each column's phase and root as that column's lone solve does."""
+    kT = h * kT_GHz * GHZ
+    sweep = meanfield.solve_sweep(reference, L, kT)
+    lone = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
+    assert [s.superradiant for s in sweep] == [s.superradiant for s in lone]
+    assert [s.converged for s in sweep] == [s.converged for s in lone]
+    assert_allclose([s.phi_th for s in sweep], [s.phi_th for s in lone], rtol=1e-11, atol=0.0)
 
 
 def windows_and_stiffness(params, L_values):
@@ -414,28 +428,28 @@ def test_cell_bounds_hold_against_dense_scan(reference, jitter, kT_GHz):
     kT = h * kT_GHz * GHZ
     # normal and superradiant columns, windows up to 1.7 times the narrowest
     windows, u = windows_and_stiffness(p, [0.30e-9, 0.45e-9, 0.6e-9, 1.0e-9])
+    end = windows.max()
     kernel = fock.branch(p, 60)
-    edges = np.linspace(0.0, windows.max(), 17)
+    # as in the scan, the last cell reaches one step past the window's end
+    edges = np.linspace(0.0, end * 256 / 255, 17)
     f_edges = np.array([kernel.free_energy(x, kT) for x in edges])
-    bounds = meanfield._cell_bounds(edges, f_edges, u, windows)
+    bounds = meanfield._cell_bounds(edges, f_edges, u, end)
     slack = 1e-10 * np.abs(f_edges).max()
+    assert np.isfinite(bounds).all()
 
-    dense = np.linspace(0.0, windows.max(), 2001)
+    dense = np.linspace(0.0, end, 2001)
     f_dense = np.array([kernel.free_energy(x, kT) for x in dense])
     cell = np.minimum(np.searchsorted(edges, dense, side="right") - 1, edges.size - 2)
-    for c, window in enumerate(windows):
-        inside = dense <= window
-        action = u[c] * dense[inside] ** 2 / 2.0 + f_dense[inside]
-        assert np.all(action >= bounds[c, cell[inside]] - slack)
-        # every cell that reaches into the window has a finite bound
-        assert np.isfinite(bounds[c, edges[:-1] < window]).all()
+    for c in range(u.size):
+        action = u[c] * dense**2 / 2.0 + f_dense
+        assert np.all(action >= bounds[c, cell] - slack)
 
 
 def test_certified_minimum_in_lowest_dense_cell(reference):
     """On criterion 4's grid, phi_th sits in the lowest cell of a 4096-point action scan.
 
     The branch free energy does not depend on L_R0, so one scan across the
-    widest window serves every column of a row; each column looks only
+    widest window serves every column of a row; each column's minimum lies
     inside its own window. Every fourth row keeps the cost to five scans.
     """
     windows, u = windows_and_stiffness(reference, GRID_L)
@@ -487,19 +501,19 @@ def test_certified_scan_brackets_edge_minima_like_the_lattice():
     """Each column's best sample and its two neighbours are those of the uniform lattice.
 
     The action u phi^2 / 2 + f has its minimum at 1 / (u - 0.2): inside the
-    first window, past the second and third. The third window is the widest
-    and ends on a multiple of the 32-step start cells.
+    window for the first column, past its end for the other two, whose
+    bracket is then the end and its lattice neighbours on both sides.
     """
-    windows = np.array([1.0, 1.3, 448 / 255])
     u = np.array([2.2, 0.7, 0.4])
-    phi, f, ends = meanfield._certified_scan(ConcaveStandIn(), 0.0, u, windows)
-    step = windows.min() / (meanfield.COARSE_POINTS - 1)
-    for c in range(windows.size):
-        lattice = step * np.arange(round(ends[c] / step) + 1)
+    phi, f, end = meanfield._certified_scan(ConcaveStandIn(), 0.0, u, 1.0)
+    step = 1.0 / (meanfield.COARSE_POINTS - 1)
+    lattice = step * np.arange(meanfield.COARSE_POINTS)
+    assert lattice[-1] == end
+    for c in range(u.size):
         i = int(np.argmin(u[c] * lattice**2 / 2.0 + ConcaveStandIn().free_energy(lattice, 0.0)))
-        best = int(np.argmin(np.where(phi <= ends[c], u[c] * phi**2 / 2.0 + f, np.inf)))
+        best = int(np.argmin(np.where(phi <= end, u[c] * phi**2 / 2.0 + f, np.inf)))
         assert phi[best - 1 : best + 2].tolist() == [(i - 1) * step, i * step, (i + 1) * step], c
-    assert phi[best] == ends[2]
+        assert (phi[best] == end) == (c > 0), c
 
 
 def test_newton_refine_matches_brent_oracle(reference, monkeypatch):

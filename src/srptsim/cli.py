@@ -75,7 +75,8 @@ def load_config(path: str) -> dict:
     E_J = 0 is a bare LC branch, L_J = inf.
     """
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict = {}
@@ -318,26 +319,27 @@ def cmd_meanfield(args) -> int:
             f"grid points, first at L_R0 = {L_vals[i] / 1e-9:.6g} nH, "
             f"kT/h = {kT_vals[j] / (h * GHZ):.6g} GHz"
         )
+    boundary_columns = ("L_R0_nH", "kTc_over_h_GHz")
     boundary_rows = [(L / 1e-9, grid.boundary[i] / (h * GHZ)) for i, L in enumerate(L_vals)]
     if args.boundary:
-        emit(args.out, args.format, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
-        return 0
-    rows = []
-    for i, L in enumerate(L_vals):
-        for j, kT in enumerate(kT_vals):
-            rows.append(
-                (
-                    L / 1e-9,
-                    kT / (h * GHZ),
-                    grid.amplitude[j, i],
-                    grid.phi[j, i],
-                    grid.phi[j, i] > 0.0,
+        emit(args.out, args.format, boundary_columns, boundary_rows)
+    else:
+        rows = []
+        for i, L in enumerate(L_vals):
+            for j, kT in enumerate(kT_vals):
+                rows.append(
+                    (
+                        L / 1e-9,
+                        kT / (h * GHZ),
+                        grid.amplitude[j, i],
+                        grid.phi[j, i],
+                        grid.phi[j, i] > 0.0,
+                    )
                 )
-            )
-    emit(args.out, args.format,
-         ("L_R0_nH", "kBT_over_h_GHz", "alpha_over_sqrtN", "phi_th_Wb", "superradiant"), rows)
+        emit(args.out, args.format,
+             ("L_R0_nH", "kBT_over_h_GHz", "alpha_over_sqrtN", "phi_th_Wb", "superradiant"), rows)
     if args.boundary_out:
-        emit(args.boundary_out, args.format, ("L_R0_nH", "kTc_over_h_GHz"), boundary_rows)
+        emit(args.boundary_out, args.format, boundary_columns, boundary_rows)
     return 0
 
 
@@ -354,9 +356,9 @@ def cmd_fluct(args) -> int:
             g_bar / (TWO_PI * GHZ),
             g_crit / (TWO_PI * GHZ),
             delta_eps / (h * GHZ),
-            "superradiant" if superradiant else "normal",
+            "superradiant" if sol.superradiant else "normal",
         )
-        for L, ((_, w_plus, w_minus, omega_a_bar, g_bar, g_crit, delta_eps, _), superradiant)
+        for L, ((_, w_plus, w_minus, omega_a_bar, g_bar, g_crit, delta_eps, _), sol)
         in zip(L_vals, points)
     )
     emit(
@@ -400,14 +402,9 @@ def cmd_ed(args) -> int:
     L_vals = sweep_values(args, "lr0")
     compare = {}
     if args.compare_meanfield:
-        # Thermodynamic-limit reference values, shared across the N rows.
-        for L, sol in zip(L_vals, meanfield.solve_sweep(base, L_vals, 0.0)):
-            p = base.replace(L_R0=float(L))
-            ren = fluct.renormalize(p, sol)
-            compare[float(L)] = (
-                sol.alpha_over_sqrt_n**2,
-                fluct.zero_point_shift(p, sol, ren) / (h * GHZ),
-            )
+        # Thermodynamic-limit reference values from fluct's points, shared across the N rows.
+        for L, ((*_, delta_eps, _), sol) in zip(L_vals, fluct._scan_points(base, L_vals, 60)):
+            compare[float(L)] = (sol.alpha_over_sqrt_n**2, delta_eps / (h * GHZ))
     columns = ["N", "L_R0_nH", "dim_even", "dim_odd", "E_g_over_h_GHz", "photons_per_atom",
                "transition_even_GHz", "transition_odd_GHz", "delta_eps_over_h_GHz"]
     if compare:
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "grid; it may lie above the grid, and nan (null in JSON) means the "
                         "column never orders")
     p.add_argument("--boundary-out", metavar="FILE",
-                   help="also write the boundary curve here when emitting the grid")
+                   help="also write the boundary curve here")
     p.set_defaults(func=cmd_meanfield)
 
     p = sub.add_parser("fluct", parents=[circuit, out, sweep_flags("lr0", 0.1, 1.0, 46)],

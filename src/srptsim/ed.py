@@ -21,6 +21,8 @@ assembled once and swept over L_R0 by rescaling two coefficients.
 Both branch terms are one-body in the branches, and one embedding builds
 them in the symmetric sector: sum_j op(j) with op the dense branch block
 for the atom term, sum_j (a + a^dag) op(j) with op = b + b^dag for V.
+The ground energy per branch is referenced to the lowest eigenvalue of
+that same block, so it is 0 to rounding when the coupling vanishes.
 
 Branches carry either the quartic expansion of the flux-periodic potential
 (default, sparse, bandwidth 4 per atom) or its exact cosine matrix (dense
@@ -211,22 +213,21 @@ def build_basis(config: EdConfig) -> BasisIndex:
     )
 
 
-def _branch_x(R: int) -> np.ndarray:
-    """b + b^dag on R branch levels, the branch operator of the coupling."""
+def _branch_terms(params: CircuitParams, R: int, quartic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One branch on R levels, dense: its Hamiltonian atom, quartic in b + b^dag or the kernel's
+    cosine H_atom, and x = b + b^dag, the coupling's branch operator. The sectors embed both and
+    scan references delta_eps to atom's lowest eigenvalue."""
     ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
-    return ladder + ladder.T
-
-
-def _atom_block(params: CircuitParams, R: int, quartic: bool) -> np.ndarray:
-    """Per-branch Hamiltonian on R levels, dense: quartic in b + b^dag, or the kernel's cosine H_atom."""
-    if quartic:
-        derived = derive_linear(params)
-        lam2 = (TWO_PI / PHI0) ** 2 * hbar * derived.Z_a / 2.0
-        n = np.arange(R, dtype=float)
-        return np.diag(hbar * derived.omega_a * (n + 0.5) + params.E_J) + (
-            params.E_J * lam2**2 / 24.0
-        ) * np.linalg.matrix_power(_branch_x(R), 4)
-    return fock.branch(params, R).H_atom
+    x = ladder + ladder.T
+    if not quartic:
+        return fock.branch(params, R).H_atom, x
+    derived = derive_linear(params)
+    lam2 = (TWO_PI / PHI0) ** 2 * hbar * derived.Z_a / 2.0
+    n = np.arange(R, dtype=float)
+    atom = np.diag(hbar * derived.omega_a * (n + 0.5) + params.E_J) + (
+        params.E_J * lam2**2 / 24.0
+    ) * np.linalg.matrix_power(x, 4)
+    return atom, x
 
 
 def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
@@ -315,15 +316,15 @@ def build_sector_model(params: CircuitParams, config: EdConfig) -> SectorModel:
     if params.N not in (None, config.n_atoms):
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {config.n_atoms}")
     basis = build_basis(config)
-    R = config.per_mode_cutoff + 1
+    atom, x = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
     return SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_one_body(basis, _atom_block(params, R, config.quartic), 0),
-        coupling=_one_body(basis, _branch_x(R), 1),
+        atom_static=_one_body(basis, atom, 0),
+        coupling=_one_body(basis, x, 1),
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
 
@@ -410,23 +411,10 @@ def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None
     )
 
 
-def reference_branch_energy(params: CircuitParams, M: int = 60, *, quartic: bool) -> float:
-    """Ground energy of the isolated branch on M levels, joule.
-
-    The lowest eigenvalue of the sectors' branch potential, quartic or
-    cosine as in EdConfig.quartic, so each potential is referenced to its
-    own branch. The sectors keep R = per_mode_cutoff + 1 of its levels; on
-    the reference circuit their ground energy is within 1e-9 relative of
-    M = 60's at R = 9 and 4e-13 at R >= 13. The cosine value is the
-    kernel's ground energy fock.branch(params, M).free_energy(0, 0), bit
-    for bit.
-    """
-    return float(np.linalg.eigvalsh(_atom_block(params, M, quartic))[0])
-
-
 @dataclass(frozen=True)
 class EdScan:
-    """Observables along a resonator-inductance sweep at fixed N."""
+    """Observables along a resonator-inductance sweep at fixed N, in joule; delta_eps is
+    (E_g - hbar omega_c / 2) / N minus the ground energy of the branch block the sectors hold."""
 
     config: EdConfig
     L_R0_values: np.ndarray
@@ -447,8 +435,9 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     even states and the lowest odd state, whatever config.n_eigenvalues
     says. transition_even is the gap to the second even state,
     transition_odd the gap to the lowest odd state, delta_eps the ground
-    energy per branch relative to photon zero point plus isolated branch
-    of the same potential. The ground state must be even; an odd state
+    energy per branch relative to the photon zero point plus the lowest
+    eigenvalue of the branch block the sectors embed, which makes it 0 to
+    rounding at zero coupling. The ground state must be even; an odd state
     below it means the truncation broke the parity structure and the point
     would be meaningless, so that raises ConvergenceError.
     """
@@ -466,7 +455,8 @@ def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
-    eps_a0 = reference_branch_energy(params, quartic=config.quartic)
+    atom, _ = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
+    eps_a0 = float(np.linalg.eigvalsh(atom)[0])
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
     N = config.n_atoms
@@ -540,7 +530,7 @@ def truncation_error_study(
         raise ValueError(f"atom_levels {atom_levels} too small for {n_levels} levels")
     atom, gaps = {}, {}
     for label, quartic in (("quartic", True), ("cosine", False)):
-        w = np.linalg.eigvalsh(_atom_block(params, atom_levels, quartic))
+        w = np.linalg.eigvalsh(_branch_terms(params, atom_levels, quartic)[0])
         atom[label] = w[1:n_levels] - w[0]
         config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic, seed=seed)
         gaps[label] = scan(params, config, L_vals).transition_even

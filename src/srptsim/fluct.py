@@ -158,16 +158,16 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
     shares one certified phi scan across the sweep.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
-    rows, superradiant = zip(*_scan_points(params, L_vals, M))
+    rows, solutions = zip(*_scan_points(params, L_vals, M))
     omega_c, omega_plus, omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th = np.array(rows).T
     return FluctScan(L_R0_values=L_vals, omega_c=omega_c, omega_plus=omega_plus, omega_minus=omega_minus,
                      omega_a_bar=omega_a_bar, g_bar=g_bar, g_crit=g_crit, delta_eps=delta_eps, phi_th=phi_th,
-                     superradiant=np.array(superradiant, dtype=bool))
+                     superradiant=np.array([sol.superradiant for sol in solutions], dtype=bool))
 
 
 def _scan_points(params: CircuitParams, L_R0_values, M: int):
     """The points of :func:`spectrum_scan`, each yielded once it is renormalized: (omega_c, omega_plus,
-    omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th) and the superradiant flag."""
+    omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th) and its MeanFieldSolution."""
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
@@ -178,4 +178,4 @@ def _scan_points(params: CircuitParams, L_R0_values, M: int):
         w_plus, w_minus = fluctuation_spectrum(ren, der)
         g_crit = 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c)
         yield (der.omega_c, w_plus, w_minus, ren.omega_a_bar, ren.g_bar, g_crit,
-               zero_point_shift(p, sol, ren), sol.phi_th), sol.superradiant
+               zero_point_shift(p, sol, ren), sol.phi_th), sol

@@ -161,6 +161,16 @@ def _coupling_matrix(basis: ed.BasisIndex) -> sp.csr_matrix:
     return upper + upper.T
 
 
+def branch_block(params, config: ed.EdConfig) -> np.ndarray:
+    """The dense branch Hamiltonian the sectors at config embed, ed's own."""
+    return ed._branch_terms(params, config.per_mode_cutoff + 1, config.quartic)[0]
+
+
+def reference_energy(params, config: ed.EdConfig) -> float:
+    """Ground energy of that branch block, the reference of delta_eps."""
+    return float(np.linalg.eigvalsh(branch_block(params, config))[0])
+
+
 def build_sector_model(params, config: ed.EdConfig) -> ed.SectorModel:
     """ed.build_sector_model on the product basis."""
     basis = build_basis(config)
@@ -170,9 +180,7 @@ def build_sector_model(params, config: ed.EdConfig) -> ed.SectorModel:
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_atom_static_matrix(
-            basis, ed._atom_block(params, config.per_mode_cutoff + 1, config.quartic)
-        ),
+        atom_static=_atom_static_matrix(basis, branch_block(params, config)),
         coupling=_coupling_matrix(basis),
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
@@ -185,7 +193,7 @@ def observables(config: ed.EdConfig, params, even: ed.SectorEigen, odd: ed.Secto
     if odd.values[0] < E_g:
         raise ConvergenceError("odd sector fell below the even ground state")
     if epsilon_a0 is None:
-        epsilon_a0 = ed.reference_branch_energy(params, quartic=config.quartic)
+        epsilon_a0 = reference_energy(params, config)
     omega_c = derive_linear(params).omega_c
     return SimpleNamespace(
         E_g=E_g,
@@ -202,7 +210,7 @@ def scan(params, config: ed.EdConfig, L_R0_values) -> list:
     """ed.scan on the product basis: one observables point per inductance."""
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
-    eps_a0 = ed.reference_branch_energy(params, quartic=config.quartic)
+    eps_a0 = reference_energy(params, config)
     results = []
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))

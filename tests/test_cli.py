@@ -371,6 +371,18 @@ def test_meanfield_boundary_flag_replaces_grid(capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize("fmt, name", [("csv", "boundary.csv"), ("json", "boundary.json")])
+def test_meanfield_boundary_out_under_boundary(tmp_path, capsys, fmt, name):
+    """--boundary-out writes the boundary under --boundary too, the bytes printed to stdout."""
+    bout = tmp_path / name
+    rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100", "--fock-levels", "40",
+               "--boundary", "--format", fmt, "--boundary-out", str(bout)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("L_R0_nH,kTc_over_h_GHz\n" if fmt == "csv" else "[")
+    assert bout.read_bytes() == out.encode()
+
+
 def test_meanfield_boundary_json_writes_null(capsys):
     rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100", "--fock-levels", "40",
                "--boundary", "--format", "json"])

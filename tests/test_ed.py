@@ -12,6 +12,7 @@ its exact restriction to exchange-symmetric states.
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ def test_cosine_block_is_the_branch_kernel(reference, rng):
     for params in circuits:
         for per_mode in (8, 24):
             oracle = fock.atom_hamiltonian(fock.build_operators(derive_linear(params), per_mode + 1), params)
-            assert np.array_equal(ed._atom_block(params, per_mode + 1, False), oracle)
+            assert np.array_equal(ed._branch_terms(params, per_mode + 1, False)[0], oracle)
 
 
 def symmetrizer(sym_basis, prod_basis):
@@ -504,25 +505,31 @@ def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
 
 
 def test_reference_energy_matches_the_potential(reference):
-    """Quartic ED subtracts the quartic branch's ground energy, cosine ED the cosine one."""
-    block = ed._atom_block(reference, 60, True)
-    quartic = np.linalg.eigvalsh(block)[0]
-    assert ed.reference_branch_energy(reference, quartic=True) == quartic
-    cosine = ed.reference_branch_energy(reference, quartic=False)
-    assert cosine == fock.branch(reference, 60).free_energy(0.0, 0.0)
-    # the caller names the potential, so no default can disagree with EdConfig
-    with pytest.raises(TypeError):
-        ed.reference_branch_energy(reference)
-    assert (quartic - cosine) / (h * 1e6) == pytest.approx(4.568, abs=1e-3)
-    # converged in the truncation: 25 levels give the same energy
-    assert ed.reference_branch_energy(reference, 25, quartic=True) == pytest.approx(quartic, rel=1e-14)
-
+    """Each potential is referenced to the ground energy of the branch block its sectors embed."""
     L = np.array([0.30e-9])
     zero_point = hbar * derive_linear(reference.replace(L_R0=L[0])).omega_c / 2.0
-    for potential, eps_a0 in ((True, quartic), (False, cosine)):
-        cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, quartic=potential)
+    lowest = {}
+    for quartic in (True, False):
+        cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, quartic=quartic)
+        atom, _ = ed._branch_terms(reference, cfg.per_mode_cutoff + 1, quartic)
+        lowest[quartic] = np.linalg.eigvalsh(atom)[0]
         res = ed.scan(reference, cfg, L)
-        assert res.delta_eps[0] == pytest.approx(res.E_g[0] - zero_point - eps_a0, abs=1e-12 * abs(eps_a0))
+        assert res.delta_eps[0] == pytest.approx(
+            res.E_g[0] - zero_point - lowest[quartic], abs=1e-12 * abs(lowest[quartic])
+        )
+    assert (lowest[True] - lowest[False]) / (h * 1e6) == pytest.approx(4.568, abs=1e-3)
+
+
+@pytest.mark.parametrize("quartic", [True, False], ids=["quartic", "cosine"])
+@pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 8, 16), (2, 12, 24)])
+def test_delta_eps_vanishes_without_coupling(reference, monkeypatch, quartic, n_atoms, per_mode, total):
+    """At g = 0 the ground state is the photon vacuum times each branch's ground state,
+    so delta_eps is 0 to rounding whatever the truncation."""
+    real = ed.derive_linear
+    monkeypatch.setattr(ed, "derive_linear", lambda p: replace(real(p), g=0.0))
+    cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, quartic=quartic)
+    res = ed.scan(reference.replace(N=n_atoms), cfg, np.array([0.30e-9, 0.52e-9]))
+    assert np.all(np.abs(res.delta_eps) <= 1e-13 * np.abs(res.E_g))
 
 
 def test_scan_photon_number_grows_across_transition(reference):
@@ -751,7 +758,7 @@ def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference
     assert not (tmp_path / "missing").exists()
     mmwrite(str(tmp_path / "direct.mtx"), sp.coo_matrix(H))
     written = ed.export_matrix(str(tmp_path / "sector"), H)
-    assert open(written, "rb").read() == (tmp_path / "direct.mtx").read_bytes()
+    assert Path(written).read_bytes() == (tmp_path / "direct.mtx").read_bytes()
 
 
 def test_export_matrix_roundtrip(tmp_path, reference):

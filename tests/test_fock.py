@@ -15,7 +15,6 @@ from scipy.special import eval_genlaguerre, logsumexp
 from kubo_oracle import level_susceptibility
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
-from srptsim import ed
 from srptsim.fock import (
     atom_hamiltonian,
     branch,
@@ -349,8 +348,6 @@ def test_branch_shared_across_resonator_sweeps(reference):
     assert branch(reference.replace(L_g=0.4e-9), 60) is not b
     assert not b.H_atom.flags.writeable and not b.ops.sin_op.flags.writeable
     assert np.array_equal(b.ops.sin_op, build_operators(derive_linear(reference), 60).sin_op)
-    # the finite-N reference energy is the kernel's ground energy
-    assert ed.reference_branch_energy(reference.replace(N=2), quartic=False) == b.free_energy(0.0, 0.0)
 
 
 def test_susceptibility_is_free_energy_curvature(reference):

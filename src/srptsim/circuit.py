@@ -139,18 +139,11 @@ def polariton_frequencies(omega_c, omega_a, g):
     quadratic form is unstable, which is exactly the superradiant onset in
     the linearized theory.
     """
-    omega_c = np.asarray(omega_c, dtype=float)
-    omega_a = np.asarray(omega_a, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if np.any(omega_c <= 0) or np.any(omega_a <= 0) or np.any(g < 0):
+    if omega_c <= 0 or omega_a <= 0 or g < 0:
         raise ValueError("frequencies must be positive and g non-negative")
     s = omega_c**2 + omega_a**2
-    r = np.sqrt((omega_c**2 - omega_a**2) ** 2 + 16.0 * g**2 * omega_c * omega_a)
-    omega_plus = np.sqrt((s + r) / 2.0)
-    omega_minus_squared = (s - r) / 2.0
-    if omega_plus.ndim == 0:
-        return float(omega_plus), float(omega_minus_squared)
-    return omega_plus, omega_minus_squared
+    r = math.sqrt((omega_c**2 - omega_a**2) ** 2 + 16.0 * g**2 * omega_c * omega_a)
+    return math.sqrt((s + r) / 2.0), (s - r) / 2.0
 
 
 def bosonic_srpt_condition(derived: DerivedLinear) -> bool:

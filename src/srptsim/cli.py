@@ -58,7 +58,6 @@ _UNIT_SCALE = {
 _KEY_UNITS = {
     "L_J": ("H", "uH", "nH", "pH"),
     "L_g": ("H", "uH", "nH", "pH"),
-    "L_R0": ("H", "uH", "nH", "pH"),
     "C_J": ("F", "pF", "fF"),
     "C_R0": ("F", "pF", "fF"),
     "E_J": ("Hz", "MHz", "GHz"),
@@ -68,18 +67,19 @@ _KEY_UNITS = {
 def load_config(path: str) -> dict:
     """Parse a flat ``key = value unit`` file into SI circuit values.
 
-    Recognized keys: L_J, L_g, C_J, C_R0, L_R0, E_J (as a frequency,
-    converted through h), and N. A bare number without a unit is taken as
-    SI. Numbers are checked as typed, like the flags, and an error names
-    the file and line. E_J and L_J together are ambiguous and rejected;
-    E_J = 0 is a bare LC branch, L_J = inf.
+    Recognized keys, each at most once: L_J, L_g, C_J, C_R0, E_J (as a
+    frequency, converted through h), and N; L_R0 is always swept. A bare
+    number without a unit is taken as SI. Numbers are checked as typed,
+    like the flags, and an error names the file and line. E_J and L_J
+    together are ambiguous and rejected; E_J = 0 is a bare LC branch,
+    L_J = inf.
     """
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    values: dict = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -90,6 +90,8 @@ def load_config(path: str) -> dict:
         key = key.strip()
         tokens = rhs.split()
         name = f"{path}:{lineno}: {key}"
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{name} repeats line {seen[key]}")
         if key == "N":
             if len(tokens) != 1:
                 raise ConfigError(f"{path}:{lineno}: N takes a bare integer")
@@ -129,6 +131,7 @@ def load_config(path: str) -> dict:
 def resolve_params(args) -> CircuitParams:
     """Merge defaults, config file, and explicit flags into CircuitParams."""
     reference = reference_params()
+    # every subcommand replaces L_R0 by its sweep; CircuitParams needs one
     values = {key: getattr(reference, key) for key in ("L_J", "L_g", "C_J", "C_R0", "L_R0")}
     config_N = None
     if args.config:
@@ -136,7 +139,7 @@ def resolve_params(args) -> CircuitParams:
         config_N = loaded.pop("N", None)
         values.update(loaded)
     typed = {}
-    for flag, scale in (("L_J", 1e-9), ("L_g", 1e-9), ("C_J", 1e-15), ("C_R0", 1e-15), ("L_R0", 1e-9)):
+    for flag, scale in (("L_J", 1e-9), ("L_g", 1e-9), ("C_J", 1e-15), ("C_R0", 1e-15)):
         v = getattr(args, flag)
         if v is not None:
             _check_typed(f"--{flag}", v, v, scale, zero_ok=False, inf_ok=flag == "L_J")
@@ -152,13 +155,6 @@ def resolve_params(args) -> CircuitParams:
         return CircuitParams(N=config_N, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _finite(flag: str, value):
-    """value, or a ConfigError naming flag when it is nan or infinite."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite, got {value}")
-    return value
 
 
 def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool, inf_ok: bool = False) -> None:
@@ -255,11 +251,13 @@ def cmd_classical(args) -> int:
     curve shape. The classical threshold is printed as a note.
     """
     params = resolve_params(args)
+    if params.E_J == 0.0:
+        source = "--L_J inf" if args.L_J is not None else f"{args.config}: E_J = 0"
+        raise ConfigError(f"{source} is a bare LC branch; classical's curves are in units of E_J")
     L_vals = sweep_values(args, "lr0")
     if args.phi_steps < 1:
         raise ConfigError(f"--phi-steps must be >= 1, got {args.phi_steps}")
-    if _finite("--phi-max", args.phi_max) < 0.0:
-        raise ConfigError(f"--phi-max must be >= 0, got {args.phi_max}")
+    _check_typed("--phi-max", args.phi_max, args.phi_max, 1.0, zero_ok=True)
     x_vals = np.linspace(-args.phi_max, args.phi_max, args.phi_steps)
 
     def rows():
@@ -276,8 +274,7 @@ def cmd_classical(args) -> int:
 
 def cmd_linear(args) -> int:
     params = resolve_params(args)
-    if _finite("--g-scale", args.g_scale) < 0.0:
-        raise ConfigError(f"--g-scale must be >= 0, got {args.g_scale}")
+    _check_typed("--g-scale", args.g_scale, args.g_scale, 1.0, zero_ok=True)
     L_vals = sweep_values(args, "lr0")
 
     def rows():
@@ -452,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     circuit.add_argument("--L_g", type=float, metavar="NH", help="series geometric inductance, nH")
     circuit.add_argument("--C_J", type=float, metavar="FF", help="junction capacitance, fF")
     circuit.add_argument("--C_R0", type=float, metavar="FF", help="per-branch resonator capacitance, fF")
-    circuit.add_argument("--L_R0", type=float, metavar="NH", help="per-branch resonator inductance, nH")
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="FILE", help="write rows here instead of stdout")
@@ -492,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("meanfield",
                        parents=[circuit, out, sweep_flags("lr0", 0.3, 1.0, 8), sweep_flags("kt", 0.0, 200.0, 9)],
                        help="finite-temperature order parameter on an (L_R0, kT) grid")
-    p.add_argument("--fock-levels", type=int, default=60, help=fock_help)
+    p.add_argument("--fock-levels", type=int, default=60,
+                   help=f"{fock_help}; at 60 only about the lowest 29 levels are converged, "
+                        "so at high kT the boundary reads low (0.46 %% at 1.0 nH, kTc ~ 370 GHz)")
     p.add_argument("--boundary", action="store_true",
                    help="emit each column's closed-form critical temperature instead of the "
                         "grid; it may lie above the grid, and nan (null in JSON) means the "

@@ -168,8 +168,6 @@ def build_basis(config: EdConfig) -> BasisIndex:
     """
     N, top, total = config.n_atoms, config.per_mode_cutoff, config.total_cutoff
     dim = count_sector_dimension(N + 1, top, total, config.parity)
-    if dim == 0:
-        raise ConfigError("sector is empty for these cutoffs")
     if dim > config.max_dimension:
         raise ConfigError(
             f"sector dimension {dim} exceeds max_dimension = {config.max_dimension}; "
@@ -510,7 +508,6 @@ def truncation_error_study(
     total_cutoff: int = 48,
     n_levels: int = 8,
     atom_levels: int = 40,
-    seed: int = 0,
 ) -> TruncationStudy:
     """Bound the quartic-potential truncation error against the exact cosine.
 
@@ -532,7 +529,7 @@ def truncation_error_study(
     for label, quartic in (("quartic", True), ("cosine", False)):
         w = np.linalg.eigvalsh(_branch_terms(params, atom_levels, quartic)[0])
         atom[label] = w[1:n_levels] - w[0]
-        config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic, seed=seed)
+        config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic)
         gaps[label] = scan(params, config, L_vals).transition_even
     atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
     i_q = int(np.argmin(gaps["quartic"]))

@@ -29,7 +29,6 @@ class FockOperatorSet:
     purely imaginary entries. All arrays are read-only.
     """
 
-    M: int
     Z_a: float
     psi_op: np.ndarray
     rho_op: np.ndarray
@@ -62,9 +61,7 @@ def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     sin_op = (evecs * np.sin(phase)) @ evecs.T
     for a in (psi_op, rho_op, cos_op, sin_op):
         a.setflags(write=False)
-    return FockOperatorSet(
-        M=M, Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, cos_op=cos_op, sin_op=sin_op
-    )
+    return FockOperatorSet(Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, cos_op=cos_op, sin_op=sin_op)
 
 
 def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
@@ -185,20 +182,13 @@ class Branch:
             raise ValueError(f"kT must be non-negative, got {kT}")
         return _spectrum_free_energy(np.linalg.eigvalsh(self.hamiltonian(phi)), kT)
 
-    def thermal(self, phi: float, kT: float, *operators: np.ndarray):
-        """(F, averages): free energy and the expectation of each operator, one eigensolve."""
-        return thermal_expectation(self.hamiltonian(phi), operators, kT)
+    def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
+        """(F, averages): free energy and the expectation of each operator, one eigensolve.
 
-    def response(self, phi: float, kT: float):
-        """(F, <psi>, chi) of the tilted branch at frozen resonator flux, one eigensolve.
-
-        chi = d<psi>/dh is the static response of the branch flux to the
-        tilt -h psi at h = phi / L_g, in henry; at phi = 0 it is
-        :meth:`susceptibility`.
+        response=psi_op appends chi = d<psi>/dh, the static response of the branch flux to
+        the tilt -h psi at h = phi / L_g, henry; at phi = 0 it is :meth:`susceptibility`.
         """
-        psi_op = self.ops.psi_op
-        F, (psi,), chi = thermal_expectation(self.hamiltonian(phi), (psi_op,), kT, response=psi_op)
-        return F, psi, chi
+        return thermal_expectation(self.hamiltonian(phi), operators, kT, response=response)
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

@@ -212,7 +212,7 @@ def _refine(params, kT, M, phi, f, window, shared):
         # the residual u x - <psi> / L_g and its slope u - chi / L_g^2
         nonlocal made
         made += 1
-        _, psi, chi = kernel.response(x, kT)
+        _, (psi,), chi = kernel.thermal(x, kT, kernel.ops.psi_op, response=kernel.ops.psi_op)
         return u * x - psi / params.L_g, u - chi / params.L_g**2
 
     def package(phi_th, converged):

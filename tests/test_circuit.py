@@ -237,13 +237,13 @@ def test_polariton_vieta_randomized(rng):
         )
 
 
-def test_polariton_vectorized():
-    wc = np.array([3.0, 5.0, 9.0])
-    wp, wm2 = polariton_frequencies(wc, 2.0, 0.1)
-    assert wp.shape == (3,) and wm2.shape == (3,)
+def test_polariton_floats():
     one_p, one_m2 = polariton_frequencies(5.0, 2.0, 0.1)
     assert isinstance(one_p, float) and isinstance(one_m2, float)
-    assert_allclose([wp[1], wm2[1]], [one_p, one_m2], rtol=1e-15)
+    # the same closed form in numpy: both square roots are correctly rounded, so the values agree exactly
+    wc, wa, g = np.float64(5.0), np.float64(2.0), np.float64(0.1)
+    s, r = wc**2 + wa**2, np.sqrt((wc**2 - wa**2) ** 2 + 16.0 * g**2 * wc * wa)
+    assert (one_p, one_m2) == (float(np.sqrt((s + r) / 2.0)), float((s - r) / 2.0))
     with pytest.raises(ValueError):
         polariton_frequencies(-1.0, 2.0, 0.1)
     with pytest.raises(ValueError):

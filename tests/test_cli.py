@@ -40,7 +40,6 @@ def test_load_config_units_and_comments(tmp_path):
         "L_g = 450 pH\n\n"
         "C_J = 24 fF   # junction\n"
         "C_R0 = 0.002 pF\n"
-        "L_R0 = 4.5e-10\n"
         "N = 4\n"
     )
     values = load_config(str(f))
@@ -48,7 +47,6 @@ def test_load_config_units_and_comments(tmp_path):
     assert values["L_g"] == pytest.approx(0.45e-9)
     assert values["C_J"] == pytest.approx(24e-15)
     assert values["C_R0"] == pytest.approx(2e-15)
-    assert values["L_R0"] == pytest.approx(0.45e-9)
     assert values["N"] == 4
 
 
@@ -90,7 +88,7 @@ def test_negative_josephson_energy_exits_2(tmp_path, capsys):
         ("C_J = -24 fF", "C_J must be positive, got -24 fF"),
         ("E_J = inf GHz", "E_J must be finite, got inf GHz"),
         ("E_J = nan GHz", "E_J must be finite, got nan GHz"),
-        ("L_R0 = 1e-320 nH", "L_R0 underflows to 0 in SI units, got 1e-320 nH"),
+        ("L_g = 1e-320 nH", "L_g underflows to 0 in SI units, got 1e-320 nH"),
         ("E_J = 1e-300 GHz", "E_J underflows to 0 in SI units, got 1e-300 GHz"),
         ("L_J = -inf nH", "L_J must be finite, got -inf nH"),
         ("N = 0", "N must be positive, got 0"),
@@ -102,6 +100,29 @@ def test_config_numbers_checked_as_typed(tmp_path, line, message, capsys):
     f.write_text(f"# checked as typed\n{line}\n")
     assert main(["linear", "--config", str(f), "--lr0", "0.3"]) == 2
     assert capsys.readouterr().err == f"error: {f}:2: {message}\n"
+
+
+def test_repeated_config_key_exits_2(tmp_path, capsys):
+    f = tmp_path / "c.cfg"
+    f.write_text("C_R0 = 2 fF\nC_R0 = 4 fF\n")
+    assert main(["linear", "--config", str(f), "--lr0", "0.3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {f}:2: C_R0 repeats line 1\n")
+
+
+def test_config_resonator_inductance_is_not_a_key(tmp_path, capsys):
+    """L_R0 is always the swept variable, so a config line setting it is an unknown key."""
+    f = tmp_path / "c.cfg"
+    f.write_text("# swept instead\nL_R0 = 0.45 nH\n")
+    assert main(["fluct", "--config", str(f), "--lr0", "0.3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {f}:2: unknown key 'L_R0'\n")
+
+
+@pytest.mark.parametrize("command", ["classical", "linear", "meanfield", "fluct", "ed"])
+def test_resonator_inductance_flag_is_rejected(command, capsys):
+    """Every circuit subcommand sweeps --lr0; a lone --L_R0 is a usage error, not a silent default grid."""
+    assert main([command, "--L_R0", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--L_R0" in err
 
 
 def test_infinite_junction_inductance_in_config_is_a_bare_branch(tmp_path, capsys):
@@ -183,6 +204,19 @@ def test_classical_note_on_stderr_without_out(capsys):
     captured = capsys.readouterr()
     assert "classical threshold" in captured.err
     assert "U_over_N_E_J" in captured.out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_classical_rejects_bare_lc_branch(source, tmp_path, capsys):
+    """Without a junction E_J = 0, the unit of classical's curves; it exits 2 before any row."""
+    if source == "flag":
+        argv, named = ["--L_J", "inf"], "--L_J inf"
+    else:
+        (tmp_path / "c.cfg").write_text("E_J = 0 GHz\n")
+        argv, named = ["--config", str(tmp_path / "c.cfg")], f"{tmp_path / 'c.cfg'}: E_J = 0"
+    assert main(["classical", "--lr0", "0.3", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}") and "units of E_J" in err
 
 
 def test_classical_rejects_bad_sampling():
@@ -304,7 +338,7 @@ def test_inductance_order_checked_in_nanohenry(tmp_path, argv, cfg, quoted, caps
         ("--C_J", "-24", "--C_J must be positive, got -24.0"),
         ("--C_R0", "0", "--C_R0 must be positive, got 0.0"),
         ("--L_g", "nan", "--L_g must be finite, got nan"),
-        ("--L_R0", "inf", "--L_R0 must be finite, got inf"),
+        ("--C_R0", "inf", "--C_R0 must be finite, got inf"),
         ("--C_J", "1e-320", "--C_J underflows to 0 in SI units, got 1e-320"),
     ],
 )

@@ -50,7 +50,7 @@ def linear(reference):
 
 def test_operator_shapes_and_structure(linear):
     ops = build_operators(linear, 7)
-    assert ops.M == 7 and ops.Z_a == linear.Z_a
+    assert ops.psi_op.shape == (7, 7) and ops.Z_a == linear.Z_a
     for a in (ops.psi_op, ops.rho_op, ops.cos_op, ops.sin_op):
         assert a.shape == (7, 7)
         assert not a.flags.writeable
@@ -381,14 +381,15 @@ def test_susceptibility_matches_level_oracle(reference):
 
 
 def test_response_is_flux_derivative(reference):
-    """chi of Branch.response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
+    """chi of Branch.thermal's response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
     b = branch(reference, 60)
+    psi_op = b.ops.psi_op
     for kT in h * np.array([0.0, 20.0, 200.0]) * GHZ:
-        _, _, chi = b.response(0.0, kT)
+        _, _, chi = b.thermal(0.0, kT, psi_op, response=psi_op)
         assert chi == pytest.approx(b.susceptibility(kT), rel=1e-12, abs=0.0)
         for phi in (0.05 * PHI0, 0.2 * PHI0):
-            F, psi, chi = b.response(phi, kT)
-            assert (F, (psi,)) == b.thermal(phi, kT, b.ops.psi_op)
+            F, (psi,), chi = b.thermal(phi, kT, psi_op, response=psi_op)
+            assert (F, (psi,)) == b.thermal(phi, kT, psi_op)
             dphi = 1e-4 * phi
             _, (up,) = b.thermal(phi + dphi, kT, b.ops.psi_op)
             _, (down,) = b.thermal(phi - dphi, kT, b.ops.psi_op)

@@ -64,7 +64,7 @@ class EdConfig:
     per_mode_cutoff : highest occupation of the photon and of any branch
                       level
     total_cutoff    : highest total occupation, photons plus branch levels
-    parity          : 0 for the even sector, 1 for the odd
+    parity          : 0 for the even sector, 1 for the odd; scan builds both whatever it says
     n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
                       a sector when called without k; scan, and with it
                       truncation_error_study, passes its own k

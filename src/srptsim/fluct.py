@@ -33,7 +33,7 @@ class RenormalizedParams:
                 quarter period
     omega_a_bar, g_bar : branch frequency and coupling rebuilt from the
                 averaged curvature
-    phi_th, psi_th : equilibrium fluxes the averages were taken at (weber)
+    phi_th    : resonator flux the averages were taken at (weber)
     cos_avg   : ground-state expectation of cos(2 pi psi / Phi0)
     """
 
@@ -41,27 +41,23 @@ class RenormalizedParams:
     omega_a_bar: float
     g_bar: float
     phi_th: float
-    psi_th: float
     cos_avg: float
 
 
-def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60) -> RenormalizedParams:
+def renormalize(params: CircuitParams, solution: MeanFieldSolution) -> RenormalizedParams:
     """Average the junction curvature in the equilibrium ground state.
 
-    Only defined at zero temperature. The branch flux is recomputed from
-    params and compared against solution.psi_th, so a solution obtained
-    for different parameters is rejected instead of silently reused.
+    Only defined at zero temperature, and taken on the branch truncation of
+    the solution, solution.M. A params whose circuit values differ from
+    solution.params (N aside, which mean field does not read) raises
+    ValueError, so a solution found for other values is never reused.
     """
     if solution.kT != 0.0:
         raise ValueError("renormalization uses ground-state averages; solve at kT = 0")
-    b = fock.branch(params, M)
-    _, (psi_check, cos_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.ops.cos_op)
-    slack = 1e-8 * max(abs(solution.psi_th), 1e-3 * PHI0)
-    if abs(psi_check - solution.psi_th) > slack:
-        raise ValueError(
-            "solution.psi_th does not match these circuit parameters; "
-            "the mean-field solution is stale"
-        )
+    if params.replace(N=None) != solution.params.replace(N=None):
+        raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
+    b = fock.branch(params, solution.M)
+    _, (cos_avg,) = b.thermal(solution.phi_th, 0.0, b.ops.cos_op)
     E_J_bar = params.E_J * cos_avg
     L_J_bar = circuit.josephson_inductance(E_J_bar)
     v = 1.0 / params.L_g - 1.0 / L_J_bar
@@ -70,25 +66,20 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution, M: int = 60)
     omega_a_bar = math.sqrt(v / params.C_J)
     Z_a_bar = math.sqrt(1.0 / (v * params.C_J))
     g_bar = math.sqrt(derive_linear(params).Z_c0 * Z_a_bar) / (2.0 * params.L_g)
-    return RenormalizedParams(
-        E_J_bar=E_J_bar,
-        omega_a_bar=omega_a_bar,
-        g_bar=g_bar,
-        phi_th=solution.phi_th,
-        psi_th=solution.psi_th,
-        cos_avg=cos_avg,
-    )
+    return RenormalizedParams(E_J_bar=E_J_bar, omega_a_bar=omega_a_bar, g_bar=g_bar,
+                              phi_th=solution.phi_th, cos_avg=cos_avg)
 
 
-def stationarity_check(params: CircuitParams, solution: MeanFieldSolution, M: int = 60):
+def stationarity_check(params: CircuitParams, solution: MeanFieldSolution):
     """Force balance at the equilibrium, returned as (photon, junction) residuals.
 
-    Both residuals are flux derivatives of the energy, in ampere. The
-    photon residual is the classical resonator balance; the junction one
-    averages the flux-periodic force in the equilibrium ground state.
+    Both residuals are flux derivatives of the energy, in ampere, at the
+    solution's truncation and temperature (solution.M, solution.kT). The photon
+    residual is the classical resonator balance; the junction one averages the
+    flux-periodic force in the equilibrium state, so it measures the truncation.
     """
-    b = fock.branch(params, M)
-    _, (psi, sin_avg) = b.thermal(solution.phi_th, 0.0, b.ops.psi_op, b.ops.sin_op)
+    b = fock.branch(params, solution.M)
+    _, (psi, sin_avg) = b.thermal(solution.phi_th, solution.kT, b.ops.psi_op, b.ops.sin_op)
     photon = (1.0 / params.L_R0 + 1.0 / params.L_g) * solution.phi_th - psi / params.L_g
     junction = (psi - solution.phi_th) / params.L_g - (TWO_PI / PHI0) * params.E_J * sin_avg
     return photon, junction
@@ -118,8 +109,11 @@ def zero_point_shift(
 
     Inductive energy stored in the displaced fluxes plus the change of the
     averaged junction energy: phi^2 / 2 L_R0 + (phi - psi)^2 / 2 L_g
-    + E_J (<cos> - 1).
+    + E_J (<cos> - 1). params must hold the circuit values of solution.params,
+    N aside, or ValueError is raised.
     """
+    if params.replace(N=None) != solution.params.replace(N=None):
+        raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
     if renorm.phi_th != solution.phi_th:
         raise ValueError("renorm was built from a different mean-field solution")
     phi, psi = solution.phi_th, solution.psi_th
@@ -154,8 +148,8 @@ class FluctScan:
 def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
     """Solve, renormalize and diagonalize the fluctuations at each L_R0.
 
-    The kT = 0 equilibria come from one :func:`meanfield.solve_sweep`, which
-    shares one certified phi scan across the sweep.
+    The kT = 0 equilibria come from one :func:`meanfield.solve_sweep` at
+    truncation M, which shares one certified phi scan across the sweep.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     rows, solutions = zip(*_scan_points(params, L_vals, M))
@@ -173,7 +167,7 @@ def _scan_points(params: CircuitParams, L_R0_values, M: int):
         raise ValueError("L_R0_values must be a non-empty 1d array")
     for L, sol in zip(L_vals, meanfield.solve_sweep(params, L_vals, 0.0, M=M)):
         p = params.replace(L_R0=float(L))
-        ren = renormalize(p, sol, M=M)
+        ren = renormalize(p, sol)
         der = derive_linear(p)
         w_plus, w_minus = fluctuation_spectrum(ren, der)
         g_crit = 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c)

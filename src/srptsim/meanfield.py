@@ -67,7 +67,8 @@ class MeanFieldSolution:
     phi_th, psi_th       : resonator and branch flux expectations (weber)
     alpha_over_sqrt_n    : photon amplitude per square-root branch,
                            phi_th / sqrt(2 hbar Z_c0)
-    kT                   : temperature, joule
+    params, M, kT        : the circuit, its column's L_R0 included, the branch
+                           truncation and the temperature (joule) it was found at
     action_per_atom    : free energy per branch at the minimum, joule
     superradiant         : True when phi_th > 0; exact even where phi_th,
                            below about 2e-6 Phi0, is not resolved
@@ -87,6 +88,8 @@ class MeanFieldSolution:
     phi_th: float
     psi_th: float
     alpha_over_sqrt_n: float
+    params: CircuitParams
+    M: int
     kT: float
     action_per_atom: float
     superradiant: bool
@@ -248,6 +251,8 @@ def _package(params, phi_th, kT, M, converged, n_evaluations):
         phi_th=phi_th,
         psi_th=psi if phi_th else 0.0,
         alpha_over_sqrt_n=phi_th / math.sqrt(2.0 * hbar * derive_linear(params).Z_c0),
+        params=params,
+        M=M,
         kT=kT,
         action_per_atom=_resonator_action(params, phi_th) + F,
         superradiant=phi_th > 0.0,

@@ -716,6 +716,24 @@ def test_validate_all_checks_pass(capsys):
     assert all(line.startswith("ok  ") for line in lines[:-1])
 
 
+def test_validate_reports_a_failing_check_and_exits_1(capsys, monkeypatch):
+    from srptsim import validate
+
+    def failing(rng):
+        validate._require(False, "forced failure")
+
+    monkeypatch.setitem(validate.CHECKS, "stationarity", failing)
+    assert len(validate.CHECKS) == 16
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "FAIL stationarity: RuntimeError: forced failure" in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert lines[-1] == "15/16 checks passed"
+    assert validate.run_checks(["vieta", "stationarity"])[1] == validate.CheckResult(
+        name="stationarity", passed=False, detail="RuntimeError: forced failure"
+    )
+
+
 def test_validate_only_selection(capsys):
     assert main(["validate", "--only", "vieta,gaussian-cosine"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import ed_product_oracle as product_oracle
 from srptsim import ed, fock
@@ -467,6 +468,32 @@ def test_lowest_eigenpairs_validation():
         ed.lowest_eigenpairs(C, 0)
     with pytest.raises(ValueError):
         ed.lowest_eigenpairs(C, 11)
+
+
+def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monkeypatch):
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference)
+    assert H.shape[0] >= ed._DENSE_FLOOR
+
+    def stalled(matrix, k, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((H.shape[0], 0)))
+
+    monkeypatch.setattr(ed, "eigsh", stalled)
+    with pytest.raises(ConvergenceError, match="Lanczos did not converge"):
+        ed.lowest_eigenpairs(H, 2)
+
+
+def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference)
+    assert H.shape[0] >= ed._DENSE_FLOOR
+    real_eigsh = ed.eigsh
+
+    def perturbed(matrix, k, **kwargs):
+        w, v = real_eigsh(matrix, k=k, **kwargs)
+        return w, v + 1e-3
+
+    monkeypatch.setattr(ed, "eigsh", perturbed)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        ed.lowest_eigenpairs(H, 2)
 
 
 def test_lowest_eigenpairs_deterministic(reference):

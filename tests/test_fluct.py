@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fluct_cusp
-from srptsim import fluct, meanfield
+from srptsim import fluct, fock, meanfield
 from srptsim.circuit import derive_linear
 from srptsim.constants import PHI0, h
 from srptsim.errors import ConvergenceError
@@ -41,7 +41,7 @@ def test_renormalize_reference_normal_phase(reference):
     assert 0.0 < ren.E_J_bar <= p.E_J
     # a softened cosine well stiffens the net quadratic restoring force
     assert ren.omega_a_bar > derive_linear(p).omega_a
-    assert ren.phi_th == 0.0 and ren.psi_th == 0.0
+    assert ren.phi_th == 0.0
 
 
 def test_renormalized_energy_bounded_along_sweep(reference):
@@ -65,12 +65,49 @@ def test_renormalize_requires_zero_temperature(reference):
 
 
 def test_renormalize_rejects_stale_solution(reference):
-    # equilibrium from one circuit, branch parameters from another; the
-    # recomputed branch flux exposes the mismatch
+    """Equilibrium from one circuit, parameters from another: the circuit the
+    solution records exposes the mismatch. A resonator value changes the
+    renormalized coupling and the shift as much as a junction value does."""
     p = reference.replace(L_R0=0.6e-9)
     sol = meanfield.solve(p, 0.0)
-    with pytest.raises(ValueError):
-        fluct.renormalize(p.replace(L_J=0.8e-9), sol)
+    ren = fluct.renormalize(p, sol)
+    for changes in ({"L_R0": 0.9e-9}, {"C_R0": 4e-15}, {"L_J": 0.8e-9}):
+        other = p.replace(**changes)
+        with pytest.raises(ValueError, match="mean-field solution was found for"):
+            fluct.zero_point_shift(other, sol, ren)
+        with pytest.raises(ValueError, match="mean-field solution was found for"):
+            fluct.renormalize(other, sol)
+
+
+def test_renormalize_reads_the_truncation_of_the_solution(reference):
+    p = reference.replace(L_R0=0.6e-9)
+    sol = meanfield.solve(p, 0.0, M=20)
+    ren = fluct.renormalize(p, sol)
+    b = fock.branch(p, 20)
+    _, (cos_avg,) = b.thermal(sol.phi_th, 0.0, b.ops.cos_op)
+    assert ren.cos_avg == cos_avg
+    # N does not enter mean field, so a params that differs only in N is the same circuit
+    assert fluct.renormalize(p.replace(N=3), sol) == ren
+
+
+def test_stationarity_at_a_thermal_solution(reference):
+    scale = PHI0 / reference.L_J
+    p = reference.replace(L_R0=0.6e-9)
+    sol = meanfield.solve(p, h * 30 * GHZ)
+    assert sol.superradiant
+    photon, junction = fluct.stationarity_check(p, sol)
+    assert abs(photon) < 1e-12 * scale
+    assert abs(junction) < 1e-12 * scale
+
+
+def test_stationarity_reads_the_truncation_of_the_solution(reference):
+    """At M = 12 the solution balances the photon equation exactly; the junction
+    equation then measures the truncation of the branch."""
+    scale = PHI0 / reference.L_J
+    p = reference.replace(L_R0=0.6e-9)
+    photon, junction = fluct.stationarity_check(p, meanfield.solve(p, 0.0, M=12))
+    assert abs(photon) < 1e-12 * scale
+    assert abs(junction) > 1e-4 * scale
 
 
 def test_stationarity_residuals_at_equilibrium(reference):

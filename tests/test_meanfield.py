@@ -568,6 +568,23 @@ def test_newton_safeguards():
     assert solve(lambda x: x - 0.5 - 1e-17, lambda x: 1.0, 0.25, 0.75) == (0.5, True, 3)
 
 
+@pytest.mark.parametrize("fractions", [(0.0, 1.5, 2.0, 2.5), (0.0, 0.2, 0.4, 0.6)], ids=["above", "below"])
+def test_refine_reports_a_bracket_without_a_root(reference, fractions):
+    """A best sample whose neighbours lie both above (or both below) the root is not converged.
+
+    f is crafted so that the action is lowest at sample 2; _refine reads f
+    only to pick that sample, then tests the residual at its neighbours.
+    """
+    p = reference.replace(L_R0=0.6e-9)
+    root = meanfield.solve(p, 0.0).phi_th
+    phi = root * np.array(fractions)
+    best_i = 2
+    f = -meanfield._resonator_action(p, phi) + (np.arange(phi.size) != best_i)
+    sol = meanfield._refine(p, 0.0, 60, phi, f, phi[-1], 0)
+    assert sol.converged is False
+    assert sol.phi_th == phi[best_i]
+
+
 def test_work_ceilings(reference):
     """The certified scan's evaluation counts with Newton roots.
 

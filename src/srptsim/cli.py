@@ -511,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "config file's N, else 1")
     p.add_argument("--compare-meanfield", action="store_true",
                    help="append thermodynamic-limit photon and shift columns; mean field "
-                        "uses the cosine potential, so the comparison is like-for-like "
-                        "only with --potential cosine")
+                        "uses the cosine potential, whose branch operator the --potential "
+                        "cosine sectors hold, so only that comparison is like-for-like")
     p.add_argument("--per-mode-cutoff", type=int, default=24)
     p.add_argument("--total-cutoff", type=int, default=48)
     p.add_argument("--k", type=int, default=6,

@@ -68,8 +68,8 @@ class EdConfig:
     n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
                       a sector when called without k; scan, and with it
                       truncation_error_study, passes its own k
-    quartic         : quartic branch potential when True, exact cosine
-                      block otherwise
+    quartic         : quartic branch potential when True, otherwise the
+                      cosine kernel's exact matrix on the branch levels
     max_dimension   : refuse to materialize symmetric sectors larger
                       than this
     seed            : seed of the deterministic Lanczos start vector,
@@ -212,13 +212,13 @@ def build_basis(config: EdConfig) -> BasisIndex:
 
 
 def _branch_terms(params: CircuitParams, R: int, quartic: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One branch on R levels, dense: its Hamiltonian atom, quartic in b + b^dag or the kernel's
-    cosine H_atom, and x = b + b^dag, the coupling's branch operator. The sectors embed both and
-    scan references delta_eps to atom's lowest eigenvalue."""
+    """One branch on R levels, dense: its Hamiltonian atom and x = b + b^dag, the coupling's branch
+    operator. atom is quartic in x, or the cosine one's exact matrix: the shared kernel on max(60, 2 R)
+    levels cut to R. The sectors embed both; scan references delta_eps to atom's lowest level."""
     ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
     x = ladder + ladder.T
     if not quartic:
-        return fock.branch(params, R).H_atom, x
+        return fock.branch(params, max(60, 2 * R)).H_atom[:R, :R], x
     derived = derive_linear(params)
     lam2 = (TWO_PI / PHI0) ** 2 * hbar * derived.Z_a / 2.0
     n = np.arange(R, dtype=float)
@@ -518,7 +518,7 @@ def truncation_error_study(
     where the two bases coincide.
     atom_levels sets the isolated-branch comparison dimension; it must be
     large enough that the n_levels-th branch transition has converged,
-    otherwise basis-edge error masquerades as model error.
+    otherwise truncation error masquerades as model error.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if n_levels < 2:

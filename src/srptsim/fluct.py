@@ -33,14 +33,14 @@ class RenormalizedParams:
                 quarter period
     omega_a_bar, g_bar : branch frequency and coupling rebuilt from the
                 averaged curvature
-    phi_th    : resonator flux the averages were taken at (weber)
+    solution  : the mean-field solution whose equilibrium was averaged
     cos_avg   : ground-state expectation of cos(2 pi psi / Phi0)
     """
 
     E_J_bar: float
     omega_a_bar: float
     g_bar: float
-    phi_th: float
+    solution: MeanFieldSolution
     cos_avg: float
 
 
@@ -67,7 +67,7 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution) -> Renormali
     Z_a_bar = math.sqrt(1.0 / (v * params.C_J))
     g_bar = math.sqrt(derive_linear(params).Z_c0 * Z_a_bar) / (2.0 * params.L_g)
     return RenormalizedParams(E_J_bar=E_J_bar, omega_a_bar=omega_a_bar, g_bar=g_bar,
-                              phi_th=solution.phi_th, cos_avg=cos_avg)
+                              solution=solution, cos_avg=cos_avg)
 
 
 def stationarity_check(params: CircuitParams, solution: MeanFieldSolution):
@@ -110,11 +110,11 @@ def zero_point_shift(
     Inductive energy stored in the displaced fluxes plus the change of the
     averaged junction energy: phi^2 / 2 L_R0 + (phi - psi)^2 / 2 L_g
     + E_J (<cos> - 1). params must hold the circuit values of solution.params,
-    N aside, or ValueError is raised.
+    N aside, and renorm must be averaged in solution, or ValueError is raised.
     """
     if params.replace(N=None) != solution.params.replace(N=None):
         raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
-    if renorm.phi_th != solution.phi_th:
+    if renorm.solution != solution:
         raise ValueError("renorm was built from a different mean-field solution")
     phi, psi = solution.phi_th, solution.psi_th
     return (

@@ -68,6 +68,13 @@ def quartic_block_oracle(params, levels):
     ) * quartic
 
 
+def cosine_block_oracle(params, levels):
+    """Dense per-branch cosine Hamiltonian on the lowest levels, cut from a from-scratch
+    240-level operator build: its truncation error sits in the rows near level 240."""
+    ops = fock.build_operators(derive_linear(params), 240)
+    return fock.atom_hamiltonian(ops, params)[:levels, :levels]
+
+
 def sector_dimension_by_branch_count(n_modes, per_mode_cutoff, total_cutoff, parity):
     """The symmetric sector count with one row per branch count j = 1..N.
 
@@ -276,12 +283,7 @@ def kron_sector_oracle(params, per_mode, parity, quartic, reference):
     """Full-product dense Hamiltonian cut to the N = 1 sector by row selection."""
     R = per_mode + 1
     d = derive_linear(params)
-    if quartic:
-        block = quartic_block_oracle(params, R)
-    else:
-        from srptsim import fock
-
-        block = fock.atom_hamiltonian(fock.build_operators(d, R), params)
+    block = (quartic_block_oracle if quartic else cosine_block_oracle)(params, R)
     ladder = np.diag(np.sqrt(np.arange(1.0, R)), k=1)
     q = ladder + ladder.T
     eye = np.eye(R)
@@ -356,17 +358,51 @@ def test_decoupled_spectrum_is_sum_of_mode_spectra(reference):
 
 
 def test_cosine_block_is_the_branch_kernel(reference, rng):
-    """The cosine block equals a from-scratch operator build, bit for bit."""
-    from srptsim import fock
-
+    """The cosine block holds the exact matrix elements on its levels: it equals the corner
+    of a from-scratch 240-level build, edge rows included."""
     circuits = [reference] + [
         reference.replace(L_J=reference.L_J * f1, L_g=reference.L_g * f2, C_J=reference.C_J * f3)
         for f1, f2, f3 in rng.uniform(0.97, 1.03, size=(2, 3))
     ]
     for params in circuits:
-        for per_mode in (8, 24):
-            oracle = fock.atom_hamiltonian(fock.build_operators(derive_linear(params), per_mode + 1), params)
-            assert np.array_equal(ed._branch_terms(params, per_mode + 1, False)[0], oracle)
+        for R in (9, 17, 25):
+            oracle = cosine_block_oracle(params, R)
+            block = ed._branch_terms(params, R, False)[0]
+            assert np.abs(block - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_cosine_ground_energy_never_rises_with_the_cutoffs(reference, n_atoms):
+    """Each cutoff step enlarges the sector and keeps the matrix elements it had, so the
+    cosine E_g is a Rayleigh-Ritz upper bound that falls towards its limit."""
+    L = np.array([0.30e-9, 0.45e-9])
+    E_g = np.array([
+        ed.scan(reference.replace(N=n_atoms), ed.EdConfig(n_atoms, K, T, quartic=False), L).E_g
+        for K, T in [(4, 8), (6, 12), (8, 16), (12, 24), (16, 32), (24, 48)]
+    ])
+    assert np.all(np.diff(E_g, axis=0) <= 1e-13 * np.abs(E_g[1:]))
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_cosine_without_junction_is_the_harmonic_ladder(reference, n_atoms):
+    """At E_J = 0 both potentials are the same harmonic branch, so the two scans agree."""
+    bare = reference.replace(L_J=math.inf, N=n_atoms)
+    L = np.array([0.30e-9])
+    quartic, cosine = (
+        ed.scan(bare, ed.EdConfig(n_atoms, 4, 8, quartic=q), L) for q in (True, False)
+    )
+    for field in ("E_g", "transition_even", "transition_odd"):
+        assert getattr(cosine, field) == pytest.approx(getattr(quartic, field), rel=1e-12, abs=0.0)
+
+
+def test_cosine_scan_reuses_the_mean_field_kernel(reference):
+    from srptsim import meanfield
+
+    fock._branch.cache_clear()
+    meanfield.solve(reference, 0.0)
+    misses = fock._branch.cache_info().misses
+    ed.scan(reference, ed.EdConfig(1, 8, 16, quartic=False), np.array([0.30e-9, 0.45e-9]))
+    assert fock._branch.cache_info().misses == misses
 
 
 def symmetrizer(sym_basis, prod_basis):

@@ -41,7 +41,7 @@ def test_renormalize_reference_normal_phase(reference):
     assert 0.0 < ren.E_J_bar <= p.E_J
     # a softened cosine well stiffens the net quadratic restoring force
     assert ren.omega_a_bar > derive_linear(p).omega_a
-    assert ren.phi_th == 0.0
+    assert ren.solution.phi_th == 0.0
 
 
 def test_renormalized_energy_bounded_along_sweep(reference):
@@ -77,6 +77,18 @@ def test_renormalize_rejects_stale_solution(reference):
             fluct.zero_point_shift(other, sol, ren)
         with pytest.raises(ValueError, match="mean-field solution was found for"):
             fluct.renormalize(other, sol)
+
+
+def test_zero_point_shift_rejects_a_renorm_from_another_solution(reference):
+    """Both normal-phase solutions sit at phi_th = 0, but the M = 6 average is another
+    truncation's; shifting the M = 60 equilibrium with it raises instead of returning it."""
+    p = reference.replace(L_R0=0.2e-9)
+    sol, coarse = meanfield.solve(p, 0.0), meanfield.solve(p, 0.0, M=6)
+    assert sol.phi_th == coarse.phi_th == 0.0
+    with pytest.raises(ValueError, match="different mean-field solution"):
+        fluct.zero_point_shift(p, sol, fluct.renormalize(p, coarse))
+    shift = fluct.zero_point_shift(p, sol, fluct.renormalize(p, sol))
+    assert shift / (h * GHZ) == pytest.approx(REF_DELTA_EPS_NORMAL, rel=1e-10)
 
 
 def test_renormalize_reads_the_truncation_of_the_solution(reference):

@@ -521,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", choices=("quartic", "cosine"), default="quartic")
     p.add_argument("--max-dim", type=int, default=400_000,
                    help="largest exchange-symmetric sector dimension to build")
-    p.add_argument("--seed", type=int, default=0, help="Lanczos start vector seed, a nonnegative integer")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Lanczos start vector at the first L_R0 of each parity sector; "
+                        "later points start from the point before. A nonnegative integer")
     p.add_argument("--dump-matrix", metavar="FILE",
                    help="write the exchange-symmetric even-sector matrix at the first L_R0 "
                         "in Matrix Market format")

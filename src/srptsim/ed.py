@@ -50,6 +50,10 @@ _DENSE_FLOOR = 24
 # Accepted eigenpair residual, relative to the Hamiltonian inf-norm.
 _RESIDUAL_RTOL = 1e-9
 
+# ARPACK's Ritz-bound tolerance on the unit-normalized copy: two orders
+# inside the residual gate, so Lanczos stops once the gate is safely met.
+_ARPACK_TOL = _RESIDUAL_RTOL * 1e-2
+
 
 @dataclass(frozen=True)
 class EdConfig:
@@ -72,8 +76,10 @@ class EdConfig:
                       cosine kernel's exact matrix on the branch levels
     max_dimension   : refuse to materialize symmetric sectors larger
                       than this
-    seed            : seed of the deterministic Lanczos start vector,
-                      a nonnegative integer
+    seed            : seed of the deterministic Lanczos start vector of
+                      each sector's first point, a nonnegative integer;
+                      scan starts every later point from the previous
+                      point's ground vector
     """
 
     n_atoms: int
@@ -344,12 +350,16 @@ def build_hamiltonian(config: EdConfig, params: CircuitParams) -> sp.csr_matrix:
     return hamiltonian_at(build_sector_model(params, config), params)
 
 
-def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
+def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
     Small sectors fall back to a dense solve; otherwise Lanczos runs from
-    a seeded start vector so repeated calls agree bit for bit. Every pair
-    must pass an inf-norm residual check or ConvergenceError is raised.
+    v0 when given, else from a seeded random vector, so repeated calls
+    agree bit for bit. ARPACK stops at _ARPACK_TOL, not at machine
+    precision, so the pairs depend on the start vector to about 1e-13
+    relative; a sweep that starts each point from the one before makes
+    each row depend on that point by as much. Every pair must pass an
+    inf-norm residual check or ConvergenceError is raised.
     """
     dim = matrix.shape[0]
     if k < 1:
@@ -365,9 +375,10 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0):
         # tolerance times max(eps^(2/3), |ritz|); entries of order 1e-21 J
         # sit far under that floor, so work on a unit-normalized copy.
         unit = scale or 1.0
-        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+        if v0 is None:
+            v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
         try:
-            w, v = eigsh(matrix / unit, k=k, which="SA", v0=v0)
+            w, v = eigsh(matrix / unit, k=k, which="SA", v0=v0, tol=_ARPACK_TOL)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
         w = w * unit
@@ -393,11 +404,13 @@ class SectorEigen:
     photon_number: float
 
 
-def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None) -> SectorEigen:
-    """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default."""
+def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None,
+                 v0: np.ndarray | None = None) -> SectorEigen:
+    """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default;
+    Lanczos starts from v0 when given, else from the vector config.seed draws."""
     H = hamiltonian_at(model, params)
     k = min(model.config.n_eigenvalues if k is None else k, H.shape[0])
-    w, v = lowest_eigenpairs(H, k, seed=model.config.seed)
+    w, v = lowest_eigenpairs(H, k, seed=model.config.seed, v0=v0)
     ground = v[:, 0]
     n_ph = float(np.sum(ground**2 * (model.photon_number - 0.5)))
     return SectorEigen(
@@ -431,11 +444,13 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     Both parity sectors are assembled once and solved at each L_R0 in
     turn, for only the eigenpairs the observables read: the two lowest
     even states and the lowest odd state, whatever config.n_eigenvalues
-    says. transition_even is the gap to the second even state,
-    transition_odd the gap to the lowest odd state, delta_eps the ground
-    energy per branch relative to the photon zero point plus the lowest
-    eigenvalue of the branch block the sectors embed, which makes it 0 to
-    rounding at zero coupling. The ground state must be even; an odd state
+    says. Lanczos starts each sector from its ground vector at the point
+    before, and from the config.seed vector only at the first point.
+    transition_even is the gap to the second even state, transition_odd
+    the gap to the lowest odd state, delta_eps the ground energy per
+    branch relative to the photon zero point plus the lowest eigenvalue
+    of the branch block the sectors embed, which makes it 0 to rounding
+    at zero coupling. The ground state must be even; an odd state
     below it means the truncation broke the parity structure and the point
     would be meaningless, so that raises ConvergenceError.
     """
@@ -458,10 +473,11 @@ def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
     even_model = build_sector_model(params, config.sector(0))
     odd_model = build_sector_model(params, config.sector(1))
     N = config.n_atoms
+    even = odd = None
     for L in L_vals:
         p = params.replace(L_R0=float(L))
-        even = solve_sector(even_model, p, k=2)
-        odd = solve_sector(odd_model, p, k=1)
+        even = solve_sector(even_model, p, k=2, v0=None if even is None else even.vectors[:, 0])
+        odd = solve_sector(odd_model, p, k=1, v0=None if odd is None else odd.vectors[:, 0])
         if odd.values[0] < even.values[0]:
             raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
         E_g = float(even.values[0])

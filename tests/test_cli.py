@@ -602,11 +602,11 @@ def _ed_solves(monkeypatch, on_even):
 
     real_solve, count = ed.solve_sector, []
 
-    def solve(model, params, k=None):
+    def solve(model, params, k=None, v0=None):
         if model.config.parity == 0:
             count.append(1)
             on_even(len(count))
-        return real_solve(model, params, k=k)
+        return real_solve(model, params, k=k, v0=v0)
 
     monkeypatch.setattr(ed, "solve_sector", solve)
 

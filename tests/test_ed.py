@@ -6,19 +6,22 @@ enumerated with itertools, Hamiltonians assembled with np.kron on the
 full product space and cut down to the sector by row selection. The
 second is the sparse product-basis assembly in ed_product_oracle, which
 holds every ordering of the branch levels; the symmetric sector must be
-its exact restriction to exchange-symmetric states.
+its exact restriction to exchange-symmetric states. A third, cold_scan,
+solves every point of a sweep the way scan once did, from the seeded
+random vector at machine precision, and stands behind scan's warm starts.
 """
 
 import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import ed_product_oracle as product_oracle
 from srptsim import ed, fock
@@ -549,8 +552,8 @@ def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
     """An odd sector below the even ground state fails the sweep instead of reporting."""
     real_solve = ed.solve_sector
 
-    def odd_sinks(model, params, k=None):
-        eig = real_solve(model, params, k=k)
+    def odd_sinks(model, params, k=None, v0=None):
+        eig = real_solve(model, params, k=k, v0=v0)
         if eig.parity == 1:
             # 1e-20 J is about 15 THz h, far below every level here
             eig = replace(eig, values=eig.values - 1e-20)
@@ -711,6 +714,103 @@ def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
     )
     # two inductances for each of the two potentials
     assert calls == [(41, 2), (40, 1)] * 4
+
+
+def cold_eigenpairs(matrix, k, seed):
+    """The solve every scan point once took: the dense fallback below the floor, otherwise
+    ARPACK at machine precision (tol=0) from the seeded random vector."""
+    dim = matrix.shape[0]
+    if dim < max(2 * k + 2, ed._DENSE_FLOOR):
+        w, v = np.linalg.eigh(matrix.toarray())
+        return w[:k], v[:, :k]
+    unit = np.abs(matrix).sum(axis=1).max()
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+    w, v = eigsh(matrix / unit, k=k, which="SA", v0=v0, tol=0)
+    order = np.argsort(w)
+    return w[order] * unit, v[:, order]
+
+
+def cold_sector(model, params, k):
+    """One sector solved cold, with the fields product_oracle.observables reads."""
+    w, v = cold_eigenpairs(ed.hamiltonian_at(model, params), k, model.config.seed)
+    photons = float(v[:, 0] ** 2 @ (model.photon_number - 0.5))
+    return SimpleNamespace(dim=model.basis.dim, values=w, photon_number=photons)
+
+
+def cold_scan(params, config, L_R0_values):
+    """ed.scan with every point of every sector solved cold, one observables point each."""
+    models = [ed.build_sector_model(params, config.sector(parity)) for parity in (0, 1)]
+    results = []
+    for L in L_R0_values:
+        p = params.replace(L_R0=float(L))
+        even, odd = (cold_sector(model, p, k) for model, k in zip(models, (2, 1)))
+        results.append(product_oracle.observables(config, p, even, odd))
+    return results
+
+
+@pytest.mark.parametrize(
+    "n_atoms, per_mode, total, L_nH",
+    [
+        (1, 24, 48, (0.40, 0.44, 0.48, 0.53, 0.60, 0.70)),
+        (2, 12, 24, (0.38, 0.42, 0.46, 0.50, 0.52, 0.60)),
+    ],
+)
+def test_warm_scan_matches_cold_oracle(reference, n_atoms, per_mode, total, L_nH):
+    """Warm starts and ARPACK's stopping tolerance move no row off the cold solve.
+
+    The points straddle each gap dip and reach into the superradiant side.
+    """
+    params = reference.replace(N=n_atoms)
+    config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total)
+    L_vals = np.array(L_nH) * 1e-9
+    fast = ed.scan(params, config, L_vals)
+    for i, slow in enumerate(cold_scan(params, config, L_vals)):
+        assert (fast.dim_even, fast.dim_odd) == (slow.dim_even, slow.dim_odd)
+        assert_same_observables(fast, i, slow, n_atoms)
+
+
+@pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 24, 48), (2, 12, 24)])
+def test_scan_starts_each_sector_from_its_previous_ground_vector(reference, monkeypatch, n_atoms, per_mode, total):
+    """Only a sector's first point starts from the seeded vector; every later point starts from
+    the ground vector the same sector returned at the point before, and every call stops at
+    the tolerance derived from the residual gate."""
+    calls = []
+    real_eigsh = ed.eigsh
+
+    def spy(matrix, k, v0, **kwargs):
+        w, v = real_eigsh(matrix, k=k, v0=v0, **kwargs)
+        calls.append((v0.copy(), kwargs["tol"], v[:, np.argmin(w)]))
+        return w, v
+
+    monkeypatch.setattr(ed, "eigsh", spy)
+    config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, seed=5)
+    ed.scan(reference.replace(N=n_atoms), config, np.array([0.40e-9, 0.46e-9, 0.52e-9, 0.60e-9]))
+    assert len(calls) == 8
+    for parity in (0, 1):
+        sector = calls[parity::2]
+        dim = ed.build_basis(config.sector(parity)).dim
+        assert np.array_equal(sector[0][0], np.random.default_rng(5).uniform(-1.0, 1.0, size=dim))
+        for (_, _, previous), (v0, _, _) in zip(sector, sector[1:]):
+            assert np.array_equal(v0, previous)
+    assert {tol for _, tol, _ in calls} == {ed._RESIDUAL_RTOL * 1e-2}
+
+
+@pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 24, 48), (2, 12, 24)])
+def test_scan_repeating_and_revisiting_points(reference, n_atoms, per_mode, total):
+    """A point whose start is already its own ground vector still converges, equal inputs
+    give equal rows, and the same sweep run twice is reproduced bit for bit."""
+    params = reference.replace(N=n_atoms)
+    config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total)
+    L_vals = np.array([0.45, 0.45, 0.45, 0.30, 0.60, 0.30]) * 1e-9
+    res = ed.scan(params, config, L_vals)
+    fields = ("E_g", "photon_number_per_atom", "transition_even", "transition_odd", "delta_eps")
+    for i, j in ((0, 1), (0, 2), (3, 5)):
+        for name in fields:
+            value = getattr(res, name)
+            assert value[j] == pytest.approx(value[i], rel=1e-12), (name, i, j)
+    again = ed.scan(params, config, L_vals)
+    for name in fields:
+        assert np.array_equal(getattr(res, name), getattr(again, name)), name
 
 
 def test_scan_cutoff_convergence_deep_normal(reference):

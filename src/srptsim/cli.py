@@ -411,7 +411,7 @@ def cmd_ed(args) -> int:
         for config in configs:
             params = base.replace(N=config.n_atoms)
             if args.dump_matrix and config is configs[0]:
-                H = ed.build_hamiltonian(config.sector(0), params.replace(L_R0=float(L_vals[0])))
+                H = ed.build_hamiltonian(config, params.replace(L_R0=float(L_vals[0])), 0)
                 written = ed.export_matrix(args.dump_matrix, H)
                 print(f"even-sector Hamiltonian at L_R0 = {L_vals[0] / 1e-9:.6g} nH written to {written}",
                       file=sys.stderr)

@@ -32,7 +32,7 @@ quartic form.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,15 +60,14 @@ class EdConfig:
     """Sector definition for the finite-N diagonalization.
 
     The sector is the exchange-symmetric one, cut by the two cutoffs and
-    the total-excitation parity; its spectrum is the part of the
-    product-basis spectrum at the same cutoffs that is symmetric under
-    branch permutations.
+    the total-excitation parity that each builder takes as an argument;
+    its spectrum is the part of the product-basis spectrum at the same
+    cutoffs that is symmetric under branch permutations.
 
     n_atoms         : number of junction branches N
     per_mode_cutoff : highest occupation of the photon and of any branch
                       level
     total_cutoff    : highest total occupation, photons plus branch levels
-    parity          : 0 for the even sector, 1 for the odd; scan builds both whatever it says
     n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
                       a sector when called without k; scan, and with it
                       truncation_error_study, passes its own k
@@ -85,7 +84,6 @@ class EdConfig:
     n_atoms: int
     per_mode_cutoff: int = 24
     total_cutoff: int = 48
-    parity: int = 0
     n_eigenvalues: int = 6
     quartic: bool = True
     max_dimension: int = 400_000
@@ -107,13 +105,8 @@ class EdConfig:
             raise ConfigError(
                 f"per_mode_cutoff {self.per_mode_cutoff} exceeds total_cutoff {self.total_cutoff}"
             )
-        if isinstance(self.parity, bool) or not isinstance(self.parity, int) or self.parity not in (0, 1):
-            raise ConfigError(f"parity must be 0 or 1, got {self.parity!r}")
         if not isinstance(self.quartic, bool):
             raise ConfigError(f"quartic must be True or False, got {self.quartic!r}")
-
-    def sector(self, parity: int) -> "EdConfig":
-        return replace(self, parity=parity)
 
 
 def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int, parity: int) -> int:
@@ -166,14 +159,16 @@ class BasisIndex:
         return self.keys.size
 
 
-def build_basis(config: EdConfig) -> BasisIndex:
+def build_basis(config: EdConfig, parity: int) -> BasisIndex:
     """Enumerate the symmetric parity sector, guarded by config.max_dimension.
 
     The branch occupations are expanded level by level from the top down,
-    then paired with every photon number that fits the cutoff and parity.
+    then paired with every photon number that fits the cutoff and parity (0 even, 1 odd).
     """
+    if isinstance(parity, bool) or not isinstance(parity, int) or parity not in (0, 1):
+        raise ConfigError(f"parity must be 0 or 1, got {parity!r}")
     N, top, total = config.n_atoms, config.per_mode_cutoff, config.total_cutoff
-    dim = count_sector_dimension(N + 1, top, total, config.parity)
+    dim = count_sector_dimension(N + 1, top, total, parity)
     if dim > config.max_dimension:
         raise ConfigError(
             f"sector dimension {dim} exceeds max_dimension = {config.max_dimension}; "
@@ -202,7 +197,7 @@ def build_basis(config: EdConfig) -> BasisIndex:
     branches = np.concatenate([(N - used)[:, None], levels[:, ::-1]], axis=1, dtype=np.int32)
     # the photon is the most significant column, so photon-major order is key order
     quanta = np.arange(top + 1)[:, None] + energy
-    photon, part = np.nonzero((quanta <= total) & (quanta % 2 == config.parity))
+    photon, part = np.nonzero((quanta <= total) & (quanta % 2 == parity))
     keys = photon * powers[0] + (branches @ powers[1:])[part]
     occ = np.concatenate([photon[:, None], branches[part]], axis=1, dtype=np.int32)
     occ.setflags(write=False)
@@ -211,7 +206,7 @@ def build_basis(config: EdConfig) -> BasisIndex:
         occupations=occ,
         per_mode_cutoff=top,
         total_cutoff=total,
-        parity=config.parity,
+        parity=parity,
         keys=keys,
         radix_powers=powers,
     )
@@ -316,10 +311,10 @@ class SectorModel:
     atom_key: tuple
 
 
-def build_sector_model(params: CircuitParams, config: EdConfig) -> SectorModel:
+def build_sector_model(params: CircuitParams, config: EdConfig, parity: int) -> SectorModel:
     if params.N not in (None, config.n_atoms):
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {config.n_atoms}")
-    basis = build_basis(config)
+    basis = build_basis(config, parity)
     atom, x = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
@@ -345,9 +340,9 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
     return H.tocsr()
 
 
-def build_hamiltonian(config: EdConfig, params: CircuitParams) -> sp.csr_matrix:
+def build_hamiltonian(config: EdConfig, params: CircuitParams, parity: int) -> sp.csr_matrix:
     """One-shot sector Hamiltonian; prefer build_sector_model for sweeps."""
-    return hamiltonian_at(build_sector_model(params, config), params)
+    return hamiltonian_at(build_sector_model(params, config, parity), params)
 
 
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
@@ -414,7 +409,7 @@ def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None
     ground = v[:, 0]
     n_ph = float(np.sum(ground**2 * (model.photon_number - 0.5)))
     return SectorEigen(
-        parity=model.config.parity,
+        parity=model.basis.parity,
         dim=H.shape[0],
         values=w,
         vectors=v,
@@ -470,8 +465,8 @@ def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
         raise ValueError("L_R0_values must be a non-empty 1d array")
     atom, _ = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
     eps_a0 = float(np.linalg.eigvalsh(atom)[0])
-    even_model = build_sector_model(params, config.sector(0))
-    odd_model = build_sector_model(params, config.sector(1))
+    even_model = build_sector_model(params, config, 0)
+    odd_model = build_sector_model(params, config, 1)
     N = config.n_atoms
     even = odd = None
     for L in L_vals:

@@ -160,7 +160,7 @@ def _check_dense_vs_sparse(rng):
     from . import ed  # scipy loads with the first ED check
     p = reference_params()
     config = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=6)
-    H = ed.build_hamiltonian(config, p)
+    H = ed.build_hamiltonian(config, p, 0)
     w_sparse, _ = ed.lowest_eigenpairs(H, 6, seed=int(rng.integers(2**31)))
     w_dense = np.linalg.eigvalsh(H.toarray())[:6]
     dev = np.abs(w_sparse - w_dense).max() / np.abs(w_dense).max()
@@ -172,7 +172,7 @@ def _check_ed_vacuum_diagonal(rng):
     from . import ed
     p = reference_params()
     config = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=12)
-    model = ed.build_sector_model(p, config)
+    model = ed.build_sector_model(p, config, 0)
     H = ed.hamiltonian_at(model, p)
     derived = derive_linear(p)
     lam2 = (2.0 * math.pi / PHI0) ** 2 * hbar * derived.Z_a / 2.0
@@ -189,10 +189,11 @@ def _check_ed_symmetry(rng):
     from . import ed
     p = reference_params()
     for quartic in (True, False):
-        config = ed.EdConfig(n_atoms=2, per_mode_cutoff=8, total_cutoff=12, quartic=quartic, parity=1)
-        H = ed.build_hamiltonian(config, p)
-        asym = (H - H.T).nnz
-        _require(asym == 0, f"Hamiltonian has {asym} asymmetric entries (quartic={quartic})")
+        config = ed.EdConfig(n_atoms=2, per_mode_cutoff=8, total_cutoff=12, quartic=quartic)
+        for parity in (0, 1):
+            H = ed.build_hamiltonian(config, p, parity)
+            asym = (H - H.T).nnz
+            _require(asym == 0, f"Hamiltonian has {asym} asymmetric entries (quartic={quartic}, parity={parity})")
     return "both branch potentials give exactly symmetric sector matrices"
 
 

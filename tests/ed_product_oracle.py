@@ -38,10 +38,10 @@ def count_sector_dimension(n_modes: int, per_mode_cutoff: int, total_cutoff: int
     return int(counts[parity::2].sum())
 
 
-def build_basis(config: ed.EdConfig) -> ed.BasisIndex:
+def build_basis(config: ed.EdConfig, parity: int) -> ed.BasisIndex:
     """Enumerate the parity sector, guarded by config.max_dimension."""
     n_modes = config.n_atoms + 1
-    dim = count_sector_dimension(n_modes, config.per_mode_cutoff, config.total_cutoff, config.parity)
+    dim = count_sector_dimension(n_modes, config.per_mode_cutoff, config.total_cutoff, parity)
     if dim == 0:
         raise ConfigError("sector is empty for these cutoffs")
     if dim > config.max_dimension:
@@ -59,7 +59,7 @@ def build_basis(config: ed.EdConfig) -> ed.BasisIndex:
         k = np.arange(counts.sum()) - starts
         occ = np.concatenate([occ[rows], k[:, None].astype(np.int32)], axis=1)
         sums = sums[rows] + k
-    keep = (sums % 2) == config.parity
+    keep = (sums % 2) == parity
     occ = occ[keep]
     radix = np.int64(config.per_mode_cutoff + 1)
     powers = radix ** np.arange(n_modes - 1, -1, -1, dtype=np.int64)
@@ -70,7 +70,7 @@ def build_basis(config: ed.EdConfig) -> ed.BasisIndex:
         occupations=occ,
         per_mode_cutoff=config.per_mode_cutoff,
         total_cutoff=config.total_cutoff,
-        parity=config.parity,
+        parity=parity,
         keys=keys,
         radix_powers=powers,
     )
@@ -171,9 +171,9 @@ def reference_energy(params, config: ed.EdConfig) -> float:
     return float(np.linalg.eigvalsh(branch_block(params, config))[0])
 
 
-def build_sector_model(params, config: ed.EdConfig) -> ed.SectorModel:
+def build_sector_model(params, config: ed.EdConfig, parity: int) -> ed.SectorModel:
     """ed.build_sector_model on the product basis."""
-    basis = build_basis(config)
+    basis = build_basis(config, parity)
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
     return ed.SectorModel(
@@ -208,8 +208,8 @@ def observables(config: ed.EdConfig, params, even: ed.SectorEigen, odd: ed.Secto
 
 def scan(params, config: ed.EdConfig, L_R0_values) -> list:
     """ed.scan on the product basis: one observables point per inductance."""
-    even_model = build_sector_model(params, config.sector(0))
-    odd_model = build_sector_model(params, config.sector(1))
+    even_model = build_sector_model(params, config, 0)
+    odd_model = build_sector_model(params, config, 1)
     eps_a0 = reference_energy(params, config)
     results = []
     for L in L_R0_values:

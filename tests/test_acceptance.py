@@ -296,9 +296,9 @@ def test_criterion_09_oracle_equivalence(reference, capsys):
     worst_eig = 0.0
     for parity in (0, 1):
         cfg = ed.EdConfig(
-            n_atoms=1, per_mode_cutoff=8, total_cutoff=16, parity=parity, n_eigenvalues=6
+            n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=6
         )
-        H = ed.build_hamiltonian(cfg, reference)
+        H = ed.build_hamiltonian(cfg, reference, parity)
         w_sparse, _ = ed.lowest_eigenpairs(H, 6, seed=0)
         w_dense = np.linalg.eigvalsh(H.toarray())[:6]
         worst_eig = max(worst_eig, float(np.abs((w_sparse - w_dense) / w_dense).max()))

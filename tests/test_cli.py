@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import pytest
-from scipy.io import mmread
+from scipy.io import mminfo, mmread
 
 from srptsim import fock, meanfield
 from srptsim.circuit import derive_linear, polariton_frequencies
@@ -521,9 +521,13 @@ def test_ed_dump_matrix(tmp_path, capsys):
     rc = main(["ed", "--lr0", "0.45", "--per-mode-cutoff", "4", "--total-cutoff", "8",
                "--k", "2", "--dump-matrix", str(target)])
     assert rc == 0
-    assert "written to" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "written to" in captured.err
     H = mmread(str(target) + ".mtx")
     assert H.shape[0] == H.shape[1] > 0
+    # the written matrix is the even sector of the first row
+    rows, cols, *_ = mminfo(str(target) + ".mtx")
+    assert rows == cols == int(next(csv.DictReader(io.StringIO(captured.out)))["dim_even"])
 
 
 def test_ed_dump_matrix_to_missing_directory_exits_2(tmp_path, capsys):
@@ -603,7 +607,7 @@ def _ed_solves(monkeypatch, on_even):
     real_solve, count = ed.solve_sector, []
 
     def solve(model, params, k=None, v0=None):
-        if model.config.parity == 0:
+        if model.basis.parity == 0:
             count.append(1)
             on_even(len(count))
         return real_solve(model, params, k=k, v0=v0)

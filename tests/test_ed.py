@@ -110,14 +110,14 @@ def test_basis_matches_brute_force_enumeration():
         (3, 3, 5, 0),
         (4, 3, 7, 1),
     ):
-        cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, parity=parity)
+        cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total)
         product = brute_force_sector(n_atoms + 1, per_mode, total, parity)
-        oracle = product_oracle.build_basis(cfg)
+        oracle = product_oracle.build_basis(cfg, parity)
         assert oracle.dim == len(product)
         assert sorted(map(tuple, oracle.occupations.tolist())) == product
         assert oracle.dim == product_oracle.count_sector_dimension(n_atoms + 1, per_mode, total, parity)
 
-        basis = ed.build_basis(cfg)
+        basis = ed.build_basis(cfg, parity)
         # one representative per symmetric state: branch levels nondecreasing
         expected = [occ for occ in product if list(occ[1:]) == sorted(occ[1:])]
         assert basis.dim == len(expected)
@@ -128,8 +128,8 @@ def test_basis_matches_brute_force_enumeration():
 
 def test_basis_hand_enumeration():
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=2, total_cutoff=2)
-    even = ed.build_basis(cfg.sector(0))
-    odd = ed.build_basis(cfg.sector(1))
+    even = ed.build_basis(cfg, 0)
+    odd = ed.build_basis(cfg, 1)
     assert sorted(level_tuples(even.occupations)) == [(0, 0), (0, 2), (1, 1), (2, 0)]
     assert sorted(level_tuples(odd.occupations)) == [(0, 1), (1, 0)]
 
@@ -180,7 +180,7 @@ def test_reference_sector_dimensions():
 
 def test_index_of_round_trip_and_rejection():
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6)
-    basis = ed.build_basis(cfg)
+    basis = ed.build_basis(cfg, 0)
     pos, valid = index_of(basis, basis.occupations)
     assert valid.all()
     assert np.array_equal(pos, np.arange(basis.dim))
@@ -200,7 +200,7 @@ def test_sector_width_and_dimension_do_not_grow_with_n(parity, dim):
     """At 12/16 every N from 16 on has the same sector, R + 1 columns wide."""
     for n_atoms in (16, 17, 64, 1024):
         basis = ed.build_basis(
-            ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=12, total_cutoff=16, parity=parity)
+            ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=12, total_cutoff=16), parity
         )
         assert basis.dim == dim == ed.count_sector_dimension(n_atoms + 1, 12, 16, parity)
         assert basis.occupations.shape == (dim, 14)
@@ -219,13 +219,13 @@ def test_sector_count_matches_branch_count_oracle():
         dim = ed.count_sector_dimension(1025, 12, 16, parity)
         assert dim == sector_dimension_by_branch_count(1025, 12, 16, parity)
         assert dim == ed.build_basis(
-            ed.EdConfig(n_atoms=1024, per_mode_cutoff=12, total_cutoff=16, parity=parity)
+            ed.EdConfig(n_atoms=1024, per_mode_cutoff=12, total_cutoff=16), parity
         ).dim
 
 
 def test_many_atoms_at_tight_cutoffs(reference):
     """N = 40 at 2/2: the vacuum couples to one photon plus one lifted branch with sqrt(N)."""
-    model = ed.build_sector_model(reference, ed.EdConfig(n_atoms=40, per_mode_cutoff=2, total_cutoff=2))
+    model = ed.build_sector_model(reference, ed.EdConfig(n_atoms=40, per_mode_cutoff=2, total_cutoff=2), 0)
     assert model.basis.dim == ed.count_sector_dimension(41, 2, 2, 0) == 5
     (vac, one), valid = index_of(model.basis, [[0, 40, 0, 0], [1, 39, 1, 0]])
     assert valid.all()
@@ -242,7 +242,7 @@ def test_key_overflow_is_refused_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(np, "repeat", no_enumeration)
     with pytest.raises(ConfigError, match="overflow"):
-        ed.build_basis(cfg)
+        ed.build_basis(cfg, 0)
 
 
 def test_config_validation():
@@ -252,8 +252,6 @@ def test_config_validation():
         ed.EdConfig(n_atoms=1, per_mode_cutoff=1)
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=1, per_mode_cutoff=16, total_cutoff=8)
-    with pytest.raises(ConfigError):
-        ed.EdConfig(n_atoms=1, parity=2)
     # a truthy string would build the quartic model, a falsy 0 the cosine block
     for quartic in ("no", 0):
         with pytest.raises(ConfigError):
@@ -261,7 +259,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ed.EdConfig(n_atoms=1, n_eigenvalues=0)
     # bools are not counts, and a seed or size must be a whole number
-    for field in ("n_atoms", "per_mode_cutoff", "total_cutoff", "parity", "n_eigenvalues",
+    for field in ("n_atoms", "per_mode_cutoff", "total_cutoff", "n_eigenvalues",
                   "max_dimension", "seed"):
         with pytest.raises(ConfigError):
             ed.EdConfig(**{"n_atoms": 1, field: True})
@@ -273,10 +271,20 @@ def test_config_validation():
         ed.EdConfig(n_atoms=1, seed=1.0)
 
 
+def test_parity_is_a_checked_builder_argument():
+    """The sector's parity is passed to the builders, not set on the config; a bool is not a parity."""
+    cfg = ed.EdConfig(n_atoms=1)
+    for parity in (2, -1, True, "0"):
+        with pytest.raises(ConfigError, match="parity"):
+            ed.build_basis(cfg, parity)
+    with pytest.raises(TypeError):
+        ed.EdConfig(n_atoms=1, parity=0)
+
+
 def test_max_dimension_guard():
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=24, total_cutoff=48, max_dimension=100)
     with pytest.raises(ConfigError):
-        ed.build_basis(cfg)
+        ed.build_basis(cfg, 0)
 
 
 # --- Hamiltonian assembly ---------------------------------------------------
@@ -305,9 +313,9 @@ def kron_sector_oracle(params, per_mode, parity, quartic, reference):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_sparse_matches_dense_kron_oracle(reference, quartic, parity):
     cfg = ed.EdConfig(
-        n_atoms=1, per_mode_cutoff=8, total_cutoff=8, parity=parity, quartic=quartic
+        n_atoms=1, per_mode_cutoff=8, total_cutoff=8, quartic=quartic
     )
-    H = ed.build_hamiltonian(cfg, reference)
+    H = ed.build_hamiltonian(cfg, reference, parity)
     H_dense = kron_sector_oracle(reference, 8, parity, quartic, reference)
     w_sparse = np.linalg.eigvalsh(H.toarray())
     w_dense = np.linalg.eigvalsh(H_dense)
@@ -317,7 +325,7 @@ def test_sparse_matches_dense_kron_oracle(reference, quartic, parity):
 
 def test_hamiltonian_exactly_symmetric(reference):
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=10)
-    H = ed.build_hamiltonian(cfg, reference)
+    H = ed.build_hamiltonian(cfg, reference, 0)
     assert (H - H.T).nnz == 0
 
 
@@ -327,8 +335,8 @@ def test_vacuum_diagonal_closed_form(reference):
     lam_sq = (TWO_PI / PHI0) ** 2 * hbar * d.Z_a / 2.0
     for n_atoms in (1, 2, 64, 1024):
         cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=6, total_cutoff=8)
-        H = ed.build_hamiltonian(cfg, reference)
-        basis = ed.build_basis(cfg)
+        H = ed.build_hamiltonian(cfg, reference, 0)
+        basis = ed.build_basis(cfg, 0)
         pos, valid = index_of(basis, [[0, n_atoms] + [0] * 6])
         assert valid.all()
         expected = hbar * d.omega_c / 2.0 + n_atoms * (
@@ -344,8 +352,8 @@ def test_decoupled_spectrum_is_sum_of_mode_spectra(reference):
     each eigenvalue is a resonator level plus a branch eigenvalue with
     compatible parity.
     """
-    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=6, total_cutoff=12, parity=0)
-    model = ed.build_sector_model(reference, cfg)
+    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=6, total_cutoff=12)
+    model = ed.build_sector_model(reference, cfg, 0)
     d = derive_linear(reference)
     H0 = sp.diags(hbar * d.omega_c * model.photon_number) + model.atom_static
     w_sector = np.linalg.eigvalsh(H0.toarray())
@@ -434,10 +442,10 @@ def test_symmetric_sector_is_restriction_of_product_basis(reference, n_atoms, pe
     """P^T H_product P equals the symmetric H in every matrix element."""
     params = reference.replace(N=n_atoms)
     cfg = ed.EdConfig(
-        n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, parity=parity, quartic=quartic
+        n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, quartic=quartic
     )
-    sym = ed.build_sector_model(params, cfg)
-    prod = product_oracle.build_sector_model(params, cfg)
+    sym = ed.build_sector_model(params, cfg, parity)
+    prod = product_oracle.build_sector_model(params, cfg, parity)
     assert sym.basis.dim < prod.basis.dim
     P = symmetrizer(sym.basis, prod.basis)
     assert abs(P.T @ P - sp.identity(sym.basis.dim)).max() < 1e-15
@@ -453,10 +461,10 @@ def test_atom_count_must_agree_with_params(reference):
     """N comes from the config; a params.N that says otherwise is an error, not ignored."""
     cfg = ed.EdConfig(n_atoms=3, per_mode_cutoff=4, total_cutoff=4)
     with pytest.raises(ValueError):
-        ed.build_sector_model(reference.replace(N=2), cfg)
+        ed.build_sector_model(reference.replace(N=2), cfg, 0)
     with pytest.raises(ValueError):
         ed.scan(reference.replace(N=2), cfg, np.array([0.45e-9]))
-    model = ed.build_sector_model(reference.replace(N=3), cfg)
+    model = ed.build_sector_model(reference.replace(N=3), cfg, 0)
     ed.hamiltonian_at(model, reference)
     with pytest.raises(ValueError):
         ed.hamiltonian_at(model, reference.replace(N=2))
@@ -464,7 +472,7 @@ def test_atom_count_must_agree_with_params(reference):
 
 def test_sector_model_rejects_foreign_branch_parameters(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
-    model = ed.build_sector_model(reference, cfg)
+    model = ed.build_sector_model(reference, cfg, 0)
     # resonator sweeps are fine, junction changes are not
     ed.hamiltonian_at(model, reference.replace(L_R0=0.3e-9))
     with pytest.raises(ValueError):
@@ -510,7 +518,7 @@ def test_lowest_eigenpairs_validation():
 
 
 def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monkeypatch):
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference)
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference, 0)
     assert H.shape[0] >= ed._DENSE_FLOOR
 
     def stalled(matrix, k, **kwargs):
@@ -522,7 +530,7 @@ def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monk
 
 
 def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference)
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference, 0)
     assert H.shape[0] >= ed._DENSE_FLOOR
     real_eigsh = ed.eigsh
 
@@ -537,7 +545,7 @@ def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
 
 def test_lowest_eigenpairs_deterministic(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=10, total_cutoff=20)
-    H = ed.build_hamiltonian(cfg, reference)
+    H = ed.build_hamiltonian(cfg, reference, 0)
     w1, v1 = ed.lowest_eigenpairs(H, 4, seed=11)
     w2, v2 = ed.lowest_eigenpairs(H, 4, seed=11)
     assert np.array_equal(w1, w2)
@@ -629,8 +637,8 @@ def assert_same_observables(fast, i, slow, n_atoms):
 
 def scan_oracle(params, config, L_R0_values):
     """Every sector solved at config.n_eigenvalues, then combined: the old scan."""
-    even_model = ed.build_sector_model(params, config.sector(0))
-    odd_model = ed.build_sector_model(params, config.sector(1))
+    even_model = ed.build_sector_model(params, config, 0)
+    odd_model = ed.build_sector_model(params, config, 1)
     results = []
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))
@@ -703,7 +711,7 @@ def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
 
     for n_eigenvalues in (6, 3):
         calls.clear()
-        model = ed.build_sector_model(reference, replace(cfg, n_eigenvalues=n_eigenvalues))
+        model = ed.build_sector_model(reference, replace(cfg, n_eigenvalues=n_eigenvalues), 0)
         ed.solve_sector(model, reference)
         assert calls == [(41, n_eigenvalues)]
 
@@ -739,7 +747,7 @@ def cold_sector(model, params, k):
 
 def cold_scan(params, config, L_R0_values):
     """ed.scan with every point of every sector solved cold, one observables point each."""
-    models = [ed.build_sector_model(params, config.sector(parity)) for parity in (0, 1)]
+    models = [ed.build_sector_model(params, config, parity) for parity in (0, 1)]
     results = []
     for L in L_R0_values:
         p = params.replace(L_R0=float(L))
@@ -788,7 +796,7 @@ def test_scan_starts_each_sector_from_its_previous_ground_vector(reference, monk
     assert len(calls) == 8
     for parity in (0, 1):
         sector = calls[parity::2]
-        dim = ed.build_basis(config.sector(parity)).dim
+        dim = ed.build_basis(config, parity).dim
         assert np.array_equal(sector[0][0], np.random.default_rng(5).uniform(-1.0, 1.0, size=dim))
         for (_, _, previous), (v0, _, _) in zip(sector, sector[1:]):
             assert np.array_equal(v0, previous)
@@ -849,7 +857,7 @@ def test_ground_state_atom_exchange_symmetric(reference):
     """
     p = reference.replace(L_R0=0.52e-9)
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=12)
-    model = product_oracle.build_sector_model(p, cfg)
+    model = product_oracle.build_sector_model(p, cfg, 0)
     eig = ed.solve_sector(model, p)
     v = eig.vectors[:, 0]
     basis = model.basis
@@ -915,7 +923,7 @@ def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference
     scipy's mmwrite given that path returns without an error and writes
     nothing; to an open file it writes what it would write to a path.
     """
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6), reference)
+    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6), reference, 0)
     with pytest.raises(FileNotFoundError):
         ed.export_matrix(str(tmp_path / "missing" / "sector"), H)
     assert not (tmp_path / "missing").exists()
@@ -926,7 +934,7 @@ def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference
 
 def test_export_matrix_roundtrip(tmp_path, reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
-    H = ed.build_hamiltonian(cfg, reference)
+    H = ed.build_hamiltonian(cfg, reference, 0)
     path = ed.export_matrix(str(tmp_path / "sector"), H)
     assert path.endswith(".mtx")
     back = mmread(path).tocsr()

@@ -399,9 +399,10 @@ def cmd_ed(args) -> int:
     L_vals = sweep_values(args, "lr0")
     compare = {}
     if args.compare_meanfield:
-        # Thermodynamic-limit reference values from fluct's points, shared across the N rows.
-        for L, ((*_, delta_eps, _), sol) in zip(L_vals, fluct._scan_points(base, L_vals, 60)):
-            compare[float(L)] = (sol.alpha_over_sqrt_n**2, delta_eps / (h * GHZ))
+        # Thermodynamic-limit reference values at kT = 0, shared across the N rows.
+        for sol in meanfield.solve_sweep(base, L_vals, 0.0):
+            shift = fluct.zero_point_shift(sol.params, sol, fluct.renormalize(sol.params, sol))
+            compare[sol.params.L_R0] = (sol.alpha_over_sqrt_n**2, shift / (h * GHZ))
     columns = ["N", "L_R0_nH", "dim_even", "dim_odd", "E_g_over_h_GHz", "photons_per_atom",
                "transition_even_GHz", "transition_odd_GHz", "delta_eps_over_h_GHz"]
     if compare:
@@ -411,7 +412,8 @@ def cmd_ed(args) -> int:
         for config in configs:
             params = base.replace(N=config.n_atoms)
             if args.dump_matrix and config is configs[0]:
-                H = ed.build_hamiltonian(config, params.replace(L_R0=float(L_vals[0])), 0)
+                first = params.replace(L_R0=float(L_vals[0]))
+                H = ed.hamiltonian_at(ed.build_sector_model(first, config, 0), first)
                 written = ed.export_matrix(args.dump_matrix, H)
                 print(f"even-sector Hamiltonian at L_R0 = {L_vals[0] / 1e-9:.6g} nH written to {written}",
                       file=sys.stderr)

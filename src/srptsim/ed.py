@@ -340,11 +340,6 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
     return H.tocsr()
 
 
-def build_hamiltonian(config: EdConfig, params: CircuitParams, parity: int) -> sp.csr_matrix:
-    """One-shot sector Hamiltonian; prefer build_sector_model for sweeps."""
-    return hamiltonian_at(build_sector_model(params, config, parity), params)
-
-
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
@@ -513,7 +508,6 @@ class TruncationStudy:
 
 def truncation_error_study(
     params: CircuitParams,
-    n_atoms: int,
     L_R0_values,
     per_mode_cutoff: int = 24,
     total_cutoff: int = 48,
@@ -522,11 +516,8 @@ def truncation_error_study(
 ) -> TruncationStudy:
     """Bound the quartic-potential truncation error against the exact cosine.
 
-    The coupled system is one :func:`scan` per potential. At n_atoms >= 2
-    its spectra are those of the symmetric sector: the exchange-odd "dark"
-    states of the product basis are not among the transitions. The
-    acceptance criterion and the validate check run it at n_atoms = 1,
-    where the two bases coincide.
+    The coupled system is one :func:`scan` per potential at N = 1, the one
+    size at which the symmetric sector is the whole product space.
     atom_levels sets the isolated-branch comparison dimension; it must be
     large enough that the n_levels-th branch transition has converged,
     otherwise truncation error masquerades as model error.
@@ -540,7 +531,7 @@ def truncation_error_study(
     for label, quartic in (("quartic", True), ("cosine", False)):
         w = np.linalg.eigvalsh(_branch_terms(params, atom_levels, quartic)[0])
         atom[label] = w[1:n_levels] - w[0]
-        config = EdConfig(n_atoms, per_mode_cutoff, total_cutoff, quartic=quartic)
+        config = EdConfig(1, per_mode_cutoff, total_cutoff, quartic=quartic)
         gaps[label] = scan(params, config, L_vals).transition_even
     atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
     i_q = int(np.argmin(gaps["quartic"]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, fock, meanfield
-from .circuit import TWO_PI, CircuitParams, DerivedLinear, derive_linear, polariton_frequencies
+from .circuit import TWO_PI, CircuitParams, derive_linear, polariton_frequencies
 from .constants import PHI0
 from .errors import ConvergenceError
 from .meanfield import MeanFieldSolution
@@ -85,17 +85,16 @@ def stationarity_check(params: CircuitParams, solution: MeanFieldSolution):
     return photon, junction
 
 
-def fluctuation_spectrum(renorm: RenormalizedParams, derived: DerivedLinear):
+def fluctuation_spectrum(renorm: RenormalizedParams):
     """Polariton frequencies (omega_plus, omega_minus) of the fluctuations, rad/s.
 
-    The resonator branch keeps its bare frequency; the junction branch and
-    the coupling carry the averaged curvature. A squared lower mode below
-    -1e-8 omega_c^2 means the expansion point was not a minimum and raises.
+    The resonator branch keeps the bare omega_c of renorm.solution.params;
+    the junction branch and the coupling carry the averaged curvature. A squared
+    lower mode below -1e-8 omega_c^2 means the expansion point was not a minimum and raises.
     """
-    omega_plus, omega_minus_squared = polariton_frequencies(
-        derived.omega_c, renorm.omega_a_bar, renorm.g_bar
-    )
-    if omega_minus_squared < -NEGATIVE_TOL * derived.omega_c**2:
+    omega_c = derive_linear(renorm.solution.params).omega_c
+    omega_plus, omega_minus_squared = polariton_frequencies(omega_c, renorm.omega_a_bar, renorm.g_bar)
+    if omega_minus_squared < -NEGATIVE_TOL * omega_c**2:
         raise ConvergenceError(
             f"fluctuation mode unstable: omega_minus^2 = {omega_minus_squared:.3e}"
         )
@@ -162,14 +161,10 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
 def _scan_points(params: CircuitParams, L_R0_values, M: int):
     """The points of :func:`spectrum_scan`, each yielded once it is renormalized: (omega_c, omega_plus,
     omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th) and its MeanFieldSolution."""
-    L_vals = np.asarray(L_R0_values, dtype=float)
-    if L_vals.ndim != 1 or L_vals.size == 0:
-        raise ValueError("L_R0_values must be a non-empty 1d array")
-    for L, sol in zip(L_vals, meanfield.solve_sweep(params, L_vals, 0.0, M=M)):
-        p = params.replace(L_R0=float(L))
-        ren = renormalize(p, sol)
-        der = derive_linear(p)
-        w_plus, w_minus = fluctuation_spectrum(ren, der)
-        g_crit = 0.5 * math.sqrt(ren.omega_a_bar * der.omega_c)
-        yield (der.omega_c, w_plus, w_minus, ren.omega_a_bar, ren.g_bar, g_crit,
-               zero_point_shift(p, sol, ren), sol.phi_th), sol
+    for sol in meanfield.solve_sweep(params, L_R0_values, 0.0, M=M):
+        ren = renormalize(sol.params, sol)
+        omega_c = derive_linear(sol.params).omega_c
+        w_plus, w_minus = fluctuation_spectrum(ren)
+        g_crit = 0.5 * math.sqrt(ren.omega_a_bar * omega_c)
+        yield (omega_c, w_plus, w_minus, ren.omega_a_bar, ren.g_bar, g_crit,
+               zero_point_shift(sol.params, sol, ren), sol.phi_th), sol

@@ -47,10 +47,9 @@ def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     derived : DerivedLinear
         Linearized-circuit data; only Z_a enters, fixing the basis scale.
     M : int
-        Number of retained Fock levels, at least 1.
+        Number of retained Fock levels, a Python int >= 1 (not a bool).
     """
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be a positive integer, got {M!r}")
+    _check_levels(M)
     Z_a = derived.Z_a
     lower = np.diag(np.sqrt(np.arange(1.0, M)), k=1)
     psi_op = np.sqrt(hbar * Z_a / 2.0) * (lower + lower.T)
@@ -62,6 +61,18 @@ def build_operators(derived: DerivedLinear, M: int) -> FockOperatorSet:
     for a in (psi_op, rho_op, cos_op, sin_op):
         a.setflags(write=False)
     return FockOperatorSet(Z_a=Z_a, psi_op=psi_op, rho_op=rho_op, cos_op=cos_op, sin_op=sin_op)
+
+
+def _check_levels(M) -> None:
+    """Raise ValueError unless the truncation M is a Python int >= 1; a bool or a float is not one."""
+    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
+        raise ValueError(f"M must be a positive integer, got {M!r}")
+
+
+def _check_temperature(kT) -> None:
+    """Raise ValueError unless kT, joule, is finite and non-negative."""
+    if not 0.0 <= kT < np.inf:
+        raise ValueError(f"kT must be finite and non-negative, got {kT!r}")
 
 
 def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
@@ -82,8 +93,7 @@ def gibbs_weights(w: np.ndarray, kT: float) -> np.ndarray:
     DEGENERACY_RTOL of the spectral span; above, the Boltzmann factors
     shifted so that the ground one is 1, which keeps their sum finite.
     """
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
+    _check_temperature(kT)
     if kT == 0.0:
         mask = w - w[0] <= DEGENERACY_RTOL * max(w[-1] - w[0], abs(w[0]))
         return mask / np.count_nonzero(mask)
@@ -144,6 +154,7 @@ def _spectrum_free_energy(w: np.ndarray, kT: float) -> float:
     The Boltzmann weights are shifted so that the largest is 1, which keeps
     the sum finite at any temperature; weights far above kT underflow to 0.
     """
+    _check_temperature(kT)
     if kT == 0.0:
         return float(w[0])
     return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
@@ -177,9 +188,8 @@ class Branch:
         return self.H_atom - (phi / self.L_g) * self.ops.psi_op
 
     def free_energy(self, phi: float, kT: float) -> float:
-        """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0."""
-        if kT < 0:
-            raise ValueError(f"kT must be non-negative, got {kT}")
+        """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0,
+        and ValueError unless kT is finite and non-negative."""
         return _spectrum_free_energy(np.linalg.eigvalsh(self.hamiltonian(phi)), kT)
 
     def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
@@ -206,8 +216,10 @@ def branch(params: CircuitParams, M: int = 60) -> Branch:
     """The cached kernel of the branch of params at truncation M.
 
     Only L_J, L_g and C_J define the branch, so sweeps over L_R0 or N share
-    one entry.
+    one entry. M is checked as in :func:`build_operators` before the cache
+    is read, where True and 60.0 would hit the entries of 1 and 60.
     """
+    _check_levels(M)
     return _branch(params.L_J, params.L_g, params.C_J, M)
 
 

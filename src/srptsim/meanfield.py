@@ -77,7 +77,7 @@ class MeanFieldSolution:
                            root did not converge or, in a phase_boundary
                            grid, the superradiant flag contradicts the
                            closed-form boundary
-    residual             : self-consistency residual at phi_th, ampere
+    residual             : self-consistency residual at phi_th and psi_th, ampere
     n_evaluations        : spectral evaluations (free energies and residuals)
                            spent on this point: its refinement and packaging
                            plus its share of the certified scan shared
@@ -135,13 +135,13 @@ def solve_sweep(
     The bracket starts at SNAP_FRACTION * Phi0, so phi_th below about
     2e-6 Phi0 is not resolved: on the reference circuit at
     L_c (1 + 1e-11) it reports 1.32e-6 Phi0 where the square-root onset
-    gives 3.7e-7 Phi0. The superradiant flag there is exact.
+    gives 3.7e-7 Phi0. The superradiant flag there is exact. An empty or
+    2-D sweep raises ValueError, as do a bad kT or M (:func:`fock.branch`).
     """
-    if kT < 0:
-        raise ValueError(f"kT must be non-negative, got {kT}")
-    columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
-    if not columns:
-        raise ValueError("L_R0_values must not be empty")
+    L_vals = np.asarray(L_R0_values, dtype=float)
+    if L_vals.ndim != 1 or L_vals.size == 0:
+        raise ValueError("L_R0_values must be a non-empty 1d array")
+    columns = [params.replace(L_R0=float(L)) for L in L_vals]
     window = 1.5 * (PHI0 / 2.0) / min(constraint_slope(p) for p in columns)
     u = np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
     phi, f, end = _certified_scan(fock.branch(params, M), kT, u, window)
@@ -246,10 +246,11 @@ def _package(params, phi_th, kT, M, converged, n_evaluations):
     """The solution at phi_th, from one evaluation of the free energy and <psi>."""
     b = fock.branch(params, M)
     F, (psi,) = b.thermal(phi_th, kT, b.ops.psi_op)
+    psi = psi if phi_th else 0.0  # 0 by parity; the eigensolver's <psi> is rounding noise
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
     return MeanFieldSolution(
         phi_th=phi_th,
-        psi_th=psi if phi_th else 0.0,
+        psi_th=psi,
         alpha_over_sqrt_n=phi_th / math.sqrt(2.0 * hbar * derive_linear(params).Z_c0),
         params=params,
         M=M,
@@ -339,8 +340,8 @@ def phase_boundary(params: CircuitParams, L_R0_values, kT_values, M: int = 60) -
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     T_vals = np.asarray(kT_values, dtype=float)
-    if L_vals.ndim != 1 or T_vals.ndim != 1 or L_vals.size == 0 or T_vals.size == 0:
-        raise ValueError("L_R0_values and kT_values must be non-empty 1d arrays")
+    if T_vals.ndim != 1 or T_vals.size == 0:
+        raise ValueError("kT_values must be a non-empty 1d array")
     if np.any(np.diff(T_vals) <= 0):
         raise ValueError("kT_values must be strictly increasing")
     rows = [solve_sweep(params, L_vals, float(kT), M=M) for kT in T_vals]
@@ -385,11 +386,11 @@ def free_energy_convergence_check(
         raise ValueError("need at least two truncation levels to compare")
     if any(M_values[k] >= M_values[k + 1] for k in range(len(M_values) - 1)):
         raise ValueError("M_values must be strictly increasing")
-    free_energies = np.array([fock.branch(params, int(M)).free_energy(phi, kT) for M in M_values])
+    free_energies = np.array([fock.branch(params, M).free_energy(phi, kT) for M in M_values])
     increments = np.abs(np.diff(free_energies))
     passed = bool(np.all(np.diff(increments) < 0.0) and increments[-1] < 1e-8 * params.E_J)
     return ConvergenceReport(
-        M_values=tuple(int(M) for M in M_values),
+        M_values=tuple(M_values),
         increments=increments,
         passed=passed,
     )

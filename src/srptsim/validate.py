@@ -160,7 +160,7 @@ def _check_dense_vs_sparse(rng):
     from . import ed  # scipy loads with the first ED check
     p = reference_params()
     config = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=6)
-    H = ed.build_hamiltonian(config, p, 0)
+    H = ed.hamiltonian_at(ed.build_sector_model(p, config, 0), p)
     w_sparse, _ = ed.lowest_eigenpairs(H, 6, seed=int(rng.integers(2**31)))
     w_dense = np.linalg.eigvalsh(H.toarray())[:6]
     dev = np.abs(w_sparse - w_dense).max() / np.abs(w_dense).max()
@@ -191,7 +191,7 @@ def _check_ed_symmetry(rng):
     for quartic in (True, False):
         config = ed.EdConfig(n_atoms=2, per_mode_cutoff=8, total_cutoff=12, quartic=quartic)
         for parity in (0, 1):
-            H = ed.build_hamiltonian(config, p, parity)
+            H = ed.hamiltonian_at(ed.build_sector_model(p, config, parity), p)
             asym = (H - H.T).nnz
             _require(asym == 0, f"Hamiltonian has {asym} asymmetric entries (quartic={quartic}, parity={parity})")
     return "both branch potentials give exactly symmetric sector matrices"
@@ -212,7 +212,7 @@ def _check_renormalized_spectrum(rng):
     p = reference_params()
     sol = meanfield.solve(p, 0.0)
     ren = fluct.renormalize(p, sol)
-    wp, wm = fluct.fluctuation_spectrum(ren, derive_linear(p))
+    wp, wm = fluct.fluctuation_spectrum(ren)
     _require(0.0 < wm < wp, f"spectrum ordering broken: {wm}, {wp}")
     _require(ren.cos_avg < 1.0, f"cosine average {ren.cos_avg} not reduced")
     return f"modes at {wm / (2e9 * math.pi):.3f} and {wp / (2e9 * math.pi):.3f} GHz, both real"
@@ -221,9 +221,7 @@ def _check_renormalized_spectrum(rng):
 def _check_truncation_study(rng):
     from . import ed
     p = reference_params(N=1)
-    study = ed.truncation_error_study(
-        p, 1, np.array([0.45e-9]), per_mode_cutoff=16, total_cutoff=32
-    )
+    study = ed.truncation_error_study(p, np.array([0.45e-9]), per_mode_cutoff=16, total_cutoff=32)
     _require(
         study.atom_max_rel_deviation <= 0.03,
         f"quartic branch spectrum off by {study.atom_max_rel_deviation:.2%} from the cosine",

@@ -269,7 +269,6 @@ def test_criterion_08_truncation_error(reference, capsys):
     t0 = time.perf_counter()
     study = ed.truncation_error_study(
         reference,
-        1,
         np.array([0.42e-9, 0.46e-9, 0.52e-9]),
         per_mode_cutoff=16,
         total_cutoff=32,
@@ -298,7 +297,7 @@ def test_criterion_09_oracle_equivalence(reference, capsys):
         cfg = ed.EdConfig(
             n_atoms=1, per_mode_cutoff=8, total_cutoff=16, n_eigenvalues=6
         )
-        H = ed.build_hamiltonian(cfg, reference, parity)
+        H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, parity), reference)
         w_sparse, _ = ed.lowest_eigenpairs(H, 6, seed=0)
         w_dense = np.linalg.eigvalsh(H.toarray())[:6]
         worst_eig = max(worst_eig, float(np.abs((w_sparse - w_dense) / w_dense).max()))

@@ -16,7 +16,7 @@ import sys
 import pytest
 from scipy.io import mminfo, mmread
 
-from srptsim import fock, meanfield
+from srptsim import fluct, fock, meanfield
 from srptsim.circuit import derive_linear, polariton_frequencies
 from srptsim.cli import load_config, main
 from srptsim.errors import ConfigError, ConvergenceError
@@ -514,6 +514,20 @@ def test_ed_multi_n_with_meanfield_columns(tmp_path):
     assert float(by_key[("1", 0.52)][9]) > 0.0
     # the reference columns repeat identically for every N
     assert by_key[("1", 0.52)][9:] == by_key[("2", 0.52)][9:]
+
+
+def test_ed_compare_meanfield_needs_no_fluctuation_spectrum(tmp_path, monkeypatch):
+    """The mean-field columns are the solution and its zero-point shift; no polariton pair is read."""
+    argv = ["ed", "--n-atoms", "1,2", "--lr0", "0.3,0.52", "--per-mode-cutoff", "6",
+            "--total-cutoff", "12", "--k", "4", "--compare-meanfield", "--out"]
+    assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+
+    def unstable(*args):
+        raise ConvergenceError("fluctuation mode unstable")
+
+    monkeypatch.setattr(fluct, "fluctuation_spectrum", unstable)
+    assert main(argv + [str(tmp_path / "patched.csv")]) == 0
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_ed_dump_matrix(tmp_path, capsys):

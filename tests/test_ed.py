@@ -315,7 +315,7 @@ def test_sparse_matches_dense_kron_oracle(reference, quartic, parity):
     cfg = ed.EdConfig(
         n_atoms=1, per_mode_cutoff=8, total_cutoff=8, quartic=quartic
     )
-    H = ed.build_hamiltonian(cfg, reference, parity)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, parity), reference)
     H_dense = kron_sector_oracle(reference, 8, parity, quartic, reference)
     w_sparse = np.linalg.eigvalsh(H.toarray())
     w_dense = np.linalg.eigvalsh(H_dense)
@@ -325,7 +325,7 @@ def test_sparse_matches_dense_kron_oracle(reference, quartic, parity):
 
 def test_hamiltonian_exactly_symmetric(reference):
     cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=6, total_cutoff=10)
-    H = ed.build_hamiltonian(cfg, reference, 0)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     assert (H - H.T).nnz == 0
 
 
@@ -335,7 +335,7 @@ def test_vacuum_diagonal_closed_form(reference):
     lam_sq = (TWO_PI / PHI0) ** 2 * hbar * d.Z_a / 2.0
     for n_atoms in (1, 2, 64, 1024):
         cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=6, total_cutoff=8)
-        H = ed.build_hamiltonian(cfg, reference, 0)
+        H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
         basis = ed.build_basis(cfg, 0)
         pos, valid = index_of(basis, [[0, n_atoms] + [0] * 6])
         assert valid.all()
@@ -518,7 +518,8 @@ def test_lowest_eigenpairs_validation():
 
 
 def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monkeypatch):
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference, 0)
+    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     assert H.shape[0] >= ed._DENSE_FLOOR
 
     def stalled(matrix, k, **kwargs):
@@ -530,7 +531,8 @@ def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monk
 
 
 def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), reference, 0)
+    cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     assert H.shape[0] >= ed._DENSE_FLOOR
     real_eigsh = ed.eigsh
 
@@ -545,7 +547,7 @@ def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
 
 def test_lowest_eigenpairs_deterministic(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=10, total_cutoff=20)
-    H = ed.build_hamiltonian(cfg, reference, 0)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     w1, v1 = ed.lowest_eigenpairs(H, 4, seed=11)
     w2, v2 = ed.lowest_eigenpairs(H, 4, seed=11)
     assert np.array_equal(w1, w2)
@@ -574,7 +576,7 @@ def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
             ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), L)
         else:
             ed.truncation_error_study(
-                reference, 1, L, per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
+                reference, L, per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
             )
 
 
@@ -615,6 +617,8 @@ def test_scan_photon_number_grows_across_transition(reference):
     assert np.all(res.transition_odd > 0.0)
     with pytest.raises(ValueError):
         ed.scan(reference, cfg, np.array([]))
+    with pytest.raises(ValueError, match="L_R0_values must be a non-empty 1d array"):
+        ed.scan(reference, cfg, np.array([[0.30e-9, 0.52e-9]]))
 
 
 def assert_same_observables(fast, i, slow, n_atoms):
@@ -717,7 +721,7 @@ def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
 
     calls.clear()
     ed.truncation_error_study(
-        reference, 1, np.array([0.45e-9, 0.52e-9]), per_mode_cutoff=8, total_cutoff=16,
+        reference, np.array([0.45e-9, 0.52e-9]), per_mode_cutoff=8, total_cutoff=16,
         n_levels=4, atom_levels=30,
     )
     # two inductances for each of the two potentials
@@ -874,7 +878,6 @@ def test_ground_state_atom_exchange_symmetric(reference):
 def test_truncation_study_atom_level(reference):
     study = ed.truncation_error_study(
         reference,
-        1,
         np.array([0.42e-9, 0.46e-9, 0.52e-9, 0.60e-9]),
         per_mode_cutoff=12,
         total_cutoff=24,
@@ -900,18 +903,18 @@ def test_truncation_study_weak_anharmonicity_limit(reference):
     # orders of magnitude; this pins the scaling direction
     weak = reference.replace(L_J=75e-9)
     study = ed.truncation_error_study(
-        weak, 1, np.array([0.45e-9]), per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
+        weak, np.array([0.45e-9]), per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
     )
     assert study.atom_max_rel_deviation < 1e-4
 
 
 def test_truncation_study_validation(reference):
     with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, 1, np.array([]))
+        ed.truncation_error_study(reference, np.array([]))
     with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, 1, np.array([0.45e-9]), n_levels=1)
+        ed.truncation_error_study(reference, np.array([0.45e-9]), n_levels=1)
     with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, 1, np.array([0.45e-9]), n_levels=8, atom_levels=8)
+        ed.truncation_error_study(reference, np.array([0.45e-9]), n_levels=8, atom_levels=8)
 
 
 # --- export -------------------------------------------------------------------
@@ -923,7 +926,8 @@ def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference
     scipy's mmwrite given that path returns without an error and writes
     nothing; to an open file it writes what it would write to a path.
     """
-    H = ed.build_hamiltonian(ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6), reference, 0)
+    cfg = ed.EdConfig(n_atoms=2, per_mode_cutoff=4, total_cutoff=6)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     with pytest.raises(FileNotFoundError):
         ed.export_matrix(str(tmp_path / "missing" / "sector"), H)
     assert not (tmp_path / "missing").exists()
@@ -934,7 +938,7 @@ def test_export_matrix_fails_loudly_and_writes_mmwrite_bytes(tmp_path, reference
 
 def test_export_matrix_roundtrip(tmp_path, reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=4, total_cutoff=4)
-    H = ed.build_hamiltonian(cfg, reference, 0)
+    H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     path = ed.export_matrix(str(tmp_path / "sector"), H)
     assert path.endswith(".mtx")
     back = mmread(path).tocsr()

@@ -201,6 +201,9 @@ def test_spectrum_scan_decoupling_limit(reference):
 def test_spectrum_scan_validation(reference):
     with pytest.raises(ValueError):
         fluct.spectrum_scan(reference, np.array([]))
+    # the check is meanfield.solve_sweep's, the one owner of the sweep rule
+    with pytest.raises(ValueError, match="L_R0_values must be a non-empty 1d array"):
+        fluct.spectrum_scan(reference, np.array([[0.2e-9, 0.6e-9]]))
 
 
 def test_fluctuation_spectrum_instability_raises(reference):
@@ -209,7 +212,7 @@ def test_fluctuation_spectrum_instability_raises(reference):
     ren = fluct.renormalize(p, sol)
     doped = dataclasses.replace(ren, g_bar=10.0 * ren.g_bar)
     with pytest.raises(ConvergenceError):
-        fluct.fluctuation_spectrum(doped, derive_linear(p))
+        fluct.fluctuation_spectrum(doped)
 
 
 def test_count_convex_runs_synthetic():
@@ -263,7 +266,7 @@ def test_spectrum_scan_rows_match_the_per_point_calls(reference):
         p = reference.replace(L_R0=float(x))
         der = derive_linear(p)
         ren = fluct.renormalize(p, sol)
-        omega_plus, omega_minus = fluct.fluctuation_spectrum(ren, der)
+        omega_plus, omega_minus = fluct.fluctuation_spectrum(ren)
         expected = {
             "L_R0_values": x,
             "omega_c": der.omega_c,

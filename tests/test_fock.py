@@ -16,9 +16,11 @@ from kubo_oracle import level_susceptibility
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim.fock import (
+    _branch,
     atom_hamiltonian,
     branch,
     build_operators,
+    gibbs_weights,
     thermal_expectation,
 )
 
@@ -77,6 +79,8 @@ def test_truncation_validation(linear):
         build_operators(linear, 0)
     with pytest.raises(ValueError):
         build_operators(linear, 1.5)
+    with pytest.raises(ValueError):
+        build_operators(linear, True)
 
 
 def test_single_level_degenerate_case(linear, reference):
@@ -325,6 +329,23 @@ def test_branch_rejects_negative_temperature(reference):
         b.free_energy(0.0, -h * GHZ)
     with pytest.raises(ValueError):
         b.thermal(0.0, -h * GHZ, b.ops.psi_op)
+    # every temperature reaches gibbs_weights or the spectrum's free energy, which check it
+    for kT in (math.nan, math.inf, -math.inf, -1.0):
+        for call in (lambda: gibbs_weights(b.levels, kT), lambda: b.free_energy(0.0, kT),
+                     lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.susceptibility(kT)):
+            with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+                call()
+
+
+@pytest.mark.parametrize("M", [True, 60.0, 0])
+def test_branch_checks_the_truncation_before_its_cache(reference, M):
+    """True and 60.0 hash like 1 and 60, so a check behind the cache would depend on call order."""
+    _branch.cache_clear()
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        branch(reference, M)
+    branch(reference, 60)
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        branch(reference, M)
 
 
 def test_atom_spectrum_orthonormal(reference):

@@ -602,6 +602,12 @@ def test_phase_boundary_validation(reference):
         meanfield.phase_boundary(reference, np.array([]), T)
     with pytest.raises(ValueError):
         meanfield.phase_boundary(reference, np.array([0.4e-9]), T[::-1])
+    with pytest.raises(ValueError, match="L_R0_values must be a non-empty 1d array"):
+        meanfield.phase_boundary(reference, np.array([[0.4e-9, 0.6e-9]]), T)
+    # a row at a non-finite or negative kT raises instead of reading as converged
+    for row in ([0.0, math.inf], [math.nan], [-math.inf, 0.0], [-1.0, 0.0]):
+        with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+            meanfield.phase_boundary(reference, np.array([0.6e-9]), np.array(row))
 
 
 def test_free_energy_convergence_report(reference):
@@ -614,8 +620,50 @@ def test_free_energy_convergence_report(reference):
         meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=(60,))
     with pytest.raises(ValueError):
         meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=(60, 40))
+    # each level count is checked by fock.branch, not cast: 10.9 would run as 10 and True as 1
+    for M_values in ((10.9, 20, 40, 60), (True, 20, 40, 60)):
+        with pytest.raises(ValueError, match="M must be a positive integer"):
+            meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=M_values)
 
 
 def test_solve_rejects_negative_temperature(reference):
     with pytest.raises(ValueError):
         meanfield.solve(reference, -1.0)
+    p = reference.replace(L_R0=0.6e-9)
+    for kT in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+            meanfield.solve(p, kT)
+
+
+@pytest.mark.parametrize("M", [True, 60.0, 0])
+def test_solve_rejects_a_truncation_that_is_not_a_positive_int(reference, M):
+    """Before and after the M = 60 kernel is cached, which True and 60.0 would hash into."""
+    fock._branch.cache_clear()
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        meanfield.solve(reference, 0.0, M=M)
+    fock.branch(reference, 60)
+    with pytest.raises(ValueError, match="M must be a positive integer"):
+        meanfield.solve(reference, 0.0, M=M)
+
+
+def test_solve_sweep_rejects_an_empty_or_2d_sweep(reference):
+    for sweep in ([], np.array([]), [[0.4e-9, 0.6e-9]]):
+        with pytest.raises(ValueError, match="L_R0_values must be a non-empty 1d array"):
+            meanfield.solve_sweep(reference, sweep, 0.0)
+
+
+def test_normal_solution_residual_is_that_of_its_psi_th(reference):
+    """A normal solution reports psi_th = 0 exactly, and its residual is computed from it.
+
+    The eigensolver's <psi> at phi = 0 is rounding noise, about 1e-22 A in the
+    residual; an ordered solution's residual is u phi_th - psi_th / L_g.
+    """
+    for L in (0.2e-9, 0.3e-9, 0.6e-9):
+        for kT in (0.0, h * 50 * GHZ):
+            p = reference.replace(L_R0=L)
+            sol = meanfield.solve(p, kT)
+            u = 1.0 / p.L_R0 + 1.0 / p.L_g
+            assert sol.superradiant == (L == 0.6e-9)
+            assert sol.residual == u * sol.phi_th - sol.psi_th / p.L_g
+            if not sol.superradiant:
+                assert sol.psi_th == 0.0 and sol.residual == 0.0

@@ -23,10 +23,6 @@ from .errors import ConvergenceError
 
 TWO_PI = 2.0 * math.pi
 
-# Lower end of mean field's bracket on phi, as a fraction of Phi0: the
-# residual is tested there rather than at the origin, where it vanishes.
-SNAP_FRACTION = 1e-6
-
 
 @dataclass(frozen=True)
 class CircuitParams:

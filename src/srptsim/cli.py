@@ -533,7 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the internal consistency checks")
     p.add_argument("--only", metavar="LIST", help="comma-separated check names")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random draws of linear-threshold-equivalence and vieta and of "
+                        "dense-vs-sparse's Lanczos start vector; the other checks ignore it. "
+                        "A nonnegative integer")
     p.set_defaults(func=cmd_validate)
 
     return parser

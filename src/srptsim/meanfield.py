@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .circuit import SNAP_FRACTION, CircuitParams, constraint_slope, derive_linear, newton_root
+from .circuit import CircuitParams, constraint_slope, derive_linear, newton_root
 from .constants import PHI0, hbar
 from .errors import ConvergenceError
 
@@ -35,6 +35,10 @@ from .errors import ConvergenceError
 # column has L_R0 > L_c > L_J - L_g, so on the reference circuit it still gets
 # 255 / 2.5 = 102 steps or more across its own window; chi decides the rest.
 COARSE_POINTS = 256
+
+# Lower end of the bracket on phi, as a fraction of Phi0: the residual is
+# tested there rather than at the origin, where it vanishes.
+SNAP_FRACTION = 1e-6
 
 
 def action_per_atom(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
@@ -70,13 +74,13 @@ class MeanFieldSolution:
     params, M, kT        : the circuit, its column's L_R0 included, the branch
                            truncation and the temperature (joule) it was found at
     action_per_atom    : free energy per branch at the minimum, joule
-    superradiant         : True when phi_th > 0; exact even where phi_th,
-                           below about 2e-6 Phi0, is not resolved
+    superradiant         : True when phi_th > 0; at kT = 0 exact even where
+                           phi_th, below about 2e-6 Phi0, is not resolved,
+                           but it can read False within about 1e-10
+                           relative below the critical kT (PhaseDiagramGrid)
     converged            : False when the neighbours of the best scan
-                           sample bracket no root of the residual, the
-                           root did not converge or, in a phase_boundary
-                           grid, the superradiant flag contradicts the
-                           closed-form boundary
+                           sample bracket no root of the residual or the
+                           root did not converge
     residual             : self-consistency residual at phi_th and psi_th, ampere
     n_evaluations        : spectral evaluations (free energies and residuals)
                            spent on this point: its refinement and packaging
@@ -135,8 +139,10 @@ def solve_sweep(
     The bracket starts at SNAP_FRACTION * Phi0, so phi_th below about
     2e-6 Phi0 is not resolved: on the reference circuit at
     L_c (1 + 1e-11) it reports 1.32e-6 Phi0 where the square-root onset
-    gives 3.7e-7 Phi0. The superradiant flag there is exact. An empty or
-    2-D sweep raises ValueError, as do a bad kT or M (:func:`fock.branch`).
+    gives 3.7e-7 Phi0. The superradiant flag there is exact at kT = 0, but
+    within about 1e-10 relative below a column's critical kT it can read
+    the normal phase. An empty or 2-D sweep raises ValueError, as do a bad kT
+    or M (:func:`fock.branch`).
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
@@ -286,7 +292,8 @@ class PhaseDiagramGrid:
     the closed-form root of chi(kT) / L_g^2 = 1/L_R0 + 1/L_g; it may exceed
     the grid, and NaN means the column never orders. A point whose
     minimized superradiant flag disagrees with kT < boundary[i], as at a
-    first-order jump, has converged = False.
+    first-order jump or within about 1e-10 below boundary[i], where phi_th
+    under the snap flux reads 0, has converged = False.
     """
 
     L_R0_values: np.ndarray
@@ -359,38 +366,4 @@ def phase_boundary(params: CircuitParams, L_R0_values, kT_values, M: int = 60) -
         phi=phi,
         converged=converged,
         boundary=boundary,
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Truncation study of the branch free energy at one (phi, kT) point."""
-
-    M_values: tuple
-    increments: np.ndarray
-    passed: bool
-
-
-def free_energy_convergence_check(
-    params: CircuitParams,
-    phi: float,
-    kT: float,
-    M_values: tuple = (10, 20, 40, 60),
-) -> ConvergenceReport:
-    """Branch free energy versus truncation level.
-
-    passed requires the successive increments to shrink monotonically and
-    the final increment to fall below 1e-8 E_J.
-    """
-    if len(M_values) < 2:
-        raise ValueError("need at least two truncation levels to compare")
-    if any(M_values[k] >= M_values[k + 1] for k in range(len(M_values) - 1)):
-        raise ValueError("M_values must be strictly increasing")
-    free_energies = np.array([fock.branch(params, M).free_energy(phi, kT) for M in M_values])
-    increments = np.abs(np.diff(free_energies))
-    passed = bool(np.all(np.diff(increments) < 0.0) and increments[-1] < 1e-8 * params.E_J)
-    return ConvergenceReport(
-        M_values=tuple(M_values),
-        increments=increments,
-        passed=passed,
     )

@@ -120,10 +120,11 @@ def _check_parity_block_structure(rng):
 
 def _check_free_energy_convergence(rng):
     p = reference_params()
-    report = meanfield.free_energy_convergence_check(p, 0.0, h * 20e9)
-    _require(report.passed, f"increments {report.increments} not convergent")
-    final = report.increments[-1] / p.E_J
-    return f"final increment {final:.2e} E_J with shrinking steps"
+    free_energies = [fock.branch(p, M).free_energy(0.0, h * 20e9) for M in (10, 20, 40, 60)]
+    increments = np.abs(np.diff(free_energies))
+    shrinking = np.all(np.diff(increments) < 0.0)
+    _require(shrinking and increments[-1] < 1e-8 * p.E_J, f"increments {increments} not convergent")
+    return f"final increment {increments[-1] / p.E_J:.2e} E_J with shrinking steps"
 
 
 def _check_action_derivative(rng):

@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from srptsim import fock, meanfield
 from srptsim.circuit import (
-    SNAP_FRACTION,
     CircuitParams,
     ClassicalMinimum,
     classical_critical_inductance,
@@ -27,6 +26,7 @@ from srptsim.circuit import (
     constraint_slope,
 )
 from srptsim.constants import PHI0
+from srptsim.meanfield import SNAP_FRACTION
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = np.finfo(float).eps

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fluct_cusp
-from srptsim import ed, fluct, meanfield
+from srptsim import ed, fluct, meanfield, validate
 from srptsim.circuit import (
     CircuitParams,
     TWO_PI,
@@ -327,19 +327,12 @@ def test_criterion_09_oracle_equivalence(reference, capsys):
     assert ok
 
 
-def test_criterion_10_free_energy_convergence(reference, capsys):
+def test_criterion_10_free_energy_convergence(capsys):
+    """validate's free-energy-convergence check: over M = 10, 20, 40, 60 at
+    kT/h = 20 GHz the increments shrink and the last is below 1e-8 E_J."""
     t0 = time.perf_counter()
-    rep = meanfield.free_energy_convergence_check(
-        reference, 0.0, h * 20 * GHZ, M_values=(10, 20, 40, 60)
-    )
+    (result,) = validate.run_checks(["free-energy-convergence"])
     elapsed = time.perf_counter() - t0
-    final = rep.increments[-1] / reference.E_J
-    ok = rep.passed and final < 1e-8 and elapsed < 10.0
-    report(
-        capsys,
-        10,
-        ok,
-        f"per-atom free energy at kT/h = 20 GHz, final increment "
-        f"{final:.2e} E_J over M = {rep.M_values}, {elapsed:.2f} s",
-    )
+    ok = result.passed and elapsed < 10.0
+    report(capsys, 10, ok, f"per-atom free energy at kT/h = 20 GHz, {result.detail}, {elapsed:.2f} s")
     assert ok

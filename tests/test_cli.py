@@ -752,6 +752,21 @@ def test_validate_reports_a_failing_check_and_exits_1(capsys, monkeypatch):
     )
 
 
+def test_validate_free_energy_convergence_passes_and_fails(capsys, monkeypatch):
+    from srptsim import validate
+
+    (result,) = validate.run_checks(["free-energy-convergence"])
+    assert result.passed
+    assert result.detail.startswith("final increment")
+    # a free energy of M itself: increments 10, 20, 20 over M = 10, 20, 40, 60 do not shrink
+    monkeypatch.setattr(fock.Branch, "free_energy", lambda self, phi, kT: float(self.levels.size))
+    (result,) = validate.run_checks(["free-energy-convergence"])
+    assert not result.passed
+    assert "not convergent" in result.detail
+    assert main(["validate", "--only", "free-energy-convergence"]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "0/1 checks passed"
+
+
 def test_validate_only_selection(capsys):
     assert main(["validate", "--only", "vieta,gaussian-cosine"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

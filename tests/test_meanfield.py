@@ -610,22 +610,6 @@ def test_phase_boundary_validation(reference):
             meanfield.phase_boundary(reference, np.array([0.6e-9]), np.array(row))
 
 
-def test_free_energy_convergence_report(reference):
-    rep = meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ)
-    assert rep.M_values == (10, 20, 40, 60)
-    assert rep.passed
-    assert np.all(np.diff(rep.increments) < 0.0)
-    assert rep.increments[-1] < 1e-8 * reference.E_J
-    with pytest.raises(ValueError):
-        meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=(60,))
-    with pytest.raises(ValueError):
-        meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=(60, 40))
-    # each level count is checked by fock.branch, not cast: 10.9 would run as 10 and True as 1
-    for M_values in ((10.9, 20, 40, 60), (True, 20, 40, 60)):
-        with pytest.raises(ValueError, match="M must be a positive integer"):
-            meanfield.free_energy_convergence_check(reference, 0.0, h * 20 * GHZ, M_values=M_values)
-
-
 def test_solve_rejects_negative_temperature(reference):
     with pytest.raises(ValueError):
         meanfield.solve(reference, -1.0)

@@ -69,8 +69,8 @@ class EdConfig:
                       level
     total_cutoff    : highest total occupation, photons plus branch levels
     n_eigenvalues   : eigenpairs solve_sector requests from the bottom of
-                      a sector when called without k; scan, and with it
-                      truncation_error_study, passes its own k
+                      a sector when called without k; scan passes its
+                      own k
     quartic         : quartic branch potential when True, otherwise the
                       cosine kernel's exact matrix on the branch levels
     max_dimension   : refuse to materialize symmetric sectors larger
@@ -474,81 +474,6 @@ def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
         zero_point = hbar * derive_linear(p).omega_c / 2.0
         yield (even.dim, odd.dim), (E_g, even.photon_number / N, even.values[1] - E_g,
                                     odd.values[0] - E_g, (E_g - zero_point) / N - eps_a0)
-
-
-@dataclass(frozen=True)
-class TruncationStudy:
-    """Quartic-versus-cosine comparison at two levels of the problem.
-
-    The atom_* fields compare the isolated branch spectra, where the
-    quartic replacement is a controlled approximation: lowest n_levels-1
-    excitation energies of each model at a converged level count and
-    their worst relative deviation.
-
-    The remaining fields compare the coupled system along the sweep
-    through its gap dip: each model places the dip at a slightly different
-    inductance, so the coupled spectra are compared there and not point by
-    point. even_gap is each model's transition_even from :func:`scan`,
-    dip_value_shift the relative gap difference at each model's own
-    minimum, dip_location_shift the relative displacement of those
-    minima (both meaningful only when the sweep brackets the dip).
-    """
-
-    L_R0_values: np.ndarray
-    atom_quartic_transitions: np.ndarray
-    atom_cosine_transitions: np.ndarray
-    atom_max_rel_deviation: float
-    quartic_even_gap: np.ndarray
-    cosine_even_gap: np.ndarray
-    quartic_dip_L: float
-    cosine_dip_L: float
-    dip_value_shift: float
-    dip_location_shift: float
-
-
-def truncation_error_study(
-    params: CircuitParams,
-    L_R0_values,
-    per_mode_cutoff: int = 24,
-    total_cutoff: int = 48,
-    n_levels: int = 8,
-    atom_levels: int = 40,
-) -> TruncationStudy:
-    """Bound the quartic-potential truncation error against the exact cosine.
-
-    The coupled system is one :func:`scan` per potential at N = 1, the one
-    size at which the symmetric sector is the whole product space.
-    atom_levels sets the isolated-branch comparison dimension; it must be
-    large enough that the n_levels-th branch transition has converged,
-    otherwise truncation error masquerades as model error.
-    """
-    L_vals = np.asarray(L_R0_values, dtype=float)
-    if n_levels < 2:
-        raise ValueError("n_levels must be at least 2")
-    if atom_levels < n_levels + 2:
-        raise ValueError(f"atom_levels {atom_levels} too small for {n_levels} levels")
-    atom, gaps = {}, {}
-    for label, quartic in (("quartic", True), ("cosine", False)):
-        w = np.linalg.eigvalsh(_branch_terms(params, atom_levels, quartic)[0])
-        atom[label] = w[1:n_levels] - w[0]
-        config = EdConfig(1, per_mode_cutoff, total_cutoff, quartic=quartic)
-        gaps[label] = scan(params, config, L_vals).transition_even
-    atom_rel = float((np.abs(atom["quartic"] - atom["cosine"]) / atom["cosine"]).max())
-    i_q = int(np.argmin(gaps["quartic"]))
-    i_c = int(np.argmin(gaps["cosine"]))
-    gap_q, gap_c = gaps["quartic"][i_q], gaps["cosine"][i_c]
-    return TruncationStudy(
-        L_R0_values=L_vals,
-        atom_quartic_transitions=atom["quartic"],
-        atom_cosine_transitions=atom["cosine"],
-        atom_max_rel_deviation=atom_rel,
-        quartic_even_gap=gaps["quartic"],
-        cosine_even_gap=gaps["cosine"],
-        quartic_dip_L=float(L_vals[i_q]),
-        cosine_dip_L=float(L_vals[i_c]),
-        dip_value_shift=float(abs(gap_q - gap_c) / gap_c),
-        dip_location_shift=float(abs(L_vals[i_q] - L_vals[i_c]) / L_vals[i_c]),
-    )
 
 
 def export_matrix(path: str, matrix: sp.spmatrix) -> str:

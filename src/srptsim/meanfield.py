@@ -275,10 +275,12 @@ def critical_inductance_at_zero_T(params: CircuitParams, M: int = 60) -> float:
     The branch free energy does not depend on L_R0, so the normal phase
     turns unstable at the closed form 1/L_c = chi / L_g^2 - 1/L_g, with chi
     the branch susceptibility at kT = 0: normal below L_c, superradiant
-    above. ValueError when chi / L_g^2 <= 1/L_g, where no L_R0 orders.
+    above. ValueError when chi / L_g^2 <= 1/L_g, where no L_R0 orders, and
+    for a branch without a junction (E_J = 0): it is harmonic, chi = L_g
+    exactly, and 1/L_c would be rounding noise.
     """
     inverse_L_c = fock.branch(params, M).susceptibility(0.0) / params.L_g**2 - 1.0 / params.L_g
-    if inverse_L_c <= 0.0:
+    if params.E_J == 0.0 or inverse_L_c <= 0.0:
         raise ValueError("the circuit never orders at kT = 0: chi / L_g^2 <= 1 / L_g")
     return 1.0 / inverse_L_c
 

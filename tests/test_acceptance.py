@@ -265,27 +265,13 @@ def test_criterion_07_ed_sharp_dip(reference, capsys):
     assert ok
 
 
-def test_criterion_08_truncation_error(reference, capsys):
+def test_criterion_08_truncation_error(capsys):
+    """validate's truncation-study check: the quartic branch potential against the exact cosine."""
     t0 = time.perf_counter()
-    study = ed.truncation_error_study(
-        reference,
-        np.array([0.42e-9, 0.46e-9, 0.52e-9]),
-        per_mode_cutoff=16,
-        total_cutoff=32,
-        n_levels=9,
-        atom_levels=40,
-    )
+    (result,) = validate.run_checks(["truncation-study"])
     elapsed = time.perf_counter() - t0
-    ok = study.atom_max_rel_deviation <= 0.03 and elapsed < 300.0
-    report(
-        capsys,
-        8,
-        ok,
-        f"lowest-8 atomic transitions quartic vs cosine differ by "
-        f"{100 * study.atom_max_rel_deviation:.2f}% (<= 3%); coupled dip shifts: "
-        f"value {100 * study.dip_value_shift:.1f}%, location "
-        f"{100 * study.dip_location_shift:.1f}%; {elapsed:.1f} s",
-    )
+    ok = result.passed and elapsed < 300.0
+    report(capsys, 8, ok, f"{result.detail}; {elapsed:.1f} s")
     assert ok
 
 

@@ -767,6 +767,27 @@ def test_validate_free_energy_convergence_passes_and_fails(capsys, monkeypatch):
     assert capsys.readouterr().out.strip().splitlines()[-1] == "0/1 checks passed"
 
 
+def test_validate_truncation_study_passes_and_fails(capsys, monkeypatch):
+    from srptsim import ed, validate
+
+    (result,) = validate.run_checks(["truncation-study"])
+    assert result.passed
+    assert result.detail.startswith("branch transitions agree within")
+    # a quartic branch 5 % too stiff: every transition is off by 5 % from the cosine
+    real_terms = ed._branch_terms
+
+    def stiff_quartic(params, R, quartic):
+        atom, x = real_terms(params, R, quartic)
+        return (1.05 * atom if quartic else atom), x
+
+    monkeypatch.setattr(ed, "_branch_terms", stiff_quartic)
+    (result,) = validate.run_checks(["truncation-study"])
+    assert not result.passed
+    assert "quartic branch spectrum off by" in result.detail
+    assert main(["validate", "--only", "truncation-study"]) == 1
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "0/1 checks passed"
+
+
 def test_validate_only_selection(capsys):
     assert main(["validate", "--only", "vieta,gaussian-cosine"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

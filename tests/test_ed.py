@@ -557,8 +557,7 @@ def test_lowest_eigenpairs_deterministic(reference):
 # --- sweeps ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("sweep", ["scan", "truncation_error_study"])
-def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
+def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch):
     """An odd sector below the even ground state fails the sweep instead of reporting."""
     real_solve = ed.solve_sector
 
@@ -572,12 +571,7 @@ def test_sweeps_reject_odd_ground_below_even(reference, monkeypatch, sweep):
     monkeypatch.setattr(ed, "solve_sector", odd_sinks)
     L = np.array([0.30e-9, 0.52e-9])
     with pytest.raises(ConvergenceError, match="odd sector fell below"):
-        if sweep == "scan":
-            ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), L)
-        else:
-            ed.truncation_error_study(
-                reference, L, per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
-            )
+        ed.scan(reference, ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16), L)
 
 
 def test_reference_energy_matches_the_potential(reference):
@@ -700,7 +694,7 @@ def test_scan_matches_product_basis(reference, n_atoms, per_mode, total, L_nH):
 
 
 def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
-    """scan, and the truncation study through it, asks ARPACK for 2 even and 1 odd pair."""
+    """scan asks ARPACK for 2 even and 1 odd pair."""
     calls = []
     real_eigsh = ed.eigsh
 
@@ -718,14 +712,6 @@ def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
         model = ed.build_sector_model(reference, replace(cfg, n_eigenvalues=n_eigenvalues), 0)
         ed.solve_sector(model, reference)
         assert calls == [(41, n_eigenvalues)]
-
-    calls.clear()
-    ed.truncation_error_study(
-        reference, np.array([0.45e-9, 0.52e-9]), per_mode_cutoff=8, total_cutoff=16,
-        n_levels=4, atom_levels=30,
-    )
-    # two inductances for each of the two potentials
-    assert calls == [(41, 2), (40, 1)] * 4
 
 
 def cold_eigenpairs(matrix, k, seed):
@@ -875,46 +861,15 @@ def test_ground_state_atom_exchange_symmetric(reference):
 # --- quartic versus cosine ---------------------------------------------------
 
 
-def test_truncation_study_atom_level(reference):
-    study = ed.truncation_error_study(
-        reference,
-        np.array([0.42e-9, 0.46e-9, 0.52e-9, 0.60e-9]),
-        per_mode_cutoff=12,
-        total_cutoff=24,
-        n_levels=4,
-        atom_levels=30,
-    )
-    # the isolated-branch comparison is a controlled expansion in the
-    # flux spread and stays well inside 3 per cent
-    assert study.atom_max_rel_deviation < 0.03
-    assert study.atom_quartic_transitions.shape == (3,)
-    assert np.all(study.atom_cosine_transitions > 0.0)
-    # coupled-system transitions near the gap dip disagree much more;
-    # the dip itself is compared through its location and depth
-    assert study.quartic_dip_L == pytest.approx(0.52e-9)
-    assert study.cosine_dip_L == pytest.approx(0.52e-9)
-    assert study.dip_location_shift == 0.0
-    assert 0.0 < study.dip_value_shift < 0.15
-    assert study.quartic_even_gap.shape == study.cosine_even_gap.shape == (4,)
-
-
 def test_truncation_study_weak_anharmonicity_limit(reference):
     # a hundredfold weaker Josephson energy shrinks the quartic error by
     # orders of magnitude; this pins the scaling direction
     weak = reference.replace(L_J=75e-9)
-    study = ed.truncation_error_study(
-        weak, np.array([0.45e-9]), per_mode_cutoff=8, total_cutoff=16, n_levels=4, atom_levels=30
-    )
-    assert study.atom_max_rel_deviation < 1e-4
-
-
-def test_truncation_study_validation(reference):
-    with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, np.array([]))
-    with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, np.array([0.45e-9]), n_levels=1)
-    with pytest.raises(ValueError):
-        ed.truncation_error_study(reference, np.array([0.45e-9]), n_levels=8, atom_levels=8)
+    transitions = []
+    for quartic in (True, False):
+        w = np.linalg.eigvalsh(ed._branch_terms(weak, 30, quartic)[0])
+        transitions.append(w[1:4] - w[0])
+    assert (np.abs(transitions[0] - transitions[1]) / transitions[1]).max() < 1e-4
 
 
 # --- export -------------------------------------------------------------------

@@ -248,17 +248,21 @@ def test_critical_inductance_of_weak_junctions(reference, L_J, L_c_nH):
     assert (g.phi > 0.0).tolist() == [[False, True]]
 
 
-@pytest.mark.parametrize("scale", [0.0, 0.4])
-def test_critical_inductance_never_orders(reference, monkeypatch, scale):
+@pytest.mark.parametrize(
+    "scale, L_J", [(0.0, None), (0.4, None), (1.0, math.inf)], ids=["0.0", "0.4", "L_J-inf"]
+)
+def test_critical_inductance_never_orders(reference, monkeypatch, scale, L_J):
     """chi / L_g^2 <= 1 / L_g leaves no L_R0 ordered, so there is no L_c to return.
 
     The reference circuit orders while chi keeps more than L_c / (L_c + L_g),
-    about 0.43, of its value.
+    about 0.43, of its value. A branch without a junction is harmonic,
+    chi = L_g exactly, and its computed 1/L_c is rounding noise above 0.
     """
+    p = reference if L_J is None else reference.replace(L_J=L_J)
     chi = fock.Branch.susceptibility
     monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: scale * chi(self, kT))
     with pytest.raises(ValueError):
-        meanfield.critical_inductance_at_zero_T(reference)
+        meanfield.critical_inductance_at_zero_T(p)
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.03, -0.03])

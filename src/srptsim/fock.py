@@ -8,7 +8,9 @@ functions of the phase 2 pi psi / Phi0, evaluated by spectral calculus on
 the truncated flux operator.
 """
 
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +21,13 @@ from .constants import PHI0, hbar
 # Eigenvalues within this fraction of the spectral span count as degenerate
 # with the ground state when averaging zero-temperature expectations.
 DEGENERACY_RTOL = 1e-12
+
+# Tilts whose spectrum (eigenvalues) and decomposition (eigenvalues and
+# eigenvectors) each Branch keeps, the least recently read evicted first.
+SPECTRA_MEMO = 256
+DECOMPOSITIONS_MEMO = 4
+# Guards every memo: the kernels of branch() are shared by all threads.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,11 @@ def thermal_expectation(H: np.ndarray, operators: tuple, kT: float, response: np
     susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`),
     from the same eigendecomposition.
     """
-    w, v = np.linalg.eigh(H)
+    return _gibbs_average(*np.linalg.eigh(H), operators, kT, response)
+
+
+def _gibbs_average(w, v, operators, kT, response):
+    """:func:`thermal_expectation` from the eigendecomposition (w, v) of H."""
     p = gibbs_weights(w, kT)
     averages = tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
     F = _spectrum_free_energy(w, kT)
@@ -170,6 +183,18 @@ class Branch:
     function of hamiltonian(phi). levels are the ascending eigenvalues of
     H_atom and psi_levels the flux matrix in its eigenbasis. All arrays are
     read-only.
+
+    Mean field samples the same tilts many times: every kT row of a phase
+    grid scans the same phi lattice, and fluct re-reads the tilt that
+    mean field packaged. So each kernel keeps the eigvalsh spectra of the
+    last SPECTRA_MEMO = 256 tilts read by free_energy and the eigh
+    decompositions of the last DECOMPOSITIONS_MEMO = 4 read by thermal,
+    keyed by the exact bits of phi. A repeated tilt runs no eigensolve and
+    returns bit for bit what a fresh one would; the two memos stay apart
+    because eigh's eigenvalues differ from eigvalsh's in the last bits.
+    At M levels a kernel holds at most 256 M + 4 (M^2 + M) floats, 0.24 MB
+    at M = 60 or 0.34 MB with the keys and array headers, so about 11 MB
+    over the 32 kernels that :func:`branch` caches.
     """
 
     ops: FockOperatorSet
@@ -177,6 +202,8 @@ class Branch:
     L_g: float
     levels: np.ndarray
     psi_levels: np.ndarray
+    _spectra: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+    _decompositions: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def hamiltonian(self, phi: float) -> np.ndarray:
         """Branch Hamiltonian with the resonator flux frozen at phi, joule.
@@ -190,15 +217,33 @@ class Branch:
     def free_energy(self, phi: float, kT: float) -> float:
         """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0,
         and ValueError unless kT is finite and non-negative."""
-        return _spectrum_free_energy(np.linalg.eigvalsh(self.hamiltonian(phi)), kT)
+        return _spectrum_free_energy(self._solved(phi, self._spectra, SPECTRA_MEMO, np.linalg.eigvalsh), kT)
 
     def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
-        """(F, averages): free energy and the expectation of each operator, one eigensolve.
+        """(F, averages): free energy and the expectation of each operator, at most one eigensolve.
 
         response=psi_op appends chi = d<psi>/dh, the static response of the branch flux to
         the tilt -h psi at h = phi / L_g, henry; at phi = 0 it is :meth:`susceptibility`.
         """
-        return thermal_expectation(self.hamiltonian(phi), operators, kT, response=response)
+        w, v = self._solved(phi, self._decompositions, DECOMPOSITIONS_MEMO, np.linalg.eigh)
+        return _gibbs_average(w, v, operators, kT, response)
+
+    def _solved(self, phi, memo, bound, solver):
+        """solver(hamiltonian(phi)), read-only, from memo when phi is among its bound latest tilts."""
+        # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
+        key = float(phi).hex()
+        with _MEMO_LOCK:
+            if key in memo:
+                memo.move_to_end(key)
+                return memo[key]
+        solved = solver(self.hamiltonian(phi))
+        for a in solved if isinstance(solved, tuple) else (solved,):
+            a.setflags(write=False)
+        with _MEMO_LOCK:
+            memo[key] = solved
+            if len(memo) > bound:
+                memo.popitem(last=False)
+        return solved
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

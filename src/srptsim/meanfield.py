@@ -86,7 +86,8 @@ class MeanFieldSolution:
                            spent on this point: its refinement and packaging
                            plus its share of the certified scan shared
                            across a solve_sweep, so a sweep's values sum to
-                           the evaluations it made
+                           the evaluations it made; one the kernel's memo
+                           answers counts but runs no eigensolve (fock.Branch)
     """
 
     phi_th: float

@@ -224,7 +224,8 @@ def test_count_convex_runs_synthetic():
 
 
 def test_one_dense_diagonalization_per_point(reference, monkeypatch):
-    """Packaging a point, renormalize and stationarity_check each diagonalize once."""
+    """Packaging a tilt diagonalizes once; packaging it hot, renormalize and stationarity_check
+    then read the kernel's memo, at a normal and at a superradiant point."""
     count = 0
 
     def counting(fn):
@@ -240,18 +241,20 @@ def test_one_dense_diagonalization_per_point(reference, monkeypatch):
         p = reference.replace(L_R0=L)
         points.append((p, meanfield.solve(p, 0.0)))
     assert [sol.superradiant for _, sol in points] == [False, True]
+    fock._branch.cache_clear()
+    fock.branch(reference)  # both points' kernel, with empty memos
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     for p, sol in points:
-        for call in (
-            lambda: meanfield._package(p, sol.phi_th, 0.0, 60, converged=True, n_evaluations=0),
-            lambda: meanfield._package(p, sol.phi_th, h * 50 * GHZ, 60, True, 0),
-            lambda: fluct.renormalize(p, sol),
-            lambda: fluct.stationarity_check(p, sol),
+        for solves, call in (
+            (1, lambda: meanfield._package(p, sol.phi_th, 0.0, 60, converged=True, n_evaluations=0)),
+            (0, lambda: meanfield._package(p, sol.phi_th, h * 50 * GHZ, 60, True, 0)),
+            (0, lambda: fluct.renormalize(p, sol)),
+            (0, lambda: fluct.stationarity_check(p, sol)),
         ):
             count = 0
             call()
-            assert count == 1
+            assert count == solves
 
 
 def test_spectrum_scan_rows_match_the_per_point_calls(reference):

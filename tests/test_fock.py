@@ -16,7 +16,10 @@ from kubo_oracle import level_susceptibility
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim.fock import (
+    DECOMPOSITIONS_MEMO,
+    SPECTRA_MEMO,
     _branch,
+    _spectrum_free_energy,
     atom_hamiltonian,
     branch,
     build_operators,
@@ -321,6 +324,50 @@ def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
     assert b.free_energy(0.05 * PHI0, 0.0) == np.linalg.eigvalsh(b.hamiltonian(0.05 * PHI0))[0]
     with pytest.raises(ValueError):
         b.free_energy(0.05 * PHI0, -h * GHZ)
+
+
+@pytest.mark.parametrize("kT_GHz", [0.0, 50.0])
+def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
+    """A tilt read again returns bit for bit what a fresh eigensolve gives, the memos
+    keep no more tilts than their bounds, and no cached array is writable."""
+    kT = h * kT_GHz * GHZ
+    _branch.cache_clear()
+    b = branch(reference, 20)
+    ops = (b.ops.psi_op, b.ops.cos_op)
+    # more distinct tilts than either memo keeps, 0.0 and -0.0 among them
+    distinct = np.concatenate([[0.0, -0.0], np.linspace(-0.2, 0.2, SPECTRA_MEMO + 30) * PHI0])
+    oracle = {}
+    for phi in distinct:
+        H = b.hamiltonian(phi)
+        oracle[float(phi).hex()] = (_spectrum_free_energy(np.linalg.eigvalsh(H), kT),
+                                    thermal_expectation(H, ops, kT, response=b.ops.psi_op))
+    solves = {"eigvalsh": 0, "eigh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def counted(a):
+            solves[name] += 1
+            return real(a)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh"))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh"))
+    # each tilt twice in a shuffled order, every fifth call repeated at once
+    sequence = np.random.default_rng(11).permutation(np.concatenate([distinct, distinct]))
+    calls = [phi for i, phi in enumerate(sequence) for _ in range(1 + (i % 5 == 0))]
+    for phi in calls:
+        F, thermal = oracle[float(phi).hex()]
+        assert b.free_energy(phi, kT) == F
+        assert b.thermal(phi, kT, *ops, response=b.ops.psi_op) == thermal
+        assert len(b._spectra) <= SPECTRA_MEMO and len(b._decompositions) <= DECOMPOSITIONS_MEMO
+    # remembered tilts are not solved again, evicted ones are
+    assert distinct.size < solves["eigvalsh"] < len(calls)
+    assert distinct.size < solves["eigh"] < len(calls)
+    cached = [*b._spectra.values(), *(a for wv in b._decompositions.values() for a in wv)]
+    assert len(cached) == SPECTRA_MEMO + 2 * DECOMPOSITIONS_MEMO
+    assert not any(a.flags.writeable for a in cached)
 
 
 def test_branch_rejects_negative_temperature(reference):

@@ -389,7 +389,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
         return counted
 
     monkeypatch.setattr(fock.Branch, "free_energy", counting(fock.Branch.free_energy))
-    monkeypatch.setattr(fock, "thermal_expectation", counting(fock.thermal_expectation))
+    monkeypatch.setattr(fock.Branch, "thermal", counting(fock.Branch.thermal))
     # the windows span 6.9x, one scan for all four columns
     L = np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9])
     kT = h * 50 * GHZ
@@ -401,6 +401,43 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
     assert sum(s.n_evaluations for s in sweep) < sum(s.n_evaluations for s in singles)
     # the widest column sees the lattice of its lone solve
     assert replace(sweep[3], n_evaluations=0) == replace(singles[3], n_evaluations=0)
+
+
+def test_grid_rows_share_one_scan_lattice(reference, monkeypatch):
+    """Each kT row of a phase grid samples the lattice of its columns, so a tilt that
+    another row sampled costs no eigensolve: the grid solves each distinct phi once."""
+    L = np.linspace(0.30e-9, 1.0e-9, 6)
+    kT = np.array([0.0, 50.0, 100.0, 150.0]) * h * GHZ
+    solves, tilts = 0, set()
+
+    def eigvalsh(a):
+        nonlocal solves
+        solves += 1
+        return real_eigvalsh(a)
+
+    def free_energy(self, phi, kT):
+        tilts.add(float(phi).hex())
+        return real_free_energy(self, phi, kT)
+
+    real_eigvalsh, real_free_energy = np.linalg.eigvalsh, fock.Branch.free_energy
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(fock.Branch, "free_energy", free_energy)
+
+    def sampled(kT_values):
+        nonlocal solves
+        fock._branch.cache_clear()
+        solves = 0
+        tilts.clear()
+        meanfield.phase_boundary(reference, L, kT_values)
+        return solves, set(tilts)
+
+    grid_solves, grid_tilts = sampled(kT)
+    rows = [sampled(kT[i : i + 1]) for i in range(kT.size)]
+    assert grid_solves == len(grid_tilts)
+    assert all(n == len(t) for n, t in rows)
+    # the rows refine different cells, but all on one lattice
+    assert grid_tilts == set().union(*(t for _, t in rows))
+    assert grid_solves < sum(n for n, _ in rows)
 
 
 @pytest.mark.parametrize(

@@ -174,11 +174,12 @@ def sweep_values(args, stem: str) -> np.ndarray:
     """SI values of the --stem list, else of the --stem-min/-max/-steps grid.
 
     Every value is checked in the display units it was typed in, and an
-    error names its flag.
+    error names its flag. A --stem list that holds no value, "" as well
+    as ",", is an error too.
     """
     _, _, scale, zero_ok = SWEEPS[stem]
     flag, text = f"--{stem}", getattr(args, stem)
-    if text:
+    if text is not None:
         typed = [(flag, tok.strip()) for tok in text.split(",") if tok.strip()]
         if not typed:
             raise ConfigError(f"{flag}: empty value list {text!r}")
@@ -195,7 +196,7 @@ def sweep_values(args, stem: str) -> np.ndarray:
             raise ConfigError(f"{flag}: bad number list {text!r}") from exc
         _check_typed(name, raw, v, scale, zero_ok)
         values.append(v)
-    return (np.array(values) if text else np.linspace(*values, steps)) * scale
+    return (np.array(values) if text is not None else np.linspace(*values, steps)) * scale
 
 
 def fock_levels(args) -> int:
@@ -400,7 +401,7 @@ def cmd_ed(args) -> int:
     compare = {}
     if args.compare_meanfield:
         # Thermodynamic-limit reference values at kT = 0, shared across the N rows.
-        for sol in meanfield.solve_sweep(base, L_vals, 0.0):
+        for sol in meanfield._sweep(base, L_vals, 0.0):
             shift = fluct.zero_point_shift(sol.params, sol, fluct.renormalize(sol.params, sol))
             compare[sol.params.L_R0] = (sol.alpha_over_sqrt_n**2, shift / (h * GHZ))
     columns = ["N", "L_R0_nH", "dim_even", "dim_odd", "E_g_over_h_GHz", "photons_per_atom",

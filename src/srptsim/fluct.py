@@ -161,7 +161,8 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
 def _scan_points(params: CircuitParams, L_R0_values, M: int):
     """The points of :func:`spectrum_scan`, each yielded once it is renormalized: (omega_c, omega_plus,
     omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th) and its MeanFieldSolution."""
-    for sol in meanfield.solve_sweep(params, L_R0_values, 0.0, M=M):
+    # each column is renormalized before the next one's eigensolves evict its tilt
+    for sol in meanfield._sweep(params, L_R0_values, 0.0, M):
         ren = renormalize(sol.params, sol)
         omega_c = derive_linear(sol.params).omega_c
         w_plus, w_minus = fluctuation_spectrum(ren)

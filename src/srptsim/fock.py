@@ -8,10 +8,8 @@ functions of the phase 2 pi psi / Phi0, evaluated by spectral calculus on
 the truncated flux operator.
 """
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,8 +24,6 @@ DEGENERACY_RTOL = 1e-12
 # eigenvectors) each Branch keeps, the least recently read evicted first.
 SPECTRA_MEMO = 256
 DECOMPOSITIONS_MEMO = 4
-# Guards every memo: the kernels of branch() are shared by all threads.
-_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -110,23 +106,14 @@ def gibbs_weights(w: np.ndarray, kT: float) -> np.ndarray:
     return weights / np.sum(weights)
 
 
-def thermal_expectation(H: np.ndarray, operators: tuple, kT: float, response: np.ndarray | None = None):
-    """Free energy and canonical expectations in the Gibbs state of H.
+def _gibbs_average(w, v, operators, kT, response):
+    """Free energy and canonical expectations in the Gibbs state of H, from its eigendecomposition (w, v).
 
     kT is in joule; the state has the weights of :func:`gibbs_weights`.
-    Returns (F, averages), the free energy of H and the expectation of
-    each operator in the tuple, all from one eigendecomposition. F equals
-    :meth:`Branch.free_energy` at the same tilt up to eigensolver rounding.
-
-    A Hermitian response operator B gives (F, averages, chi), chi the static
-    susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`),
-    from the same eigendecomposition.
+    Returns (F, averages), the free energy of H and the expectation of each
+    operator in the tuple. A Hermitian response operator B appends chi, the
+    static susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`).
     """
-    return _gibbs_average(*np.linalg.eigh(H), operators, kT, response)
-
-
-def _gibbs_average(w, v, operators, kT, response):
-    """:func:`thermal_expectation` from the eigendecomposition (w, v) of H."""
     p = gibbs_weights(w, kT)
     averages = tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
     F = _spectrum_free_energy(w, kT)
@@ -185,16 +172,17 @@ class Branch:
     read-only.
 
     Mean field samples the same tilts many times: every kT row of a phase
-    grid scans the same phi lattice, and fluct re-reads the tilt that
-    mean field packaged. So each kernel keeps the eigvalsh spectra of the
+    grid scans the same phi lattice, and fluct renormalizes each column
+    at the tilt mean field just packaged. So each kernel keeps, in two
+    functools.lru_cache memos of its own, the eigvalsh spectra of the
     last SPECTRA_MEMO = 256 tilts read by free_energy and the eigh
     decompositions of the last DECOMPOSITIONS_MEMO = 4 read by thermal,
-    keyed by the exact bits of phi. A repeated tilt runs no eigensolve and
-    returns bit for bit what a fresh one would; the two memos stay apart
-    because eigh's eigenvalues differ from eigvalsh's in the last bits.
-    At M levels a kernel holds at most 256 M + 4 (M^2 + M) floats, 0.24 MB
-    at M = 60 or 0.34 MB with the keys and array headers, so about 11 MB
-    over the 32 kernels that :func:`branch` caches.
+    keyed by the exact bits of phi and read-only. A repeated tilt runs no
+    eigensolve and returns bit for bit what a fresh one would; the two
+    memos stay apart because eigh's eigenvalues differ from eigvalsh's in
+    the last bits. At M levels a kernel holds at most 256 M + 4 (M^2 + M)
+    floats, 0.24 MB at M = 60 or 0.34 MB with the keys and array headers,
+    so about 11 MB over the 32 kernels that :func:`branch` caches.
     """
 
     ops: FockOperatorSet
@@ -202,8 +190,19 @@ class Branch:
     L_g: float
     levels: np.ndarray
     psi_levels: np.ndarray
-    _spectra: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
-    _decompositions: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # this kernel's own memos, keyed by float(phi).hex(), so they are freed with it
+        object.__setattr__(self, "_spectrum", lru_cache(SPECTRA_MEMO)(partial(self._solve, "eigvalsh")))
+        object.__setattr__(self, "_decomposition", lru_cache(DECOMPOSITIONS_MEMO)(partial(self._solve, "eigh")))
+
+    def _solve(self, solver, key):
+        """numpy.linalg's solver of hamiltonian(phi), phi = float.fromhex(key), its arrays read-only."""
+        # looked up per call, so a patched numpy.linalg solver is the one run
+        solved = getattr(np.linalg, solver)(self.hamiltonian(float.fromhex(key)))
+        for a in solved if isinstance(solved, tuple) else (solved,):
+            a.setflags(write=False)
+        return solved
 
     def hamiltonian(self, phi: float) -> np.ndarray:
         """Branch Hamiltonian with the resonator flux frozen at phi, joule.
@@ -217,7 +216,8 @@ class Branch:
     def free_energy(self, phi: float, kT: float) -> float:
         """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0,
         and ValueError unless kT is finite and non-negative."""
-        return _spectrum_free_energy(self._solved(phi, self._spectra, SPECTRA_MEMO, np.linalg.eigvalsh), kT)
+        # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
+        return _spectrum_free_energy(self._spectrum(float(phi).hex()), kT)
 
     def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
         """(F, averages): free energy and the expectation of each operator, at most one eigensolve.
@@ -225,25 +225,8 @@ class Branch:
         response=psi_op appends chi = d<psi>/dh, the static response of the branch flux to
         the tilt -h psi at h = phi / L_g, henry; at phi = 0 it is :meth:`susceptibility`.
         """
-        w, v = self._solved(phi, self._decompositions, DECOMPOSITIONS_MEMO, np.linalg.eigh)
+        w, v = self._decomposition(float(phi).hex())
         return _gibbs_average(w, v, operators, kT, response)
-
-    def _solved(self, phi, memo, bound, solver):
-        """solver(hamiltonian(phi)), read-only, from memo when phi is among its bound latest tilts."""
-        # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
-        key = float(phi).hex()
-        with _MEMO_LOCK:
-            if key in memo:
-                memo.move_to_end(key)
-                return memo[key]
-        solved = solver(self.hamiltonian(phi))
-        for a in solved if isinstance(solved, tuple) else (solved,):
-            a.setflags(write=False)
-        with _MEMO_LOCK:
-            memo[key] = solved
-            if len(memo) > bound:
-                memo.popitem(last=False)
-        return solved
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

@@ -145,6 +145,15 @@ def solve_sweep(
     the normal phase. An empty or 2-D sweep raises ValueError, as do a bad kT
     or M (:func:`fock.branch`).
     """
+    return list(_sweep(params, L_R0_values, kT, M))
+
+
+def _sweep(params, L_R0_values, kT, M=60):
+    """:func:`solve_sweep`'s checks and scan, then an iterator that refines each column as it is read.
+
+    A caller that reads a column's tilt again before taking the next, as
+    fluct does, finds it in the kernel's decomposition memo.
+    """
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
@@ -153,7 +162,7 @@ def solve_sweep(
     u = np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
     phi, f, end = _certified_scan(fock.branch(params, M), kT, u, window)
     share, extra = divmod(phi.size, len(columns))
-    return [_refine(p, kT, M, phi, f, end, share + (n < extra)) for n, p in enumerate(columns)]
+    return (_refine(p, kT, M, phi, f, end, share + (n < extra)) for n, p in enumerate(columns))
 
 
 def _certified_scan(kernel, kT, u, window):

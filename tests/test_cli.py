@@ -297,6 +297,17 @@ def test_sweep_values_checked_as_typed(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["linear", "--lr0", ""], ["linear", "--lr0", ","], ["meanfield", "--kt", ""], ["fluct", "--lr0", " "]],
+)
+def test_an_empty_value_list_is_an_error(argv, capsys):
+    """A list flag given no value exits 2 instead of running the default grid."""
+    assert main(argv) == 2
+    _, flag, text = argv
+    assert capsys.readouterr().err == f"error: {flag}: empty value list {text!r}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--kt", "50,0"], "--kt must be strictly increasing, got 50,0"),

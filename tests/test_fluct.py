@@ -257,6 +257,30 @@ def test_one_dense_diagonalization_per_point(reference, monkeypatch):
             assert count == solves
 
 
+def test_spectrum_scan_renormalizes_from_the_memo(reference, monkeypatch):
+    """Each column is renormalized at the tilt mean field just packaged, so renormalize runs no
+    eigensolve, superradiant columns included."""
+    L = np.linspace(0.1e-9, 1.0e-9, 10)
+    solves, inside = [], []
+    eigh, renormalize = np.linalg.eigh, fluct.renormalize
+
+    def counted_eigh(a):
+        solves.append(1)
+        return eigh(a)
+
+    def counted_renormalize(*args):
+        before = len(solves)
+        ren = renormalize(*args)
+        inside.append(len(solves) - before)
+        return ren
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(fluct, "renormalize", counted_renormalize)
+    scan = fluct.spectrum_scan(reference, L)
+    assert np.count_nonzero(scan.superradiant) >= 5
+    assert len(inside) == L.size and sum(inside) == 0
+
+
 def test_spectrum_scan_rows_match_the_per_point_calls(reference):
     """Each FluctScan column holds the quantity of its name, point for point.
 

@@ -7,6 +7,8 @@ closed form and by running the eigensolvers at generous truncation.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,12 +21,12 @@ from srptsim.fock import (
     DECOMPOSITIONS_MEMO,
     SPECTRA_MEMO,
     _branch,
+    _gibbs_average,
     _spectrum_free_energy,
     atom_hamiltonian,
     branch,
     build_operators,
     gibbs_weights,
-    thermal_expectation,
 )
 
 GHZ = 1e9
@@ -215,57 +217,54 @@ def test_effective_hamiltonian_flux_behaviour(linear, reference):
     # a positive tilt pulls the branch flux to positive values
     _, (mean_psi,) = b.thermal(phi, 0.0, b.ops.psi_op)
     assert mean_psi > 0.0
-    assert mean_psi == thermal_expectation(b.hamiltonian(phi), (b.ops.psi_op,), 0.0)[1][0]
+    assert mean_psi == _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), 0.0, None)[1][0]
 
 
 def test_thermal_expectation_identity_and_parity(linear, reference):
-    ops = build_operators(linear, 30)
-    H = atom_hamiltonian(ops, reference)
+    b = branch(reference, 30)
     eye = np.eye(30)
     psi_scale = math.sqrt(hbar * linear.Z_a / 2.0)
     for kT in (0.0, h * 5 * GHZ, h * 200 * GHZ):
-        _, (norm, psi) = thermal_expectation(H, (eye, ops.psi_op), kT)
+        _, (norm, psi) = b.thermal(0.0, kT, eye, b.ops.psi_op)
         assert norm == pytest.approx(1.0, rel=1e-12)
         assert abs(psi) < 1e-12 * psi_scale
 
 
-def test_thermal_expectation_high_temperature_limit(linear, reference):
+def test_thermal_expectation_high_temperature_limit(reference):
     M = 30
-    ops = build_operators(linear, M)
-    H = atom_hamiltonian(ops, reference)
-    w = np.linalg.eigvalsh(H)
+    b = branch(reference, M)
+    w = b.levels
     kT = 1e4 * (w[-1] - w[0])
-    _, (avg,) = thermal_expectation(H, (np.diag(np.arange(float(M))),), kT)
+    _, (avg,) = b.thermal(0.0, kT, np.diag(np.arange(float(M))))
     assert avg == pytest.approx((M - 1) / 2.0, rel=1e-3)
 
 
 def test_thermal_expectation_degenerate_ground():
     H = np.diag([0.0, 0.0, 1.0])
     A = np.diag([1.0, -1.0, 5.0])
-    assert thermal_expectation(H, (A,), 0.0)[1][0] == pytest.approx(0.0, abs=1e-14)
+    assert _gibbs_average(*np.linalg.eigh(H), (A,), 0.0, None)[1][0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_thermal_expectation_zero_temperature_continuity(linear, reference):
-    H = atom_hamiltonian(build_operators(linear, 30), reference)
+def test_thermal_expectation_zero_temperature_continuity(reference):
+    b = branch(reference, 30)
     number = np.diag(np.arange(30.0))
-    w = np.linalg.eigvalsh(H)
-    gap = w[1] - w[0]
-    _, (cold,) = thermal_expectation(H, (number,), 1e-6 * gap)
-    _, (frozen,) = thermal_expectation(H, (number,), 0.0)
+    gap = b.levels[1] - b.levels[0]
+    _, (cold,) = b.thermal(0.0, 1e-6 * gap, number)
+    _, (frozen,) = b.thermal(0.0, 0.0, number)
     assert cold == pytest.approx(frozen, abs=1e-10)
 
 
-def test_thermal_expectation_rejects_negative_temperature(linear, reference):
-    H = atom_hamiltonian(build_operators(linear, 5), reference)
+def test_thermal_expectation_rejects_negative_temperature(reference):
+    b = branch(reference, 5)
     with pytest.raises(ValueError):
-        thermal_expectation(H, (np.diag(np.arange(5.0)),), -1.0)
+        b.thermal(0.0, -1.0, np.diag(np.arange(5.0)))
 
 
-def test_thermal_expectation_rejects_a_bare_operator(linear, reference):
-    # the rows of a bare matrix are not operators
-    H = atom_hamiltonian(build_operators(linear, 5), reference)
+def test_thermal_expectation_rejects_a_bare_operator(reference):
+    # the rows of a matrix spread into operators are not operators
+    b = branch(reference, 5)
     with pytest.raises(ValueError):
-        thermal_expectation(H, np.diag(np.arange(5.0)), 0.0)
+        b.thermal(0.0, 0.0, *np.diag(np.arange(5.0)))
 
 
 def test_free_energy_single_level(reference):
@@ -340,7 +339,7 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     for phi in distinct:
         H = b.hamiltonian(phi)
         oracle[float(phi).hex()] = (_spectrum_free_energy(np.linalg.eigvalsh(H), kT),
-                                    thermal_expectation(H, ops, kT, response=b.ops.psi_op))
+                                    _gibbs_average(*np.linalg.eigh(H), ops, kT, b.ops.psi_op))
     solves = {"eigvalsh": 0, "eigh": 0}
 
     def counting(name):
@@ -361,13 +360,57 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
         F, thermal = oracle[float(phi).hex()]
         assert b.free_energy(phi, kT) == F
         assert b.thermal(phi, kT, *ops, response=b.ops.psi_op) == thermal
-        assert len(b._spectra) <= SPECTRA_MEMO and len(b._decompositions) <= DECOMPOSITIONS_MEMO
+        assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
+        assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
     # remembered tilts are not solved again, evicted ones are
     assert distinct.size < solves["eigvalsh"] < len(calls)
     assert distinct.size < solves["eigh"] < len(calls)
-    cached = [*b._spectra.values(), *(a for wv in b._decompositions.values() for a in wv)]
+    assert b._spectrum.cache_info().currsize == SPECTRA_MEMO
+    assert b._decomposition.cache_info().currsize == DECOMPOSITIONS_MEMO
+    # the latest tilts are the remembered ones: read back without a solve, none writable
+    latest = list(dict.fromkeys(float(phi).hex() for phi in reversed(calls)))
+    made = dict(solves)
+    cached = [*(b._spectrum(key) for key in latest[:SPECTRA_MEMO]),
+              *(a for key in latest[:DECOMPOSITIONS_MEMO] for a in b._decomposition(key))]
+    assert solves == made
     assert len(cached) == SPECTRA_MEMO + 2 * DECOMPOSITIONS_MEMO
     assert not any(a.flags.writeable for a in cached)
+
+
+def test_tilt_memos_under_concurrent_readers(reference):
+    """Threads sharing one kernel read the same tilts in different orders: every read equals
+    a fresh eigensolve bit for bit and neither memo passes its bound."""
+    kT = h * 20 * GHZ
+    _branch.cache_clear()
+    b = branch(reference, 10)
+    tilts = np.linspace(-0.2, 0.2, SPECTRA_MEMO + 40) * PHI0
+    oracle = {float(phi).hex(): (_spectrum_free_energy(np.linalg.eigvalsh(b.hamiltonian(phi)), kT),
+                                 _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT, None))
+              for phi in tilts}
+    wrong, errors = [], []
+
+    def reader(seed):
+        try:
+            for phi in np.random.default_rng(seed).choice(tilts, size=300):
+                if (b.free_energy(phi, kT), b.thermal(phi, kT, b.ops.psi_op)) != oracle[float(phi).hex()]:
+                    wrong.append(phi)
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
+    assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
 
 
 def test_branch_rejects_negative_temperature(reference):
@@ -471,8 +514,8 @@ def test_static_response_with_degenerate_levels():
     B = B + B.T
     dh = 1e-5
     for kT in (0.05, 0.7, 30.0):
-        F, (mean,), chi = thermal_expectation(H, (B,), kT, response=B)
-        assert (F, (mean,)) == thermal_expectation(H, (B,), kT)
-        _, (up,) = thermal_expectation(H - dh * B, (B,), kT)
-        _, (down,) = thermal_expectation(H + dh * B, (B,), kT)
+        F, (mean,), chi = _gibbs_average(*np.linalg.eigh(H), (B,), kT, B)
+        assert (F, (mean,)) == _gibbs_average(*np.linalg.eigh(H), (B,), kT, None)
+        _, (up,) = _gibbs_average(*np.linalg.eigh(H - dh * B), (B,), kT, None)
+        _, (down,) = _gibbs_average(*np.linalg.eigh(H + dh * B), (B,), kT, None)
         assert chi == pytest.approx((up - down) / (2.0 * dh), rel=1e-8)

@@ -135,8 +135,8 @@ def polariton_frequencies(omega_c, omega_a, g):
     quadratic form is unstable, which is exactly the superradiant onset in
     the linearized theory.
     """
-    if omega_c <= 0 or omega_a <= 0 or g < 0:
-        raise ValueError("frequencies must be positive and g non-negative")
+    if not (0.0 < omega_c < math.inf and 0.0 < omega_a < math.inf and 0.0 <= g < math.inf):
+        raise ValueError("frequencies must be finite and positive and g finite and non-negative")
     s = omega_c**2 + omega_a**2
     r = math.sqrt((omega_c**2 - omega_a**2) ** 2 + 16.0 * g**2 * omega_c * omega_a)
     return math.sqrt((s + r) / 2.0), (s - r) / 2.0

@@ -417,7 +417,6 @@ class EdScan:
     """Observables along a resonator-inductance sweep at fixed N, in joule; delta_eps is
     (E_g - hbar omega_c / 2) / N minus the ground energy of the branch block the sectors hold."""
 
-    config: EdConfig
     L_R0_values: np.ndarray
     E_g: np.ndarray
     photon_number_per_atom: np.ndarray
@@ -447,7 +446,7 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     L_vals = np.asarray(L_R0_values, dtype=float)
     dims, rows = zip(*_scan_points(params, config, L_vals))
     E_g, photons, t_even, t_odd, delta = np.array(rows).T
-    return EdScan(config=config, L_R0_values=L_vals, E_g=E_g, photon_number_per_atom=photons,
+    return EdScan(L_R0_values=L_vals, E_g=E_g, photon_number_per_atom=photons,
                   transition_even=t_even, transition_odd=t_odd, delta_eps=delta,
                   dim_even=dims[-1][0], dim_odd=dims[-1][1])
 

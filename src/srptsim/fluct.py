@@ -44,19 +44,24 @@ class RenormalizedParams:
     cos_avg: float
 
 
+def _solution_branch(params: CircuitParams, solution: MeanFieldSolution) -> fock.Branch:
+    """fock.branch(params, solution.M), the kernel solution was found on; ValueError unless params
+    holds the circuit values of solution.params, N aside, which mean field does not read."""
+    if params.replace(N=None) != solution.params.replace(N=None):
+        raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
+    return fock.branch(params, solution.M)
+
+
 def renormalize(params: CircuitParams, solution: MeanFieldSolution) -> RenormalizedParams:
     """Average the junction curvature in the equilibrium ground state.
 
     Only defined at zero temperature, and taken on the branch truncation of
-    the solution, solution.M. A params whose circuit values differ from
-    solution.params (N aside, which mean field does not read) raises
-    ValueError, so a solution found for other values is never reused.
+    the solution, solution.M. A solution at kT > 0, or a params whose circuit
+    values differ from solution.params (:func:`_solution_branch`), raises ValueError.
     """
     if solution.kT != 0.0:
         raise ValueError("renormalization uses ground-state averages; solve at kT = 0")
-    if params.replace(N=None) != solution.params.replace(N=None):
-        raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
-    b = fock.branch(params, solution.M)
+    b = _solution_branch(params, solution)
     _, (cos_avg,) = b.thermal(solution.phi_th, 0.0, b.ops.cos_op)
     E_J_bar = params.E_J * cos_avg
     L_J_bar = circuit.josephson_inductance(E_J_bar)
@@ -77,8 +82,9 @@ def stationarity_check(params: CircuitParams, solution: MeanFieldSolution):
     solution's truncation and temperature (solution.M, solution.kT). The photon
     residual is the classical resonator balance; the junction one averages the
     flux-periodic force in the equilibrium state, so it measures the truncation.
+    A params whose circuit values differ from solution.params raises ValueError (:func:`_solution_branch`).
     """
-    b = fock.branch(params, solution.M)
+    b = _solution_branch(params, solution)
     _, (psi, sin_avg) = b.thermal(solution.phi_th, solution.kT, b.ops.psi_op, b.ops.sin_op)
     photon = (1.0 / params.L_R0 + 1.0 / params.L_g) * solution.phi_th - psi / params.L_g
     junction = (psi - solution.phi_th) / params.L_g - (TWO_PI / PHI0) * params.E_J * sin_avg
@@ -108,11 +114,10 @@ def zero_point_shift(
 
     Inductive energy stored in the displaced fluxes plus the change of the
     averaged junction energy: phi^2 / 2 L_R0 + (phi - psi)^2 / 2 L_g
-    + E_J (<cos> - 1). params must hold the circuit values of solution.params,
-    N aside, and renorm must be averaged in solution, or ValueError is raised.
+    + E_J (<cos> - 1). ValueError unless params holds the circuit values of
+    solution.params (:func:`_solution_branch`) and renorm was averaged in solution.
     """
-    if params.replace(N=None) != solution.params.replace(N=None):
-        raise ValueError(f"the mean-field solution was found for {solution.params}, not {params}")
+    _solution_branch(params, solution)
     if renorm.solution != solution:
         raise ValueError("renorm was built from a different mean-field solution")
     phi, psi = solution.phi_th, solution.psi_th
@@ -147,8 +152,8 @@ class FluctScan:
 def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
     """Solve, renormalize and diagonalize the fluctuations at each L_R0.
 
-    The kT = 0 equilibria come from one :func:`meanfield.solve_sweep` at
-    truncation M, which shares one certified phi scan across the sweep.
+    The kT = 0 equilibria come from :func:`meanfield._sweep`, the lazy sweep behind
+    :func:`meanfield.solve_sweep` at truncation M, each column refined just before its renormalization.
     """
     L_vals = np.asarray(L_R0_values, dtype=float)
     rows, solutions = zip(*_scan_points(params, L_vals, M))

@@ -209,13 +209,16 @@ class Branch:
 
         Completing the square in (psi - phi)^2 / 2 L_g leaves the bare
         branch Hamiltonian plus a linear tilt; the phi^2 constant is left
-        to the caller.
+        to the caller. ValueError for a non-finite phi: every memo miss
+        builds its matrix here, so no such tilt enters a memo.
         """
+        if not -np.inf < phi < np.inf:
+            raise ValueError(f"phi must be finite, got {phi!r}")
         return self.H_atom - (phi / self.L_g) * self.ops.psi_op
 
     def free_energy(self, phi: float, kT: float) -> float:
-        """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0,
-        and ValueError unless kT is finite and non-negative."""
+        """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0;
+        ValueError unless phi is finite (:meth:`hamiltonian`) and kT finite and non-negative."""
         # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
         return _spectrum_free_energy(self._spectrum(float(phi).hex()), kT)
 

@@ -52,18 +52,6 @@ def _resonator_action(params: CircuitParams, phi):
     return u * phi**2 / 2.0 + hbar * derive_linear(params).omega_c / 2.0
 
 
-def selfconsistency_residual(phi: float, kT: float, params: CircuitParams, M: int = 60) -> float:
-    """Derivative of the per-branch free energy with respect to phi, ampere.
-
-    By Hellmann-Feynman this equals (1/L_R0 + 1/L_g) phi - <psi> / L_g, so
-    a vanishing residual is the self-consistency condition.
-    """
-    b = fock.branch(params, M)
-    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
-    u = 1.0 / params.L_R0 + 1.0 / params.L_g
-    return u * phi - psi / params.L_g
-
-
 @dataclass(frozen=True)
 class MeanFieldSolution:
     """Equilibrium of the per-branch free energy at one (params, kT) point.

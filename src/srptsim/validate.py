@@ -129,6 +129,7 @@ def _check_free_energy_convergence(rng):
 
 def _check_action_derivative(rng):
     p = reference_params()
+    b = fock.branch(p)
     slope = constraint_slope(p)
     worst = 0.0
     for kT in (0.0, h * 30e9):
@@ -139,7 +140,9 @@ def _check_action_derivative(rng):
                 meanfield.action_per_atom(phi + step, kT, p)
                 - meanfield.action_per_atom(phi - step, kT, p)
             ) / (2.0 * step)
-            res = meanfield.selfconsistency_residual(phi, kT, p)
+            # Hellmann-Feynman: dA/dphi = (1/L_R0 + 1/L_g) phi - <psi> / L_g
+            _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+            res = (1.0 / p.L_R0 + 1.0 / p.L_g) * phi - psi / p.L_g
             scale = max(abs(fd), abs(res), PHI0 / p.L_J)
             worst = max(worst, abs(fd - res) / scale)
     _require(worst < 1e-5, f"derivative mismatch at relative {worst:.2e}")

@@ -9,7 +9,8 @@ the physical window, where no interior bracket exists.
 uniform_sweep_oracle is mean field's shared uniform phi profile, which
 the certified scan of meanfield.solve_sweep replaced, and brent_refine is
 the Brent root of the stationarity residual that its Newton refinement
-replaced.
+replaced. stationarity_residual reads that residual from the branch kernel
+alone, not from any path of the solver under test.
 """
 
 import math
@@ -138,6 +139,15 @@ def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int =
             for n, p in enumerate(columns)]
 
 
+def stationarity_residual(phi, kT, params: CircuitParams, M: int = 60) -> float:
+    """dA/dphi of the per-branch free energy, ampere: by Hellmann-Feynman
+    (1/L_R0 + 1/L_g) phi - <psi> / L_g, with <psi> from the kernel's Gibbs state."""
+    b = fock.branch(params, M)
+    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+    u = 1.0 / params.L_R0 + 1.0 / params.L_g
+    return u * phi - psi / params.L_g
+
+
 def brent_refine(params, kT, M, phi, f, window, shared):
     """Slow path of meanfield._refine: Brent's method on the residual values alone.
 
@@ -149,7 +159,7 @@ def brent_refine(params, kT, M, phi, f, window, shared):
     def g(x):
         # brentq re-evaluates the bracket ends, which are already known
         if x not in seen:
-            seen[x] = meanfield.selfconsistency_residual(x, kT, params, M)
+            seen[x] = stationarity_residual(x, kT, params, M)
         return seen[x]
 
     def package(phi_th, converged):

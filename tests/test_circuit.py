@@ -250,6 +250,14 @@ def test_polariton_floats():
         polariton_frequencies(1.0, 2.0, -0.1)
 
 
+def test_polariton_rejects_non_finite_input():
+    # NaN compares false with everything and inf is positive, so a sign test alone passes both
+    for args in ((math.nan, 2.0, 0.1), (1.0, math.nan, 0.1), (1.0, 2.0, math.nan),
+                 (math.inf, 2.0, 0.1), (1.0, math.inf, 0.1), (1.0, 2.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            polariton_frequencies(*args)
+
+
 def test_inductive_energy_trivial_points(reference):
     for N in (1, 4):
         p = reference.replace(N=N)

@@ -79,6 +79,17 @@ def test_renormalize_rejects_stale_solution(reference):
             fluct.renormalize(other, sol)
 
 
+def test_stationarity_check_rejects_a_solution_for_other_circuit_values(reference):
+    """A solution at 0.6 nH checked at 0.45 nH, or at another L_J, would return a photon residual
+    of 1e-8 to 1e-7 A instead of raising; any other N is the same mean-field circuit and passes."""
+    sol = meanfield.solve(reference.replace(L_R0=0.6e-9), 0.0)
+    for other in (reference.replace(L_R0=0.45e-9), reference.replace(L_R0=0.6e-9, L_J=0.8e-9)):
+        with pytest.raises(ValueError, match="mean-field solution was found for"):
+            fluct.stationarity_check(other, sol)
+    p = reference.replace(L_R0=0.6e-9)
+    assert fluct.stationarity_check(p.replace(N=3), sol) == fluct.stationarity_check(p, sol)
+
+
 def test_zero_point_shift_rejects_a_renorm_from_another_solution(reference):
     """Both normal-phase solutions sit at phi_th = 0, but the M = 6 average is another
     truncation's; shifting the M = 60 equilibrium with it raises instead of returning it."""

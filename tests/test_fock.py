@@ -15,6 +15,7 @@ import pytest
 from scipy.special import eval_genlaguerre, logsumexp
 
 from kubo_oracle import level_susceptibility
+from srptsim import meanfield
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim.fock import (
@@ -425,6 +426,23 @@ def test_branch_rejects_negative_temperature(reference):
                      lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.susceptibility(kT)):
             with pytest.raises(ValueError, match="kT must be finite and non-negative"):
                 call()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_branch_rejects_a_non_finite_tilt_before_its_memos(reference, phi):
+    """A non-finite tilt raises at every reader and never enters a memo, where it would evict real tilts."""
+    _branch.cache_clear()  # a fresh kernel, so that neither memo is full and an entry would show
+    b = branch(reference, 10)
+    b.free_energy(0.01 * PHI0, 0.0)
+    b.thermal(0.01 * PHI0, 0.0, b.ops.psi_op)
+    sizes = b._spectrum.cache_info().currsize, b._decomposition.cache_info().currsize
+    for kT in (0.0, h * 20 * GHZ):
+        for call in (lambda: b.hamiltonian(phi), lambda: b.free_energy(phi, kT),
+                     lambda: b.thermal(phi, kT, b.ops.psi_op),
+                     lambda: meanfield.action_per_atom(phi, kT, reference, M=10)):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                call()
+    assert (b._spectrum.cache_info().currsize, b._decomposition.cache_info().currsize) == sizes
 
 
 @pytest.mark.parametrize("M", [True, 60.0, 0])

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import kubo_oracle
-from search_oracle import brent_refine, scan_then_refine, uniform_sweep_oracle
+from search_oracle import brent_refine, scan_then_refine, stationarity_residual, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear, newton_root
 from srptsim.constants import PHI0, h, hbar
@@ -74,7 +74,7 @@ def per_point_solve(params, kT, coarse_points=256):
         return 0.0, 0.0, True
 
     def g(x):
-        return meanfield.selfconsistency_residual(x, kT, params)
+        return stationarity_residual(x, kT, params)
 
     for fac in (1e-4, 1e-3, 1e-2, 1e-1):
         a, b = phi * (1.0 - fac), phi * (1.0 + fac)
@@ -125,7 +125,7 @@ def column_critical_kT(kT_values, amps):
 def test_residual_vanishes_at_origin(reference):
     scale = PHI0 / reference.L_J
     for kT in (0.0, h * 40 * GHZ):
-        assert abs(meanfield.selfconsistency_residual(0.0, kT, reference)) < 1e-12 * scale
+        assert abs(stationarity_residual(0.0, kT, reference)) < 1e-12 * scale
 
 
 def test_residual_matches_action_derivative(reference):
@@ -137,7 +137,7 @@ def test_residual_matches_action_derivative(reference):
             meanfield.action_per_atom(phi + eps, kT, reference)
             - meanfield.action_per_atom(phi - eps, kT, reference)
         ) / (2.0 * eps)
-        resid = meanfield.selfconsistency_residual(phi, kT, reference)
+        resid = stationarity_residual(phi, kT, reference)
         assert fd == pytest.approx(resid, rel=1e-6)
 
 
@@ -145,14 +145,14 @@ def test_residual_sign_normal_phase(reference):
     p = reference.replace(L_R0=0.2e-9)
     window = 1.5 * (PHI0 / 2.0) / constraint_slope(p)
     for phi in np.linspace(window / 40, window, 40):
-        assert meanfield.selfconsistency_residual(float(phi), 0.0, p) > 0.0
+        assert stationarity_residual(float(phi), 0.0, p) > 0.0
 
 
 def test_residual_sign_change_superradiant(reference):
     p = reference.replace(L_R0=0.6e-9)
     window = 1.5 * (PHI0 / 2.0) / constraint_slope(p)
     signs = [
-        math.copysign(1.0, meanfield.selfconsistency_residual(float(phi), 0.0, p))
+        math.copysign(1.0, stationarity_residual(float(phi), 0.0, p))
         for phi in np.linspace(window / 40, window, 40)
     ]
     assert -1.0 in signs and 1.0 in signs

@@ -28,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 class CircuitParams:
     """Electrical parameters of the array-resonator circuit.
 
+    Construction raises ValueError for a value outside its range below, and
+    when :func:`derive_linear` gives a mode that is not finite and positive, as L_R0 = 1e-299 H does.
+
     Attributes
     ----------
     L_J : float
@@ -73,6 +76,13 @@ class CircuitParams:
             isinstance(self.N, bool) or not isinstance(self.N, int) or self.N < 1
         ):
             raise ValueError(f"N must be a positive integer or None, got {self.N!r}")
+        try:  # finite values can still overflow or underflow a linear mode
+            d = derive_linear(self)
+            modes = (d.omega_c, d.omega_a, d.Z_c0, d.Z_a, d.g)
+        except ZeroDivisionError:  # a product of two values underflowed to 0
+            modes = (0.0,)
+        if not all(0.0 < x < math.inf for x in modes):
+            raise ValueError(f"{self!r} has no finite linear modes: omega_c, omega_a, Z_c0, Z_a, g = {modes}")
 
     @property
     def E_J(self) -> float:

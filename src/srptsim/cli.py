@@ -151,10 +151,7 @@ def resolve_params(args) -> CircuitParams:
                     for key in ("L_g", "L_J"))
         raise ConfigError(f"{L_g} nH must be smaller than {L_J} nH: "
                           "the junction branch loses its restoring force otherwise")
-    try:
-        return CircuitParams(N=config_N, **values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return CircuitParams(N=config_N, **values)
 
 
 def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool, inf_ok: bool = False) -> None:
@@ -281,12 +278,14 @@ def cmd_linear(args) -> int:
     def rows():
         for L in L_vals:
             d = derive_linear(params.replace(L_R0=float(L)))
-            wp, wm2 = polariton_frequencies(d.omega_c, d.omega_a, args.g_scale * d.g)
+            if not (g := args.g_scale * d.g) < math.inf:
+                raise ConfigError(f"--g-scale {args.g_scale!r} makes g infinite at L_R0 = {L / 1e-9:.6g} nH")
+            wp, wm2 = polariton_frequencies(d.omega_c, d.omega_a, g)
             yield (
                 L / 1e-9,
                 d.omega_c / (TWO_PI * GHZ),
                 d.omega_a / (TWO_PI * GHZ),
-                args.g_scale * d.g / (TWO_PI * GHZ),
+                g / (TWO_PI * GHZ),
                 wp / (TWO_PI * GHZ),
                 wm2 / (TWO_PI * GHZ) ** 2,
                 wm2 < 0.0,

@@ -91,32 +91,32 @@ def atom_hamiltonian(ops: FockOperatorSet, params: CircuitParams) -> np.ndarray:
     return kinetic + potential + params.E_J * ops.cos_op
 
 
-def gibbs_weights(w: np.ndarray, kT: float) -> np.ndarray:
-    """Normalized Gibbs weights of the ascending spectrum w at kT, joule.
+def gibbs_state(w: np.ndarray, kT: float) -> tuple[float, np.ndarray]:
+    """(F, p): free energy and normalized Gibbs weights of the ascending spectrum w at kT, joule.
 
-    Uniform over the ground multiplet at kT = 0, degeneracy resolved at
-    DEGENERACY_RTOL of the spectral span; above, the Boltzmann factors
-    shifted so that the ground one is 1, which keeps their sum finite.
+    At kT = 0, F = w_0 and p is uniform over the ground multiplet, resolved at
+    DEGENERACY_RTOL of the spectral span; above, one pass forms the Boltzmann
+    factors shifted so that the ground one is 1, which keeps their sum finite.
     """
     _check_temperature(kT)
     if kT == 0.0:
         mask = w - w[0] <= DEGENERACY_RTOL * max(w[-1] - w[0], abs(w[0]))
-        return mask / np.count_nonzero(mask)
+        return float(w[0]), mask / np.count_nonzero(mask)
     weights = np.exp(-(w - w[0]) / kT)
-    return weights / np.sum(weights)
+    total = np.sum(weights)
+    return float(w[0] - kT * np.log(total)), weights / total
 
 
 def _gibbs_average(w, v, operators, kT, response):
     """Free energy and canonical expectations in the Gibbs state of H, from its eigendecomposition (w, v).
 
-    kT is in joule; the state has the weights of :func:`gibbs_weights`.
+    kT is in joule; F and the weights come from one :func:`gibbs_state` of w.
     Returns (F, averages), the free energy of H and the expectation of each
     operator in the tuple. A Hermitian response operator B appends chi, the
     static susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`).
     """
-    p = gibbs_weights(w, kT)
+    F, p = gibbs_state(w, kT)
     averages = tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
-    F = _spectrum_free_energy(w, kT)
     if response is None:
         return F, averages
     # at kT = 0 the Kubo sum reads only the rows of the ground multiplet
@@ -128,7 +128,7 @@ def _static_response(w, Bv, p, kT):
     """Kubo sum for d<B>/dh of H - h B, given B in the eigenbasis of H.
 
     w are the ascending levels of H, Bv the matrix of B between them and p
-    their weights (:func:`gibbs_weights`). At kT = 0, p is uniform on the
+    their weights (:func:`gibbs_state`). At kT = 0, p is uniform on the
     ground multiplet, only the rows of Bv on it are read, and chi is
     2 sum |B_gn|^2 / (E_n - E_g) over the rest. At kT > 0 it is sum over
     m != n of (p_m - p_n) / (E_n - E_m) |B_mn|^2 plus the variance of B's
@@ -146,18 +146,6 @@ def _static_response(w, Bv, p, kT):
     gap = np.abs(w - w[:, None])
     pair = np.divide(-np.expm1(-gap / kT), gap, out=np.full_like(gap, 1.0 / kT), where=gap > 0.0)
     return float(np.sum(np.maximum.outer(p, p) * pair * B2))
-
-
-def _spectrum_free_energy(w: np.ndarray, kT: float) -> float:
-    """Free energy of the ascending spectrum w.
-
-    The Boltzmann weights are shifted so that the largest is 1, which keeps
-    the sum finite at any temperature; weights far above kT underflow to 0.
-    """
-    _check_temperature(kT)
-    if kT == 0.0:
-        return float(w[0])
-    return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
 
 
 @dataclass(frozen=True)
@@ -219,8 +207,9 @@ class Branch:
     def free_energy(self, phi: float, kT: float) -> float:
         """Branch free energy at frozen resonator flux, joule (eigenvalues only); ground energy at kT = 0;
         ValueError unless phi is finite (:meth:`hamiltonian`) and kT finite and non-negative."""
+        _check_temperature(kT)  # before the memo, so a rejected kT runs no eigensolve
         # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
-        return _spectrum_free_energy(self._spectrum(float(phi).hex()), kT)
+        return gibbs_state(self._spectrum(float(phi).hex()), kT)[0]
 
     def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
         """(F, averages): free energy and the expectation of each operator, at most one eigensolve.
@@ -228,6 +217,7 @@ class Branch:
         response=psi_op appends chi = d<psi>/dh, the static response of the branch flux to
         the tilt -h psi at h = phi / L_g, henry; at phi = 0 it is :meth:`susceptibility`.
         """
+        _check_temperature(kT)  # before the memo, as in free_energy
         w, v = self._decomposition(float(phi).hex())
         return _gibbs_average(w, v, operators, kT, response)
 
@@ -235,12 +225,12 @@ class Branch:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.
 
         chi = -d^2 F / dh^2 by the Kubo sum (:func:`_static_response`) on
-        levels and psi_levels with the weights p of :func:`gibbs_weights`:
+        levels and psi_levels with the weights p of :func:`gibbs_state`:
         2 sum_n |psi_0n|^2 / (E_n - E_0) at kT = 0, else sum over m != n of
         (p_m - p_n) / (E_n - E_m) |psi_mn|^2, psi_mm being 0 up to rounding
         by the parity of the untilted branch.
         """
-        return _static_response(self.levels, self.psi_levels, gibbs_weights(self.levels, kT), kT)
+        return _static_response(self.levels, self.psi_levels, gibbs_state(self.levels, kT)[1], kT)
 
 
 def branch(params: CircuitParams, M: int = 60) -> Branch:

@@ -1,10 +1,13 @@
-"""Level formulas of the branch response, kept as the oracle of the one Kubo sum in src.
+"""Level formulas of the branch response and its Gibbs state, kept as the oracles of src.
 
 level_susceptibility is the branch's static flux response written on its
 levels with unnormalized Boltzmann weights, and critical_temperature is
 the Newton root of chi(kT) / L_g^2 = u with its slope dchi/dkT from those
 same weights. fock._static_response, with the weights of
-fock.gibbs_weights, replaced both inside the package.
+fock.gibbs_state, replaced both inside the package. oracle_weights and
+oracle_free_energy are the two functions that fock.gibbs_state merged,
+each exponentiating the spectrum on its own; gibbs_state must equal them
+bit for bit.
 """
 
 import math
@@ -12,6 +15,31 @@ import math
 import numpy as np
 
 from srptsim.circuit import newton_root
+from srptsim.fock import DEGENERACY_RTOL
+
+
+def _check_temperature(kT):
+    if not 0.0 <= kT < np.inf:
+        raise ValueError(f"kT must be finite and non-negative, got {kT!r}")
+
+
+def oracle_weights(w, kT):
+    """Normalized Gibbs weights of the ascending spectrum w at kT, joule: uniform over the
+    ground multiplet at kT = 0, else the Boltzmann factors shifted so that the ground one is 1."""
+    _check_temperature(kT)
+    if kT == 0.0:
+        mask = w - w[0] <= DEGENERACY_RTOL * max(w[-1] - w[0], abs(w[0]))
+        return mask / np.count_nonzero(mask)
+    weights = np.exp(-(w - w[0]) / kT)
+    return weights / np.sum(weights)
+
+
+def oracle_free_energy(w, kT):
+    """Free energy of the ascending spectrum w at kT, joule; the ground level at kT = 0."""
+    _check_temperature(kT)
+    if kT == 0.0:
+        return float(w[0])
+    return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
 
 
 def level_susceptibility(kernel, kT):

@@ -125,6 +125,17 @@ def test_params_reject_non_finite():
     assert math.isinf(CircuitParams(**{**good, "L_J": math.inf}).L_J)
 
 
+@pytest.mark.parametrize("changes", [
+    {"L_R0": 1e-299},  # omega_c overflows; Z_c0 and g would read 7e-143 and 1e-61
+    {"C_R0": 1e-315},
+    {"C_J": 1e-315},
+    {"L_J": math.inf, "L_g": 1e300, "C_J": 1e-300},  # v C_J underflows to 0 in Z_a
+])
+def test_params_reject_a_circuit_without_finite_linear_modes(reference, changes):
+    with pytest.raises(ValueError, match="has no finite linear modes"):
+        reference.replace(**changes)
+
+
 def test_josephson_energy_roundtrip(reference):
     E_J = reference.E_J
     p = reference.replace(L_J=josephson_inductance(E_J))

@@ -257,6 +257,22 @@ def test_linear_negative_g_scale_exits_2():
     assert main(["linear", "--g-scale", "-0.5"]) == 2
 
 
+def test_linear_g_scale_that_overflows_the_coupling_exits_2(capsys):
+    assert main(["linear", "--g-scale", "1e300", "--lr0", "0.3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--g-scale 1e+300" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed", "--lr0", "1e-290", "--per-mode-cutoff", "4", "--total-cutoff", "8"],
+    ["meanfield", "--lr0", "1e-300", "--kt", "0"],
+])
+def test_a_circuit_without_finite_linear_modes_exits_2_before_any_row(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "has no finite linear modes" in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, logsumexp
 
-from kubo_oracle import level_susceptibility
+from kubo_oracle import level_susceptibility, oracle_free_energy, oracle_weights
 from srptsim import meanfield
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
@@ -23,11 +23,10 @@ from srptsim.fock import (
     SPECTRA_MEMO,
     _branch,
     _gibbs_average,
-    _spectrum_free_energy,
     atom_hamiltonian,
     branch,
     build_operators,
-    gibbs_weights,
+    gibbs_state,
 )
 
 GHZ = 1e9
@@ -339,7 +338,7 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     oracle = {}
     for phi in distinct:
         H = b.hamiltonian(phi)
-        oracle[float(phi).hex()] = (_spectrum_free_energy(np.linalg.eigvalsh(H), kT),
+        oracle[float(phi).hex()] = (gibbs_state(np.linalg.eigvalsh(H), kT)[0],
                                     _gibbs_average(*np.linalg.eigh(H), ops, kT, b.ops.psi_op))
     solves = {"eigvalsh": 0, "eigh": 0}
 
@@ -385,7 +384,7 @@ def test_tilt_memos_under_concurrent_readers(reference):
     _branch.cache_clear()
     b = branch(reference, 10)
     tilts = np.linspace(-0.2, 0.2, SPECTRA_MEMO + 40) * PHI0
-    oracle = {float(phi).hex(): (_spectrum_free_energy(np.linalg.eigvalsh(b.hamiltonian(phi)), kT),
+    oracle = {float(phi).hex(): (gibbs_state(np.linalg.eigvalsh(b.hamiltonian(phi)), kT)[0],
                                  _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT, None))
               for phi in tilts}
     wrong, errors = [], []
@@ -420,12 +419,42 @@ def test_branch_rejects_negative_temperature(reference):
         b.free_energy(0.0, -h * GHZ)
     with pytest.raises(ValueError):
         b.thermal(0.0, -h * GHZ, b.ops.psi_op)
-    # every temperature reaches gibbs_weights or the spectrum's free energy, which check it
+    # gibbs_state and every reader of the kernel check the temperature
     for kT in (math.nan, math.inf, -math.inf, -1.0):
-        for call in (lambda: gibbs_weights(b.levels, kT), lambda: b.free_energy(0.0, kT),
+        for call in (lambda: gibbs_state(b.levels, kT), lambda: b.free_energy(0.0, kT),
                      lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.susceptibility(kT)):
             with pytest.raises(ValueError, match="kT must be finite and non-negative"):
                 call()
+
+
+@pytest.mark.parametrize("kT", [-1.0, math.nan, math.inf])
+def test_branch_rejects_a_bad_temperature_before_its_memos(reference, monkeypatch, kT):
+    """A bad kT raises at free_energy and thermal before either memo is read: no eigensolve runs."""
+    _branch.cache_clear()  # a fresh kernel, so that neither memo is full and an entry would show
+    b = branch(reference, 10)
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name: solves.append(name))
+    with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+        b.free_energy(0.0123, kT)
+    with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+        b.thermal(0.0456, kT, b.ops.psi_op)
+    assert solves == []
+    assert b._spectrum.cache_info().currsize == b._decomposition.cache_info().currsize == 0
+
+
+def test_gibbs_state_equals_the_two_functions_it_merged(reference):
+    """gibbs_state returns bit for bit what the separate free-energy and weight functions gave."""
+    b = branch(reference, 30)
+    levels = np.linalg.eigvalsh(b.hamiltonian(0.07 * PHI0))
+    # a ground pair degenerate to 1e-15 relative, well inside DEGENERACY_RTOL
+    pair = np.array([-2.0, -2.0 * (1.0 - 1e-15), 0.5, 3.0]) * h * GHZ
+    for w in (b.levels, levels, pair):
+        for kT in (0.0, 1e-30, h * 50 * GHZ, 1e-17):
+            F, p = gibbs_state(w, kT)
+            assert F.hex() == oracle_free_energy(w, kT).hex()
+            assert p.tobytes() == oracle_weights(w, kT).tobytes()
+    assert np.count_nonzero(gibbs_state(pair, 0.0)[1]) == 2
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])

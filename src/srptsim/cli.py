@@ -167,12 +167,13 @@ def _check_typed(name: str, raw, v: float, scale: float, zero_ok: bool, inf_ok: 
         raise ConfigError(f"{name} underflows to 0 in SI units, got {raw}")
 
 
-def sweep_values(args, stem: str) -> np.ndarray:
+def sweep_values(args, stem: str, params: CircuitParams | None = None) -> np.ndarray:
     """SI values of the --stem list, else of the --stem-min/-max/-steps grid.
 
     Every value is checked in the display units it was typed in, and an
     error names its flag. A --stem list that holds no value, "" as well
-    as ",", is an error too.
+    as ",", is an error too, as is an L_R0 that leaves params no finite
+    linear modes (these are monotone in L_R0, so a grid's two ends decide).
     """
     _, _, scale, zero_ok = SWEEPS[stem]
     flag, text = f"--{stem}", getattr(args, stem)
@@ -192,6 +193,11 @@ def sweep_values(args, stem: str) -> np.ndarray:
         except ValueError as exc:
             raise ConfigError(f"{flag}: bad number list {text!r}") from exc
         _check_typed(name, raw, v, scale, zero_ok)
+        if params is not None:
+            try:
+                params.replace(L_R0=v * scale)
+            except ValueError as exc:
+                raise ConfigError(f"{name} {raw}: the circuit has no finite linear modes at this L_R0") from exc
         values.append(v)
     return (np.array(values) if text is not None else np.linspace(*values, steps)) * scale
 
@@ -252,7 +258,7 @@ def cmd_classical(args) -> int:
     if params.E_J == 0.0:
         source = "--L_J inf" if args.L_J is not None else f"{args.config}: E_J = 0"
         raise ConfigError(f"{source} is a bare LC branch; classical's curves are in units of E_J")
-    L_vals = sweep_values(args, "lr0")
+    L_vals = sweep_values(args, "lr0", params)
     if args.phi_steps < 1:
         raise ConfigError(f"--phi-steps must be >= 1, got {args.phi_steps}")
     _check_typed("--phi-max", args.phi_max, args.phi_max, 1.0, zero_ok=True)
@@ -273,7 +279,7 @@ def cmd_classical(args) -> int:
 def cmd_linear(args) -> int:
     params = resolve_params(args)
     _check_typed("--g-scale", args.g_scale, args.g_scale, 1.0, zero_ok=True)
-    L_vals = sweep_values(args, "lr0")
+    L_vals = sweep_values(args, "lr0", params)
 
     def rows():
         for L in L_vals:
@@ -302,7 +308,7 @@ def cmd_linear(args) -> int:
 
 def cmd_meanfield(args) -> int:
     params = resolve_params(args)
-    L_vals = sweep_values(args, "lr0")
+    L_vals = sweep_values(args, "lr0", params)
     kT_vals = sweep_values(args, "kt")
     if np.any(np.diff(kT_vals) <= 0):
         flag, typed = ("--kt", args.kt) if args.kt else ("--kt-min to --kt-max", f"{args.kt_min} to {args.kt_max}")
@@ -321,18 +327,8 @@ def cmd_meanfield(args) -> int:
     if args.boundary:
         emit(args.out, args.format, boundary_columns, boundary_rows)
     else:
-        rows = []
-        for i, L in enumerate(L_vals):
-            for j, kT in enumerate(kT_vals):
-                rows.append(
-                    (
-                        L / 1e-9,
-                        kT / (h * GHZ),
-                        grid.amplitude[j, i],
-                        grid.phi[j, i],
-                        grid.phi[j, i] > 0.0,
-                    )
-                )
+        rows = [(L / 1e-9, kT / (h * GHZ), grid.amplitude[j, i], grid.phi[j, i], grid.phi[j, i] > 0.0)
+                for i, L in enumerate(L_vals) for j, kT in enumerate(kT_vals)]
         emit(args.out, args.format,
              ("L_R0_nH", "kBT_over_h_GHz", "alpha_over_sqrtN", "phi_th_Wb", "superradiant"), rows)
     if args.boundary_out:
@@ -342,7 +338,7 @@ def cmd_meanfield(args) -> int:
 
 def cmd_fluct(args) -> int:
     params = resolve_params(args)
-    L_vals = sweep_values(args, "lr0")
+    L_vals = sweep_values(args, "lr0", params)
     points = fluct._scan_points(params, L_vals, fock_levels(args))
     rows = (
         (
@@ -396,7 +392,7 @@ def cmd_ed(args) -> int:
                                total_cutoff=args.total_cutoff, n_eigenvalues=args.k,
                                quartic=args.potential == "quartic", max_dimension=args.max_dim,
                                seed=args.seed) for n in n_list]
-    L_vals = sweep_values(args, "lr0")
+    L_vals = sweep_values(args, "lr0", base)
     compare = {}
     if args.compare_meanfield:
         # Thermodynamic-limit reference values at kT = 0, shared across the N rows.

@@ -159,18 +159,19 @@ class Branch:
     H_atom and psi_levels the flux matrix in its eigenbasis. All arrays are
     read-only.
 
-    Mean field samples the same tilts many times: every kT row of a phase
-    grid scans the same phi lattice, and fluct renormalizes each column
-    at the tilt mean field just packaged. So each kernel keeps, in two
-    functools.lru_cache memos of its own, the eigvalsh spectra of the
-    last SPECTRA_MEMO = 256 tilts read by free_energy and the eigh
-    decompositions of the last DECOMPOSITIONS_MEMO = 4 read by thermal,
+    Mean field samples the same tilts many times: every scan at a kernel
+    samples one phi lattice, across the branch's window, so the kT rows of a
+    phase grid and a solve after its sweep share tilts, and fluct
+    renormalizes each column at the tilt mean field just packaged. So each
+    kernel keeps, in two functools.lru_cache memos of its own, the eigvalsh
+    spectra of the last SPECTRA_MEMO = 256 tilts read by free_energy and the
+    eigh decompositions of the last DECOMPOSITIONS_MEMO = 4 read by thermal,
     keyed by the exact bits of phi and read-only. A repeated tilt runs no
-    eigensolve and returns bit for bit what a fresh one would; the two
-    memos stay apart because eigh's eigenvalues differ from eigvalsh's in
-    the last bits. At M levels a kernel holds at most 256 M + 4 (M^2 + M)
-    floats, 0.24 MB at M = 60 or 0.34 MB with the keys and array headers,
-    so about 11 MB over the 32 kernels that :func:`branch` caches.
+    eigensolve and returns bit for bit what a fresh one would; the two memos
+    stay apart because eigh's eigenvalues differ from eigvalsh's in the last
+    bits. At M levels a kernel holds at most 256 M + 4 (M^2 + M) floats,
+    0.24 MB at M = 60 or 0.34 MB with the keys and array headers, so about
+    11 MB over the 32 kernels that :func:`branch` caches.
     """
 
     ops: FockOperatorSet

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .circuit import CircuitParams, constraint_slope, derive_linear, newton_root
+from .circuit import CircuitParams, derive_linear, newton_root
 from .constants import PHI0, hbar
 from .errors import ConvergenceError
 
-# Lattice points across a sweep's window, its widest column's. An ordered
-# column has L_R0 > L_c > L_J - L_g, so on the reference circuit it still gets
-# 255 / 2.5 = 102 steps or more across its own window; chi decides the rest.
+# Lattice points across the branch's window, 0.75 Phi0. An ordered column has
+# L_R0 > L_c > L_J - L_g, so on the reference circuit its constraint slope is below
+# 2.5 and it gets 255 / 2.5 = 102 steps or more across its own; chi decides the rest.
 COARSE_POINTS = 256
 
 # Lower end of the bracket on phi, as a fraction of Phi0: the residual is
@@ -116,10 +116,12 @@ def solve_sweep(
     Only the resonator term of the action depends on L_R0, so one scan
     (:func:`_certified_scan`) serves the sweep: each column's best sample
     is the best point of a uniform profile with COARSE_POINTS samples
-    across the widest window, W = 1.5 (Phi0 / 2) / min constraint_slope.
-    Each column's minimum lies inside its own window, inside W, and
-    truncating the branch only raises f (Rayleigh-Ritz at kT = 0, Cauchy
+    across the branch's window W = 1.5 (Phi0 / 2), that of L_R0 -> inf.
+    Each column's minimum lies inside its own window, W / constraint_slope,
+    and truncating the branch only raises f (Rayleigh-Ritz at kT = 0, Cauchy
     interlacing above), so the search past it finds no spurious minimum.
+    W does not depend on the columns, so a solve after its sweep, at the
+    same kernel and kT, reads the sweep's tilts from the kernel's memo.
 
     Each column's n_evaluations counts an equal share of the scan's
     samples, so the sweep's n_evaluations sum to the evaluations made.
@@ -146,9 +148,8 @@ def _sweep(params, L_R0_values, kT, M=60):
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
     columns = [params.replace(L_R0=float(L)) for L in L_vals]
-    window = 1.5 * (PHI0 / 2.0) / min(constraint_slope(p) for p in columns)
     u = np.array([1.0 / p.L_R0 + 1.0 / p.L_g for p in columns])
-    phi, f, end = _certified_scan(fock.branch(params, M), kT, u, window)
+    phi, f, end = _certified_scan(fock.branch(params, M), kT, u, 1.5 * (PHI0 / 2.0))
     share, extra = divmod(phi.size, len(columns))
     return (_refine(p, kT, M, phi, f, end, share + (n < extra)) for n, p in enumerate(columns))
 
@@ -158,13 +159,14 @@ def _certified_scan(kernel, kT, u, window):
 
     u holds each column's resonator stiffness 1/L_R0 + 1/L_g. Samples sit on
     the lattice phi = i * step, COARSE_POINTS of it up to the window's end,
-    which is returned with them. The scan starts from 8 cells 32 steps wide
-    and one sample past the end. A cell is bisected while it is wider than
-    one step and its bound (:func:`_cell_bounds`) is within a slack of some
-    column's best sample, so every lattice point that could beat a column's
-    best sample gets sampled, and the cells on both sides of the best
-    sample, the window's end included, shrink to one step: the bracket is
-    the best sample's two lattice neighbours. The slack, 1e-10 of the
+    which is returned with them; every sweep passes the branch's window, W of
+    :func:`solve_sweep`, so the sweeps at a kernel share one lattice. The scan
+    starts from 8 cells 32 steps wide and one sample past the end. A cell is
+    bisected while it is wider than one step and its bound (:func:`_cell_bounds`)
+    is within a slack of some column's best sample, so every lattice point that
+    could beat a column's best sample gets sampled, and the cells on both sides
+    of the best sample, the window's end included, shrink to one step: the
+    bracket is the best sample's two lattice neighbours. The slack, 1e-10 of the
     largest |f|, is about 200 times the eigensolver's backward error, so
     rounding cannot prune the minimum.
     """

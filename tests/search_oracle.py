@@ -123,12 +123,12 @@ def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int =
     """Slow path of meanfield.solve_sweep: a uniform shared profile, then meanfield._refine.
 
     The branch free energy is sampled at phi_i = i * step, where step puts
-    COARSE_POINTS samples across the widest column's window, and each
+    COARSE_POINTS samples across the branch's window 1.5 (Phi0 / 2), that of
+    the limit L_R0 -> inf, which holds every column's own window; each
     column takes its best sample from the whole profile.
     """
     columns = [params.replace(L_R0=float(L)) for L in L_R0_values]
-    window = max(1.5 * (PHI0 / 2.0) / constraint_slope(p) for p in columns)
-    step = window / (meanfield.COARSE_POINTS - 1)
+    step = 1.5 * (PHI0 / 2.0) / (meanfield.COARSE_POINTS - 1)
     # one lattice point past the window, never sampled: it is only the
     # right bracket end of a best sample at the window's end
     phi = step * np.arange(meanfield.COARSE_POINTS + 1)

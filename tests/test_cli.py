@@ -273,6 +273,15 @@ def test_a_circuit_without_finite_linear_modes_exits_2_before_any_row(argv, caps
     assert out == "" and "has no finite linear modes" in err
 
 
+@pytest.mark.parametrize("command", ["classical", "linear", "meanfield", "fluct", "ed"])
+@pytest.mark.parametrize("flags", [["--lr0", "0.3,1e-290"], ["--lr0-min", "1e-290", "--lr0-max", "0.3"]],
+                         ids=["list", "grid"])
+def test_an_lr0_without_finite_linear_modes_is_named_by_its_flag(command, flags, capsys):
+    assert main([command, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{flags[0]} 1e-290:" in err and "CircuitParams" not in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -323,3 +323,21 @@ def test_spectrum_scan_rows_match_the_per_point_calls(reference):
     assert scan.superradiant.tolist() == [False, False, True, True]
     for f in dataclasses.fields(scan):
         assert getattr(scan, f.name).dtype == (bool if f.name == "superradiant" else float), f.name
+
+
+def test_solves_after_a_scan_run_no_eigvalsh(reference, monkeypatch):
+    """The cusp-scan pattern: after each spectrum_scan, a lone solve and a stationarity check at
+    every ordered column read only tilts the scan sampled, and the solve repeats its column."""
+    L_c = meanfield.critical_inductance_at_zero_T(reference)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    for L in (np.linspace(0.1e-9, 1.0e-9, 12), L_c + 2e-12 * np.arange(-10, 10)):  # coarse, fine
+        scan = fluct.spectrum_scan(reference, L)
+        assert scan.superradiant.any() and not scan.superradiant.all()
+        scanned = len(calls)
+        for x, phi_th in zip(L[scan.superradiant], scan.phi_th[scan.superradiant]):
+            p = reference.replace(L_R0=float(x))
+            sol = meanfield.solve(p, 0.0)
+            assert sol.converged and sol.phi_th == phi_th
+            fluct.stationarity_check(p, sol)
+        assert len(calls) == scanned

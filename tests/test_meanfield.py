@@ -399,7 +399,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
 
     singles = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
     assert sum(s.n_evaluations for s in sweep) < sum(s.n_evaluations for s in singles)
-    # the widest column sees the lattice of its lone solve
+    # every column's lone solve scans the sweep's lattice, the branch's
     assert replace(sweep[3], n_evaluations=0) == replace(singles[3], n_evaluations=0)
 
 
@@ -440,19 +440,38 @@ def test_grid_rows_share_one_scan_lattice(reference, monkeypatch):
     assert grid_solves < sum(n for n, _ in rows)
 
 
-@pytest.mark.parametrize(
+def without_counts(solutions):
+    return [replace(s, n_evaluations=0) for s in solutions]
+
+
+LONE_SWEEPS = pytest.mark.parametrize(
     "L, kT_GHz",
-    [(np.linspace(0.1e-9, 1.0e-9, 46), 0.0), (np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9]), 50.0)],
-    ids=["46-point-zero-T", "4-column-50GHz"],
+    [(np.linspace(0.1e-9, 1.0e-9, 46), 0.0), (np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9]), 50.0),
+     (GRID_L, 150.0)],
+    ids=["46-point-zero-T", "4-column-50GHz", "criterion-4-150GHz"],
 )
+
+
+@LONE_SWEEPS
 def test_sweep_agrees_with_lone_solves(reference, L, kT_GHz):
     """A shared scan finds each column's phase and root as that column's lone solve does."""
     kT = h * kT_GHz * GHZ
     sweep = meanfield.solve_sweep(reference, L, kT)
     lone = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
-    assert [s.superradiant for s in sweep] == [s.superradiant for s in lone]
-    assert [s.converged for s in sweep] == [s.converged for s in lone]
-    assert_allclose([s.phi_th for s in sweep], [s.phi_th for s in lone], rtol=1e-11, atol=0.0)
+    assert without_counts(sweep) == without_counts(lone)
+
+
+@LONE_SWEEPS
+def test_lone_solves_after_their_sweep_run_no_eigvalsh(reference, monkeypatch, L, kT_GHz):
+    """Every scan at a kernel samples one phi lattice, so a lone solve after its sweep finds
+    each tilt it scans in the kernel's spectra memo and repeats its column bit for bit."""
+    kT = h * kT_GHz * GHZ
+    sweep = meanfield.solve_sweep(reference, L, kT)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    lone = [meanfield.solve(reference.replace(L_R0=float(x)), kT) for x in L]
+    assert len(calls) == 0
+    assert without_counts(lone) == without_counts(sweep)
 
 
 def windows_and_stiffness(params, L_values):
@@ -502,10 +521,6 @@ def test_certified_minimum_in_lowest_dense_cell(reference):
             action = np.where(dense <= windows[i], u[i] * dense**2 / 2.0 + f, np.inf)
             k = int(np.argmin(action))
             assert dense[max(k - 1, 0)] <= sol.phi_th <= dense[k + 1], (j, i)
-
-
-def without_counts(solutions):
-    return [replace(s, n_evaluations=0) for s in solutions]
 
 
 def test_certified_scan_matches_uniform_oracle(reference):

@@ -28,6 +28,11 @@ Branches carry either the quartic expansion of the flux-periodic potential
 (default, sparse, bandwidth 4 per atom) or its exact cosine matrix (dense
 per-atom block); comparing the two bounds the truncation error of the
 quartic form.
+
+Each sector's lowest eigenpairs come from a thick-restart Lanczos of this
+module's own (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) on
+scipy.sparse's CSR matrix-vector product, so ed loads scipy.sparse and
+neither ARPACK (scipy.sparse.linalg) nor scipy.linalg.
 """
 
 import math
@@ -36,23 +41,28 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from . import fock
 from .circuit import TWO_PI, CircuitParams, derive_linear
 from .constants import PHI0, hbar
 from .errors import ConfigError, ConvergenceError
 
-# Below this dimension a dense solve is cheaper and ARPACK may not even
-# have room for its Krylov basis.
+# Below this dimension a dense solve is cheaper.
 _DENSE_FLOOR = 24
 
 # Accepted eigenpair residual, relative to the Hamiltonian inf-norm.
 _RESIDUAL_RTOL = 1e-9
 
-# ARPACK's Ritz-bound tolerance on the unit-normalized copy: two orders
+# Lanczos' Ritz-bound tolerance on the unit-normalized copy: two orders
 # inside the residual gate, so Lanczos stops once the gate is safely met.
-_ARPACK_TOL = _RESIDUAL_RTOL * 1e-2
+_RITZ_RTOL = _RESIDUAL_RTOL * 1e-2
+
+# Thick-restart Lanczos: a Krylov basis of _KRYLOV_DIM vectors, or
+# 2 (k + _KEPT_EXTRA) when k is large, of which each restart keeps the
+# k + _KEPT_EXTRA lowest Ritz vectors; past _MAX_RESTARTS it gives up.
+_KRYLOV_DIM = 24
+_KEPT_EXTRA = 8
+_MAX_RESTARTS = 300
 
 
 @dataclass(frozen=True)
@@ -343,13 +353,14 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
-    Small sectors fall back to a dense solve; otherwise Lanczos runs from
-    v0 when given, else from a seeded random vector, so repeated calls
-    agree bit for bit. ARPACK stops at _ARPACK_TOL, not at machine
-    precision, so the pairs depend on the start vector to about 1e-13
-    relative; a sweep that starts each point from the one before makes
-    each row depend on that point by as much. Every pair must pass an
-    inf-norm residual check or ConvergenceError is raised.
+    Small sectors fall back to a dense solve; otherwise the thick-restart
+    Lanczos of :func:`_lanczos` runs from v0 when given, else from a seeded
+    random vector, and draws any fresh vector it needs from the same seeded
+    generator, so repeated calls agree bit for bit. Lanczos stops at
+    _RITZ_RTOL, not at machine precision, so the pairs depend on the start
+    vector to about 1e-13 relative; a sweep that starts each point from the
+    one before makes each row depend on that point by as much. Every pair
+    must pass an inf-norm residual check or ConvergenceError is raised.
     """
     dim = matrix.shape[0]
     if k < 1:
@@ -361,19 +372,15 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
         w, v = np.linalg.eigh(matrix.toarray())
         w, v = w[:k], v[:, :k]
     else:
-        # ARPACK accepts a Ritz pair once its bound drops below its
-        # tolerance times max(eps^(2/3), |ritz|); entries of order 1e-21 J
-        # sit far under that floor, so work on a unit-normalized copy.
+        # a Ritz pair is accepted once its bound drops below the tolerance
+        # times max(eps^(2/3), |ritz|); entries of order 1e-21 J sit far
+        # under that floor, so work on a unit-normalized copy.
         unit = scale or 1.0
+        rng = np.random.default_rng(seed)
         if v0 is None:
-            v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
-        try:
-            w, v = eigsh(matrix / unit, k=k, which="SA", v0=v0, tol=_ARPACK_TOL)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
+            v0 = rng.uniform(-1.0, 1.0, size=dim)
+        w, v = _lanczos(matrix / unit, k, v0, _RITZ_RTOL, rng)
         w = w * unit
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
     resid = matrix @ v - v * w
     worst = np.abs(resid).max()
     if worst > _RESIDUAL_RTOL * scale:
@@ -381,6 +388,71 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
             f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_RTOL:.0e} * |H|_inf = {_RESIDUAL_RTOL * scale:.3e}"
         )
     return w, v
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """w minus its projection on the orthonormal rows of basis, in two classical Gram-Schmidt
+    passes: (w, coefficients, norm after the first pass, norm after the second)."""
+    h = basis @ w
+    w -= h @ basis
+    first = math.sqrt(w @ w)
+    h2 = basis @ w
+    w -= h2 @ basis
+    return w, h + h2, first, math.sqrt(w @ w)
+
+
+def _lanczos(matrix, k: int, v0: np.ndarray, tol: float, rng: np.random.Generator):
+    """k lowest eigenpairs of a symmetric matrix by thick-restart Lanczos (Wu & Simon,
+    SIAM J. Matrix Anal. Appl. 22, 602 (2000)), ascending; vectors are columns.
+
+    The basis holds m = max(_KRYLOV_DIM, 2 (k + _KEPT_EXTRA)) vectors, at
+    most the dimension, each orthogonalized fully against the ones before in
+    two passes. Once it is full, the projected matrix T (tridiagonal, with an
+    arrow from the kept vectors after a restart) gives Ritz pairs (theta_i,
+    s_i) with residual bound beta |s_m,i|, beta the norm of the next Lanczos
+    vector. The k lowest are accepted together when every bound is at most
+    tol max(eps^(2/3), |theta_i|), ARPACK's rule; otherwise the k +
+    _KEPT_EXTRA lowest Ritz vectors and the next Lanczos vector start the
+    basis again. When the second pass still removes about 30 % of the norm
+    or more, what is left is rounding noise: the Krylov space is invariant
+    (beta = 0), and a fresh vector from rng, orthogonalized against the
+    basis, continues it, so that a start vector that is already an
+    eigenvector still yields k pairs. Only matrix @ x and matrix.shape are
+    read. Raises ConvergenceError after _MAX_RESTARTS restarts.
+    """
+    dim = matrix.shape[0]
+    keep = k + _KEPT_EXTRA
+    m = min(max(_KRYLOV_DIM, 2 * keep), dim)
+    Q = np.empty((m + 1, dim))
+    Q[0] = v0 / math.sqrt(v0 @ v0)
+    T = np.zeros((m, m))
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    start = 0
+    for _ in range(_MAX_RESTARTS + 1):
+        for j in range(start, m):
+            w, h, first, beta = _orthogonalize(matrix @ Q[j], Q[: j + 1])
+            T[j, j] = h[j]
+            # ARPACK's test (dsaitr): a second pass that keeps less than
+            # 1/sqrt(2) of the norm was cancelling rounding noise
+            if beta <= 0.717 * first:
+                beta = 0.0
+                if j + 1 < m:
+                    w, _, _, norm = _orthogonalize(rng.uniform(-1.0, 1.0, size=dim), Q[: j + 1])
+                    Q[j + 1] = w / norm
+                continue
+            Q[j + 1] = w / beta
+            if j + 1 < m:
+                T[j, j + 1] = T[j + 1, j] = beta
+        theta, S = np.linalg.eigh(T)
+        if np.all(beta * np.abs(S[-1, :k]) <= tol * np.maximum(floor, np.abs(theta[:k]))):
+            return theta[:k], (S[:, :k].T @ Q[:m]).T
+        Q[:keep] = S[:, :keep].T @ Q[:m]
+        Q[keep] = Q[m]
+        T[:] = 0.0
+        np.fill_diagonal(T[:keep, :keep], theta[:keep])
+        T[keep, :keep] = T[:keep, keep] = beta * S[-1, :keep]
+        start = keep
+    raise ConvergenceError(f"Lanczos did not converge in {_MAX_RESTARTS} restarts of a {m}-vector basis")
 
 
 @dataclass(frozen=True)

@@ -309,12 +309,13 @@ class PhaseDiagramGrid:
 def _critical_temperature(kernel: fock.Branch, u: float) -> float:
     """Root of chi(kT) / L_g^2 = u; NaN when chi(0) / L_g^2 <= u, so the column never orders.
 
-    chi comes from kernel.susceptibility and its kT-derivative from the
-    same levels: with the weights p of :func:`fock.gibbs_state` and
-    c_m = sum_n |psi_mn|^2 / (E_n - E_m), chi = 2 p.c, so
-    dchi/dkT = 2 dp.c - chi sum dp with dp_m = p_m (E_m - E_0) / kT^2,
-    zero at kT = 0. The residual u - chi / L_g^2 rises through kTc, and
-    :func:`circuit.newton_root` finds it inside a doubling bracket.
+    Each step forms the weights p of :func:`fock.gibbs_state` once and
+    reads chi and its kT-derivative from them: chi is the Kubo sum of
+    kernel.susceptibility, and with c_m = sum_n |psi_mn|^2 / (E_n - E_m),
+    chi = 2 p.c, so dchi/dkT = 2 dp.c - chi sum dp with
+    dp_m = p_m (E_m - E_0) / kT^2, zero at kT = 0. The residual
+    u - chi / L_g^2 rises through kTc, and :func:`circuit.newton_root`
+    finds it inside a doubling bracket.
     """
     E = kernel.levels
     psi2 = kernel.psi_levels**2
@@ -322,10 +323,11 @@ def _critical_temperature(kernel: fock.Branch, u: float) -> float:
     c = np.sum(psi2 / (E[None, :] - E[:, None] + np.eye(E.size)), axis=1)
 
     def g(kT):
-        chi = kernel.susceptibility(kT)
+        p = fock.gibbs_state(E, kT)[1]
+        chi = fock._static_response(E, kernel.psi_levels, p, kT)
         if kT == 0.0:
             return u - chi / kernel.L_g**2, 0.0
-        dp = fock.gibbs_state(E, kT)[1] * (E - E[0]) / kT**2
+        dp = p * (E - E[0]) / kT**2
         return u - chi / kernel.L_g**2, -(2.0 * dp @ c - chi * dp.sum()) / kernel.L_g**2
 
     ga = g(0.0)

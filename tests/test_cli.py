@@ -484,8 +484,10 @@ def test_meanfield_json_boundary_out_writes_null(tmp_path, capsys):
 
 def test_meanfield_nonconverged_points_exit_1(capsys, monkeypatch):
     # with no susceptibility no column orders, so the cross-check flags
-    # the two ordered points of the 0.6 nH column
+    # the two ordered points of the 0.6 nH column; the boundary forms the
+    # Kubo sum from its own Gibbs weights, so it is patched to match
     monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: 0.0)
+    monkeypatch.setattr(meanfield, "_critical_temperature", lambda kernel, u: math.nan)
     rc = main(["meanfield", "--lr0", "0.25,0.6", "--kt", "0,100,200", "--fock-levels", "40"])
     assert rc == 1
     err = capsys.readouterr().err

@@ -3,7 +3,8 @@
 Every CLI call is a new process, so the import is paid per call. Only ed
 (and validate's ED checks) needs scipy.sparse; the package loads it on
 first use. Nothing in the package needs any other part of
-scipy: its one root finder is circuit.newton_root, and its constants are
+scipy: its one root finder is circuit.newton_root, ed's eigensolver is its
+own Lanczos on scipy.sparse's matrix-vector product, and its constants are
 the exact SI literals.
 """
 
@@ -66,9 +67,26 @@ def test_meanfield_and_fluct_subcommands_load_no_scipy(argv):
     assert scipy_modules(modules) == []
 
 
+def linear_algebra_modules(names):
+    return [m for m in names.split() if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))]
+
+
+@pytest.mark.parametrize("code", [
+    "import srptsim.ed",
+    "from srptsim import cli\n"
+    "assert cli.main(['ed', '--lr0', '0.3,0.6']) == 0",
+], ids=["import", "ed"])
+def test_ed_loads_scipy_sparse_and_no_scipy_linear_algebra(code):
+    """ed's Lanczos needs scipy.sparse's matrix-vector product, and neither ARPACK nor LAPACK's wrappers."""
+    *_, modules = run_fresh(f"import sys\n{code}\nprint(*sorted(sys.modules))")
+    assert "scipy.sparse" in modules.split()
+    assert linear_algebra_modules(modules) == []
+
+
 def test_validate_writes_each_line_before_the_ed_checks_load_scipy():
-    """Each check's line is written as it finishes; scipy.sparse loads with the first ED check."""
-    *_, rc, counts, recorded = run_fresh(
+    """Each check's line is written as it finishes; scipy.sparse loads with the first ED check,
+    and no check loads scipy's linear algebra."""
+    *_, rc, counts, recorded, modules = run_fresh(
         "import sys\n"
         "from srptsim import cli, validate\n"
         "class Recorder:\n"
@@ -84,8 +102,10 @@ def test_validate_writes_each_line_before_the_ed_checks_load_scipy():
         "recorder, sys.stdout = sys.stdout, real\n"
         "print(rc)\n"
         "print(list(validate.CHECKS).index('dense-vs-sparse'), len(validate.CHECKS))\n"
-        "print(*(int(flag) for flag in recorder.loaded))")
+        "print(*(int(flag) for flag in recorder.loaded))\n"
+        "print(*sorted(sys.modules))")
     n_before, n_checks = map(int, counts.split())
+    assert linear_algebra_modules(modules) == []
     loaded = recorded.split()
     assert rc == "0" and n_before == 9
     # one line per check and the summary

@@ -7,8 +7,9 @@ full product space and cut down to the sector by row selection. The
 second is the sparse product-basis assembly in ed_product_oracle, which
 holds every ordering of the branch levels; the symmetric sector must be
 its exact restriction to exchange-symmetric states. A third, cold_scan,
-solves every point of a sweep the way scan once did, from the seeded
-random vector at machine precision, and stands behind scan's warm starts.
+solves every point of a sweep the way scan once did, with ARPACK from the
+seeded random vector at machine precision, and stands behind scan's warm
+starts and its own Lanczos.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import eigsh
 
 import ed_product_oracle as product_oracle
 from srptsim import ed, fock
@@ -483,13 +484,15 @@ def test_sector_model_rejects_foreign_branch_parameters(reference):
 
 
 def test_lowest_eigenpairs_random_sparse_vs_dense():
+    """k = 15 keeps 23 Ritz vectors, so Lanczos grows its basis past its 24 vectors."""
     B = sp.random(400, 400, density=0.02, random_state=np.random.RandomState(5), format="csr")
     B = (B + B.T) * 0.5 + sp.diags(np.linspace(0.0, 10.0, 400))
-    w, v = ed.lowest_eigenpairs(B.tocsr(), 5, seed=3)
-    w_dense = np.linalg.eigvalsh(B.toarray())[:5]
-    assert np.abs(w - w_dense).max() < 1e-9 * np.abs(w_dense).max()
-    resid = B @ v - v * w
-    assert np.abs(resid).max() < 1e-9 * np.abs(B).sum(axis=1).max()
+    for k in (5, 15):
+        w, v = ed.lowest_eigenpairs(B.tocsr(), k, seed=3)
+        w_dense = np.linalg.eigvalsh(B.toarray())[:k]
+        assert np.abs(w - w_dense).max() < 1e-9 * np.abs(w_dense).max()
+        resid = B @ v - v * w
+        assert np.abs(resid).max() < 1e-9 * np.abs(B).sum(axis=1).max()
 
 
 def test_lowest_eigenpairs_attojoule_scale():
@@ -518,14 +521,12 @@ def test_lowest_eigenpairs_validation():
 
 
 def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monkeypatch):
+    """One 24-vector basis with no restart does not reach the Ritz tolerance here."""
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
     H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     assert H.shape[0] >= ed._DENSE_FLOOR
 
-    def stalled(matrix, k, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((H.shape[0], 0)))
-
-    monkeypatch.setattr(ed, "eigsh", stalled)
+    monkeypatch.setattr(ed, "_MAX_RESTARTS", 0)
     with pytest.raises(ConvergenceError, match="Lanczos did not converge"):
         ed.lowest_eigenpairs(H, 2)
 
@@ -534,15 +535,32 @@ def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
     H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
     assert H.shape[0] >= ed._DENSE_FLOOR
-    real_eigsh = ed.eigsh
+    real_lanczos = ed._lanczos
 
-    def perturbed(matrix, k, **kwargs):
-        w, v = real_eigsh(matrix, k=k, **kwargs)
+    def perturbed(*args):
+        w, v = real_lanczos(*args)
         return w, v + 1e-3
 
-    monkeypatch.setattr(ed, "eigsh", perturbed)
+    monkeypatch.setattr(ed, "_lanczos", perturbed)
     with pytest.raises(ConvergenceError, match="eigenpair residual"):
         ed.lowest_eigenpairs(H, 2)
+
+
+@pytest.mark.parametrize("diagonal, expected", [
+    (np.arange(1.0, 51.0), [1.0, 2.0]),
+    (np.concatenate([[1.0, 1.0], np.arange(2.0, 50.0)]), [1.0, 1.0]),
+], ids=["simple", "degenerate"])
+def test_lowest_eigenpairs_from_an_exact_eigenvector(diagonal, expected):
+    """A start vector that is already an eigenvector spans an invariant Krylov space at once,
+    as at a repeated point of a sweep; Lanczos continues from a fresh vector, orthogonal to it
+    and drawn from the seed, and still returns k orthonormal verified pairs, the same on every call."""
+    A = sp.diags(diagonal).tocsr()
+    v0 = np.eye(A.shape[0])[0]
+    w, v = ed.lowest_eigenpairs(A, 2, seed=4, v0=v0)
+    assert w == pytest.approx(expected, rel=1e-12)
+    assert np.abs(v.T @ v - np.eye(2)).max() < 1e-12
+    w2, v2 = ed.lowest_eigenpairs(A, 2, seed=4, v0=v0)
+    assert np.array_equal(w, w2) and np.array_equal(v, v2)
 
 
 def test_lowest_eigenpairs_deterministic(reference):
@@ -693,16 +711,16 @@ def test_scan_matches_product_basis(reference, n_atoms, per_mode, total, L_nH):
         assert_same_observables(fast, i, slow, n_atoms)
 
 
-def test_eigsh_requests_only_reported_pairs(reference, monkeypatch):
-    """scan asks ARPACK for 2 even and 1 odd pair."""
+def test_lanczos_requests_only_reported_pairs(reference, monkeypatch):
+    """scan asks Lanczos for 2 even and 1 odd pair."""
     calls = []
-    real_eigsh = ed.eigsh
+    real_lanczos = ed._lanczos
 
-    def spy(matrix, k, **kwargs):
+    def spy(matrix, k, *args):
         calls.append((matrix.shape[0], k))
-        return real_eigsh(matrix, k=k, **kwargs)
+        return real_lanczos(matrix, k, *args)
 
-    monkeypatch.setattr(ed, "eigsh", spy)
+    monkeypatch.setattr(ed, "_lanczos", spy)
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
     ed.scan(reference, cfg, np.array([0.40e-9, 0.52e-9, 0.60e-9]))
     assert calls == [(41, 2), (40, 1)] * 3
@@ -754,7 +772,7 @@ def cold_scan(params, config, L_R0_values):
     ],
 )
 def test_warm_scan_matches_cold_oracle(reference, n_atoms, per_mode, total, L_nH):
-    """Warm starts and ARPACK's stopping tolerance move no row off the cold solve.
+    """Warm starts and Lanczos' stopping tolerance move no row off the cold ARPACK solve.
 
     The points straddle each gap dip and reach into the superradiant side.
     """
@@ -773,14 +791,14 @@ def test_scan_starts_each_sector_from_its_previous_ground_vector(reference, monk
     the ground vector the same sector returned at the point before, and every call stops at
     the tolerance derived from the residual gate."""
     calls = []
-    real_eigsh = ed.eigsh
+    real_lanczos = ed._lanczos
 
-    def spy(matrix, k, v0, **kwargs):
-        w, v = real_eigsh(matrix, k=k, v0=v0, **kwargs)
-        calls.append((v0.copy(), kwargs["tol"], v[:, np.argmin(w)]))
+    def spy(matrix, k, v0, tol, rng):
+        w, v = real_lanczos(matrix, k, v0, tol, rng)
+        calls.append((v0.copy(), tol, v[:, np.argmin(w)]))
         return w, v
 
-    monkeypatch.setattr(ed, "eigsh", spy)
+    monkeypatch.setattr(ed, "_lanczos", spy)
     config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, seed=5)
     ed.scan(reference.replace(N=n_atoms), config, np.array([0.40e-9, 0.46e-9, 0.52e-9, 0.60e-9]))
     assert len(calls) == 8

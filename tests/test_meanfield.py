@@ -329,6 +329,11 @@ def test_boundary_cross_check_flags_disagreeing_points(reference, monkeypatch, s
     T = h * np.array([0.0, 100.0, 200.0]) * GHZ
     chi = fock.Branch.susceptibility
     monkeypatch.setattr(fock.Branch, "susceptibility", lambda self, kT: scale * chi(self, kT))
+    # the boundary forms the same Kubo sum from its own Gibbs weights: scale chi / L_g^2 = u
+    # is chi / L_g^2 = u / scale, and a zero chi never reaches u
+    kTc = meanfield._critical_temperature
+    monkeypatch.setattr(meanfield, "_critical_temperature",
+                        lambda kernel, u: kTc(kernel, u / scale) if scale else math.nan)
     g = meanfield.phase_boundary(reference, L, T)
     assert (g.phi > 0.0).any() and (g.phi == 0.0).any()
     if scale == 0.0:

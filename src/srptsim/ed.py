@@ -360,7 +360,10 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
     _RITZ_RTOL, not at machine precision, so the pairs depend on the start
     vector to about 1e-13 relative; a sweep that starts each point from the
     one before makes each row depend on that point by as much. Every pair
-    must pass an inf-norm residual check or ConvergenceError is raised.
+    must pass an inf-norm residual check or ConvergenceError is raised; but
+    one start vector spans one direction per eigenspace, so a partner of an
+    exactly degenerate wanted level can be missed, [1, 2] returned for
+    diag(1, 1, 2, ...) at k = 2, and the check passes: each pair is exact.
     """
     dim = matrix.shape[0]
     if k < 1:

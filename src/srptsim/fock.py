@@ -20,8 +20,8 @@ from .constants import PHI0, hbar
 # with the ground state when averaging zero-temperature expectations.
 DEGENERACY_RTOL = 1e-12
 
-# Tilts whose spectrum (eigenvalues) and decomposition (eigenvalues and
-# eigenvectors) each Branch keeps, the least recently read evicted first.
+# Tilts whose spectrum (eigenvalues) or flux response, and decomposition (eigenvalues
+# and eigenvectors), each Branch keeps, the least recently read evicted first.
 SPECTRA_MEMO = 256
 DECOMPOSITIONS_MEMO = 4
 
@@ -107,21 +107,15 @@ def gibbs_state(w: np.ndarray, kT: float) -> tuple[float, np.ndarray]:
     return float(w[0] - kT * np.log(total)), weights / total
 
 
-def _gibbs_average(w, v, operators, kT, response):
+def _gibbs_average(w, v, operators, kT):
     """Free energy and canonical expectations in the Gibbs state of H, from its eigendecomposition (w, v).
 
     kT is in joule; F and the weights come from one :func:`gibbs_state` of w.
     Returns (F, averages), the free energy of H and the expectation of each
-    operator in the tuple. A Hermitian response operator B appends chi, the
-    static susceptibility d<B>/dh of H - h B at h = 0 (:func:`_static_response`).
+    operator in the tuple.
     """
     F, p = gibbs_state(w, kT)
-    averages = tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
-    if response is None:
-        return F, averages
-    # at kT = 0 the Kubo sum reads only the rows of the ground multiplet
-    rows = v if kT > 0.0 else v[:, p > 0.0]
-    return F, averages, _static_response(w, rows.conj().T @ response @ v, p, kT)
+    return F, tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
 
 
 def _static_response(w, Bv, p, kT):
@@ -163,15 +157,16 @@ class Branch:
     samples one phi lattice, across the branch's window, so the kT rows of a
     phase grid and a solve after its sweep share tilts, and fluct
     renormalizes each column at the tilt mean field just packaged. So each
-    kernel keeps, in two functools.lru_cache memos of its own, the eigvalsh
-    spectra of the last SPECTRA_MEMO = 256 tilts read by free_energy and the
-    eigh decompositions of the last DECOMPOSITIONS_MEMO = 4 read by thermal,
-    keyed by the exact bits of phi and read-only. A repeated tilt runs no
-    eigensolve and returns bit for bit what a fresh one would; the two memos
-    stay apart because eigh's eigenvalues differ from eigvalsh's in the last
-    bits. At M levels a kernel holds at most 256 M + 4 (M^2 + M) floats,
-    0.24 MB at M = 60 or 0.34 MB with the keys and array headers, so about
-    11 MB over the 32 kernels that :func:`branch` caches.
+    kernel keeps three functools.lru_cache memos of its own, keyed by the
+    exact bits of phi and read-only: the eigvalsh spectra of the last
+    SPECTRA_MEMO = 256 tilts read by free_energy, M floats each; the eigh
+    decompositions of the last DECOMPOSITIONS_MEMO = 4 that thermal read or
+    flux_response missed, M^2 + M each; and the two floats (<psi>, chi) of the
+    last 256 (phi, kT) that flux_response read, mean field's Newton steps. A
+    repeated tilt runs no eigensolve and returns bit for bit what a fresh one
+    would; eigh's eigenvalues differ from eigvalsh's in the last bits, so the
+    spectra stay apart. At M = 60 a kernel holds at most 0.42 MB, keys and
+    headers included, 13 MB over the 32 kernels that :func:`branch` caches.
     """
 
     ops: FockOperatorSet
@@ -184,6 +179,7 @@ class Branch:
         # this kernel's own memos, keyed by float(phi).hex(), so they are freed with it
         object.__setattr__(self, "_spectrum", lru_cache(SPECTRA_MEMO)(partial(self._solve, "eigvalsh")))
         object.__setattr__(self, "_decomposition", lru_cache(DECOMPOSITIONS_MEMO)(partial(self._solve, "eigh")))
+        object.__setattr__(self, "_response", lru_cache(SPECTRA_MEMO)(self._flux_response))
 
     def _solve(self, solver, key):
         """numpy.linalg's solver of hamiltonian(phi), phi = float.fromhex(key), its arrays read-only."""
@@ -212,15 +208,25 @@ class Branch:
         # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
         return gibbs_state(self._spectrum(float(phi).hex()), kT)[0]
 
-    def thermal(self, phi: float, kT: float, *operators: np.ndarray, response: np.ndarray | None = None):
-        """(F, averages): free energy and the expectation of each operator, at most one eigensolve.
-
-        response=psi_op appends chi = d<psi>/dh, the static response of the branch flux to
-        the tilt -h psi at h = phi / L_g, henry; at phi = 0 it is :meth:`susceptibility`.
-        """
+    def thermal(self, phi: float, kT: float, *operators: np.ndarray):
+        """(F, averages): free energy and the expectation of each operator, at most one eigensolve."""
         _check_temperature(kT)  # before the memo, as in free_energy
         w, v = self._decomposition(float(phi).hex())
-        return _gibbs_average(w, v, operators, kT, response)
+        return _gibbs_average(w, v, operators, kT)
+
+    def flux_response(self, phi: float, kT: float) -> tuple[float, float]:
+        """(<psi>, chi): the branch flux and chi = d<psi>/dh, its static response to the tilt
+        -h psi at h = phi / L_g, henry; at phi = 0, chi is :meth:`susceptibility`."""
+        _check_temperature(kT)  # before the memo, as in free_energy
+        return self._response(float(phi).hex(), kT)
+
+    def _flux_response(self, key, kT):
+        """flux_response at phi = float.fromhex(key); at kT = 0 chi's Kubo sum reads the ground multiplet's rows."""
+        w, v = self._decomposition(key)
+        p = gibbs_state(w, kT)[1]
+        psi = float(p @ np.einsum("ij,ij->j", v.conj(), self.ops.psi_op @ v).real)
+        rows = v if kT > 0.0 else v[:, p > 0.0]
+        return psi, _static_response(w, rows.conj().T @ self.ops.psi_op @ v, p, kT)
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

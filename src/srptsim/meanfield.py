@@ -210,8 +210,9 @@ def _refine(params, kT, M, phi, f, window, shared):
 
     The residual is bracketed by the neighbours of the best sample up to
     the window's end, and its root is found by :func:`circuit.newton_root`
-    from one eigensolve per step. The column reports `shared` of the samples
-    in its n_evaluations.
+    from the kernel's flux_response, one eigensolve per step at a new tilt:
+    a solve after its sweep repeats the sweep's steps from the memo. The
+    column reports `shared` of the samples in its n_evaluations.
     """
     kernel = fock.branch(params, M)
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
@@ -221,7 +222,7 @@ def _refine(params, kT, M, phi, f, window, shared):
         # the residual u x - <psi> / L_g and its slope u - chi / L_g^2
         nonlocal made
         made += 1
-        _, (psi,), chi = kernel.thermal(x, kT, kernel.ops.psi_op, response=kernel.ops.psi_op)
+        psi, chi = kernel.flux_response(x, kT)
         return u * x - psi / params.L_g, u - chi / params.L_g**2
 
     def package(phi_th, converged):

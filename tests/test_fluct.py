@@ -341,3 +341,27 @@ def test_solves_after_a_scan_run_no_eigvalsh(reference, monkeypatch):
             assert sol.converged and sol.phi_th == phi_th
             fluct.stationarity_check(p, sol)
         assert len(calls) == scanned
+
+
+def test_solves_after_a_scan_repeat_no_newton_eigh(reference, monkeypatch):
+    """The cusp-scan pattern: after each spectrum_scan, the lone solve and the stationarity check at
+    an ordered column read the scan's Newton iterates from the kernel's flux-response memo, so
+    together they diagonalize once, to package the solution, and the solve repeats its column."""
+    L_c = meanfield.critical_inductance_at_zero_T(reference)
+    sweeps = [(L, meanfield.solve_sweep(reference, L, 0.0))
+              for L in (np.linspace(0.1e-9, 1.0e-9, 12), L_c + 2e-12 * np.arange(-10, 10))]  # coarse, fine
+    fock._branch.cache_clear()  # the pattern starts from a kernel with empty memos
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    for L, sweep in sweeps:
+        scan = fluct.spectrum_scan(reference, L)
+        ordered = np.nonzero(scan.superradiant)[0]
+        assert 0 < ordered.size < L.size
+        scanned = len(calls)
+        for i in ordered:
+            p = reference.replace(L_R0=float(L[i]))
+            sol = meanfield.solve(p, 0.0)
+            assert sol.converged and sol.phi_th == scan.phi_th[i]
+            assert dataclasses.replace(sol, n_evaluations=0) == dataclasses.replace(sweep[i], n_evaluations=0)
+            fluct.stationarity_check(p, sol)
+        assert len(calls) - scanned <= ordered.size

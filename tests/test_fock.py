@@ -23,6 +23,7 @@ from srptsim.fock import (
     SPECTRA_MEMO,
     _branch,
     _gibbs_average,
+    _static_response,
     atom_hamiltonian,
     branch,
     build_operators,
@@ -48,6 +49,16 @@ def cos_element_oracle(m, n, lam_sq):
     k = m - n
     pref = math.exp(-lam_sq / 2.0) * math.sqrt(math.factorial(n) / math.factorial(m))
     return pref * (-1.0) ** (k // 2) * lam_sq ** (k / 2.0) * eval_genlaguerre(n, k, lam_sq)
+
+
+def fresh_flux_response(b, phi, kT):
+    """(<psi>, chi) at the tilt phi from a fresh eigh: the Gibbs average of psi_op and its Kubo
+    sum, the rows of the ground multiplet only at kT = 0."""
+    w, v = np.linalg.eigh(b.hamiltonian(phi))
+    p = gibbs_state(w, kT)[1]
+    rows = v if kT > 0.0 else v[:, p > 0.0]
+    psi = _gibbs_average(w, v, (b.ops.psi_op,), kT)[1][0]
+    return psi, _static_response(w, rows.conj().T @ b.ops.psi_op @ v, p, kT)
 
 
 @pytest.fixture
@@ -217,7 +228,7 @@ def test_effective_hamiltonian_flux_behaviour(linear, reference):
     # a positive tilt pulls the branch flux to positive values
     _, (mean_psi,) = b.thermal(phi, 0.0, b.ops.psi_op)
     assert mean_psi > 0.0
-    assert mean_psi == _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), 0.0, None)[1][0]
+    assert mean_psi == _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), 0.0)[1][0]
 
 
 def test_thermal_expectation_identity_and_parity(linear, reference):
@@ -242,7 +253,7 @@ def test_thermal_expectation_high_temperature_limit(reference):
 def test_thermal_expectation_degenerate_ground():
     H = np.diag([0.0, 0.0, 1.0])
     A = np.diag([1.0, -1.0, 5.0])
-    assert _gibbs_average(*np.linalg.eigh(H), (A,), 0.0, None)[1][0] == pytest.approx(0.0, abs=1e-14)
+    assert _gibbs_average(*np.linalg.eigh(H), (A,), 0.0)[1][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_thermal_expectation_zero_temperature_continuity(reference):
@@ -328,7 +339,8 @@ def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
 @pytest.mark.parametrize("kT_GHz", [0.0, 50.0])
 def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     """A tilt read again returns bit for bit what a fresh eigensolve gives, the memos
-    keep no more tilts than their bounds, and no cached array is writable."""
+    keep no more tilts than their bounds, and no cached array is writable; flux_response
+    included."""
     kT = h * kT_GHz * GHZ
     _branch.cache_clear()
     b = branch(reference, 20)
@@ -339,7 +351,8 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     for phi in distinct:
         H = b.hamiltonian(phi)
         oracle[float(phi).hex()] = (gibbs_state(np.linalg.eigvalsh(H), kT)[0],
-                                    _gibbs_average(*np.linalg.eigh(H), ops, kT, b.ops.psi_op))
+                                    _gibbs_average(*np.linalg.eigh(H), ops, kT),
+                                    fresh_flux_response(b, phi, kT))
     solves = {"eigvalsh": 0, "eigh": 0}
 
     def counting(name):
@@ -357,19 +370,26 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     sequence = np.random.default_rng(11).permutation(np.concatenate([distinct, distinct]))
     calls = [phi for i, phi in enumerate(sequence) for _ in range(1 + (i % 5 == 0))]
     for phi in calls:
-        F, thermal = oracle[float(phi).hex()]
+        F, thermal, response = oracle[float(phi).hex()]
         assert b.free_energy(phi, kT) == F
-        assert b.thermal(phi, kT, *ops, response=b.ops.psi_op) == thermal
+        assert b.thermal(phi, kT, *ops) == thermal
+        assert b.flux_response(phi, kT) == response
         assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
         assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
+        assert b._response.cache_info().currsize <= SPECTRA_MEMO
     # remembered tilts are not solved again, evicted ones are
     assert distinct.size < solves["eigvalsh"] < len(calls)
     assert distinct.size < solves["eigh"] < len(calls)
+    assert distinct.size < b._response.cache_info().misses < len(calls)
     assert b._spectrum.cache_info().currsize == SPECTRA_MEMO
     assert b._decomposition.cache_info().currsize == DECOMPOSITIONS_MEMO
+    assert b._response.cache_info().currsize == SPECTRA_MEMO
     # the latest tilts are the remembered ones: read back without a solve, none writable
     latest = list(dict.fromkeys(float(phi).hex() for phi in reversed(calls)))
-    made = dict(solves)
+    made, missed = dict(solves), b._response.cache_info().misses
+    responses = [b._response(key, kT) for key in latest[:SPECTRA_MEMO]]
+    assert responses == [oracle[key][2] for key in latest[:SPECTRA_MEMO]]
+    assert b._response.cache_info().misses == missed
     cached = [*(b._spectrum(key) for key in latest[:SPECTRA_MEMO]),
               *(a for key in latest[:DECOMPOSITIONS_MEMO] for a in b._decomposition(key))]
     assert solves == made
@@ -379,20 +399,22 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
 
 def test_tilt_memos_under_concurrent_readers(reference):
     """Threads sharing one kernel read the same tilts in different orders: every read equals
-    a fresh eigensolve bit for bit and neither memo passes its bound."""
+    a fresh eigensolve bit for bit and no memo passes its bound."""
     kT = h * 20 * GHZ
     _branch.cache_clear()
     b = branch(reference, 10)
     tilts = np.linspace(-0.2, 0.2, SPECTRA_MEMO + 40) * PHI0
     oracle = {float(phi).hex(): (gibbs_state(np.linalg.eigvalsh(b.hamiltonian(phi)), kT)[0],
-                                 _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT, None))
+                                 _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT),
+                                 fresh_flux_response(b, phi, kT))
               for phi in tilts}
     wrong, errors = [], []
 
     def reader(seed):
         try:
             for phi in np.random.default_rng(seed).choice(tilts, size=300):
-                if (b.free_energy(phi, kT), b.thermal(phi, kT, b.ops.psi_op)) != oracle[float(phi).hex()]:
+                read = b.free_energy(phi, kT), b.thermal(phi, kT, b.ops.psi_op), b.flux_response(phi, kT)
+                if read != oracle[float(phi).hex()]:
                     wrong.append(phi)
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
             errors.append(exc)
@@ -411,6 +433,7 @@ def test_tilt_memos_under_concurrent_readers(reference):
     assert errors == [] and wrong == []
     assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
     assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
+    assert b._response.cache_info().currsize <= SPECTRA_MEMO
 
 
 def test_branch_rejects_negative_temperature(reference):
@@ -422,15 +445,17 @@ def test_branch_rejects_negative_temperature(reference):
     # gibbs_state and every reader of the kernel check the temperature
     for kT in (math.nan, math.inf, -math.inf, -1.0):
         for call in (lambda: gibbs_state(b.levels, kT), lambda: b.free_energy(0.0, kT),
-                     lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.susceptibility(kT)):
+                     lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.flux_response(0.0, kT),
+                     lambda: b.susceptibility(kT)):
             with pytest.raises(ValueError, match="kT must be finite and non-negative"):
                 call()
 
 
 @pytest.mark.parametrize("kT", [-1.0, math.nan, math.inf])
 def test_branch_rejects_a_bad_temperature_before_its_memos(reference, monkeypatch, kT):
-    """A bad kT raises at free_energy and thermal before either memo is read: no eigensolve runs."""
-    _branch.cache_clear()  # a fresh kernel, so that neither memo is full and an entry would show
+    """A bad kT raises at free_energy, thermal and flux_response before any memo is read: no
+    eigensolve runs."""
+    _branch.cache_clear()  # a fresh kernel, so that no memo is full and an entry would show
     b = branch(reference, 10)
     solves = []
     for name in ("eigvalsh", "eigh"):
@@ -439,8 +464,11 @@ def test_branch_rejects_a_bad_temperature_before_its_memos(reference, monkeypatc
         b.free_energy(0.0123, kT)
     with pytest.raises(ValueError, match="kT must be finite and non-negative"):
         b.thermal(0.0456, kT, b.ops.psi_op)
+    with pytest.raises(ValueError, match="kT must be finite and non-negative"):
+        b.flux_response(0.0789, kT)
     assert solves == []
     assert b._spectrum.cache_info().currsize == b._decomposition.cache_info().currsize == 0
+    assert b._response.cache_info().currsize == 0
 
 
 def test_gibbs_state_equals_the_two_functions_it_merged(reference):
@@ -458,20 +486,27 @@ def test_gibbs_state_equals_the_two_functions_it_merged(reference):
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-def test_branch_rejects_a_non_finite_tilt_before_its_memos(reference, phi):
-    """A non-finite tilt raises at every reader and never enters a memo, where it would evict real tilts."""
-    _branch.cache_clear()  # a fresh kernel, so that neither memo is full and an entry would show
+def test_branch_rejects_a_non_finite_tilt_before_its_memos(reference, monkeypatch, phi):
+    """A non-finite tilt raises at every reader with no eigensolve and never enters a memo,
+    where it would evict real tilts."""
+    _branch.cache_clear()  # a fresh kernel, so that no memo is full and an entry would show
     b = branch(reference, 10)
     b.free_energy(0.01 * PHI0, 0.0)
     b.thermal(0.01 * PHI0, 0.0, b.ops.psi_op)
-    sizes = b._spectrum.cache_info().currsize, b._decomposition.cache_info().currsize
+    b.flux_response(0.01 * PHI0, 0.0)
+    memos = (b._spectrum, b._decomposition, b._response)
+    sizes = [memo.cache_info().currsize for memo in memos]
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name: solves.append(name))
     for kT in (0.0, h * 20 * GHZ):
         for call in (lambda: b.hamiltonian(phi), lambda: b.free_energy(phi, kT),
-                     lambda: b.thermal(phi, kT, b.ops.psi_op),
+                     lambda: b.thermal(phi, kT, b.ops.psi_op), lambda: b.flux_response(phi, kT),
                      lambda: meanfield.action_per_atom(phi, kT, reference, M=10)):
             with pytest.raises(ValueError, match="phi must be finite"):
                 call()
-    assert (b._spectrum.cache_info().currsize, b._decomposition.cache_info().currsize) == sizes
+    assert solves == []
+    assert [memo.cache_info().currsize for memo in memos] == sizes
 
 
 @pytest.mark.parametrize("M", [True, 60.0, 0])
@@ -539,15 +574,15 @@ def test_susceptibility_matches_level_oracle(reference):
 
 
 def test_response_is_flux_derivative(reference):
-    """chi of Branch.thermal's response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
+    """chi of Branch.flux_response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
     b = branch(reference, 60)
     psi_op = b.ops.psi_op
     for kT in h * np.array([0.0, 20.0, 200.0]) * GHZ:
-        _, _, chi = b.thermal(0.0, kT, psi_op, response=psi_op)
+        _, chi = b.flux_response(0.0, kT)
         assert chi == pytest.approx(b.susceptibility(kT), rel=1e-12, abs=0.0)
         for phi in (0.05 * PHI0, 0.2 * PHI0):
-            F, (psi,), chi = b.thermal(phi, kT, psi_op, response=psi_op)
-            assert (F, (psi,)) == b.thermal(phi, kT, psi_op)
+            psi, chi = b.flux_response(phi, kT)
+            assert (psi,) == b.thermal(phi, kT, psi_op)[1]
             dphi = 1e-4 * phi
             _, (up,) = b.thermal(phi + dphi, kT, b.ops.psi_op)
             _, (down,) = b.thermal(phi - dphi, kT, b.ops.psi_op)
@@ -561,8 +596,8 @@ def test_static_response_with_degenerate_levels():
     B = B + B.T
     dh = 1e-5
     for kT in (0.05, 0.7, 30.0):
-        F, (mean,), chi = _gibbs_average(*np.linalg.eigh(H), (B,), kT, B)
-        assert (F, (mean,)) == _gibbs_average(*np.linalg.eigh(H), (B,), kT, None)
-        _, (up,) = _gibbs_average(*np.linalg.eigh(H - dh * B), (B,), kT, None)
-        _, (down,) = _gibbs_average(*np.linalg.eigh(H + dh * B), (B,), kT, None)
+        w, v = np.linalg.eigh(H)
+        chi = _static_response(w, v.T @ B @ v, gibbs_state(w, kT)[1], kT)
+        _, (up,) = _gibbs_average(*np.linalg.eigh(H - dh * B), (B,), kT)
+        _, (down,) = _gibbs_average(*np.linalg.eigh(H + dh * B), (B,), kT)
         assert chi == pytest.approx((up - down) / (2.0 * dh), rel=1e-8)

@@ -395,6 +395,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
 
     monkeypatch.setattr(fock.Branch, "free_energy", counting(fock.Branch.free_energy))
     monkeypatch.setattr(fock.Branch, "thermal", counting(fock.Branch.thermal))
+    monkeypatch.setattr(fock.Branch, "flux_response", counting(fock.Branch.flux_response))
     # the windows span 6.9x, one scan for all four columns
     L = np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9])
     kT = h * 50 * GHZ

@@ -521,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest exchange-symmetric sector dimension to build")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the Lanczos start vector at the first L_R0 of each parity sector; "
-                        "later points start from the point before. A nonnegative integer")
+                        "later points start from the eigenvectors of the points before. A nonnegative integer")
     p.add_argument("--dump-matrix", metavar="FILE",
                    help="write the exchange-symmetric even-sector matrix at the first L_R0 "
                         "in Matrix Market format")

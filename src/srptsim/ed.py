@@ -17,7 +17,8 @@ resonator inductance:
     H = hbar omega_c (n_ph + 1/2) + sum_j H_atom(j) - (hbar g / sqrt(N)) V
 
 with V = sum_j (a + a^dag)(b_j + b_j^dag). A sector model is therefore
-assembled once and swept over L_R0 by rescaling two coefficients.
+assembled once and swept over L_R0 by rescaling two coefficients; its
+pieces share one CSR pattern, so a point's H is one new data array.
 Both branch terms are one-body in the branches, and one embedding builds
 them in the symmetric sector: sum_j op(j) with op the dense branch block
 for the atom term, sum_j (a + a^dag) op(j) with op = b + b^dag for V.
@@ -32,7 +33,12 @@ quartic form.
 Each sector's lowest eigenpairs come from a thick-restart Lanczos of this
 module's own (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) on
 scipy.sparse's CSR matrix-vector product, so ed loads scipy.sparse and
-neither ARPACK (scipy.sparse.linalg) nor scipy.linalg.
+neither ARPACK (scipy.sparse.linalg) nor scipy.linalg. A sweep seeds
+each point from the points before: every sector keeps an orthonormal
+basis of the eigenvectors it returned, at most _KRYLOV_DIM + k vectors
+of its dimension, and Lanczos starts from the sum of the k lowest Ritz
+vectors of the new H on it (eigenvector continuation: Frame et al., PRL
+121, 032501 (2018)); the first point starts from the config.seed vector.
 """
 
 import math
@@ -87,8 +93,10 @@ class EdConfig:
                       than this
     seed            : seed of the deterministic Lanczos start vector of
                       each sector's first point, a nonnegative integer;
-                      scan starts every later point from the previous
-                      point's ground vector
+                      scan starts every later point from the sum of the
+                      k lowest Ritz vectors of its H on the sector's
+                      basis of earlier eigenvectors, at most
+                      _KRYLOV_DIM + k vectors of the sector's dimension
     """
 
     n_atoms: int
@@ -248,18 +256,9 @@ def _locate(basis: BasisIndex, new_keys: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _symmetric_from_upper(dim: int, rows: list, cols: list, vals: list) -> sp.csr_matrix:
-    """The symmetric matrix whose strict upper triangle holds these triplets, if any."""
-    if not vals:
-        return sp.csr_matrix((dim, dim))
-    upper = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    ).tocsr()
-    return upper + upper.T
-
-
-def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_matrix:
-    """sum_j op(j) (photon_step 0) or sum_j (a + a^dag) op(j) (photon_step 1) in the sector.
+def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> tuple[np.ndarray, ...]:
+    """sum_j op(j) (photon_step 0) or sum_j (a + a^dag) op(j) (photon_step 1) in the sector:
+    the (rows, cols, values) of its strict upper triangle, and its diagonal (zero at s = 1).
 
     op is real symmetric on the R branch levels; write s for photon_step.
     A level m with k_m branches reaches m + delta with op[m, m + delta]
@@ -268,7 +267,7 @@ def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_mat
     delta + s even keep the parity. The key moves by the place value of
     m + delta minus that of m, plus the photon's at s = 1, and either
     rise raises it, so those hops are the upper triangle. At s = 0 the
-    diagonal adds sum_m k_m op[m, m].
+    diagonal is sum_m k_m op[m, m].
     """
     levels = basis.occupations[:, 1:]
     occ0 = basis.occupations[:, 0].astype(np.int64)
@@ -278,7 +277,7 @@ def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_mat
     place = basis.radix_powers[1:]
     # every hop leaves an occupied level
     row, m = np.nonzero(levels)
-    rows, cols, vals = [], [], []
+    rows, cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for delta in range(1 - R if photon_step else 1, R):
         if (delta + photon_step) % 2 or not np.any(np.diagonal(op, offset=delta)):
             continue
@@ -296,11 +295,11 @@ def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> sp.csr_mat
         rows.append(src)
         cols.append(target)
         vals.append(photon[src] * amp * np.sqrt(levels[src, frm] * levels[target, to]))
-    matrix = _symmetric_from_upper(basis.dim, rows, cols, vals)
     if photon_step:
-        return matrix
-    diag = np.bincount(row, weights=levels[row, m] * np.diagonal(op)[m], minlength=basis.dim)
-    return matrix + sp.diags(diag).tocsr()
+        diag = np.zeros(basis.dim)
+    else:
+        diag = np.bincount(row, weights=levels[row, m] * np.diagonal(op)[m], minlength=basis.dim)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), diag
 
 
 @dataclass(frozen=True)
@@ -308,9 +307,13 @@ class SectorModel:
     """L_R0-independent pieces of one parity sector.
 
     photon_number is the diagonal n_ph + 1/2 (dimensionless), atom_static
-    the summed branch Hamiltonians (joule), coupling the bare V. The
-    branch parameters the model was built for are recorded so a sweep
-    cannot silently reuse it with different junctions.
+    the summed branch Hamiltonians (joule), coupling the bare V. Both
+    matrices hold one CSR pattern, the union of their entries and the
+    diagonal, in the same indices and indptr arrays, each with explicit
+    zeros where only the other has an entry; diagonal holds the position
+    of each row's diagonal entry in that pattern's data. The branch
+    parameters the model was built for are recorded so a sweep cannot
+    silently reuse it with different junctions.
     """
 
     config: EdConfig
@@ -318,7 +321,38 @@ class SectorModel:
     photon_number: np.ndarray
     atom_static: sp.csr_matrix
     coupling: sp.csr_matrix
+    diagonal: np.ndarray
     atom_key: tuple
+
+
+def _one_pattern(dim: int, atom: tuple, coupling: tuple):
+    """Two symmetric terms, each as _one_body gives it, as CSR matrices on one pattern, the
+    union of their entries and the diagonal, sharing indices and indptr (each explicit zero
+    where only the other has an entry), plus the data position of each row's diagonal."""
+    (a_rows, a_cols, a_vals, a_diag), (c_rows, c_cols, c_vals, _) = atom, coupling
+    diag = np.arange(dim)
+    # the diagonal, then both triangles of each term, every entry once; the CSR
+    # conversion run on the entry numbers says where each entry lands
+    n = dim + 2 * (a_vals.size + c_vals.size)
+    index = np.int32 if n < 2**31 else np.int64
+    order = sp.csr_matrix((np.arange(n, dtype=index), (
+        np.concatenate([diag, a_rows, a_cols, c_rows, c_cols], dtype=index),
+        np.concatenate([diag, a_cols, a_rows, c_cols, c_rows], dtype=index),
+    )), shape=(dim, dim))
+    if order.nnz != n:
+        raise RuntimeError("sector terms hold a matrix entry twice")
+    # both data arrays from one gather, each zeroed where the other term sits
+    coupling_data = np.concatenate([a_diag, a_vals, a_vals, c_vals, c_vals])[order.data]
+    atom_data = coupling_data.copy()
+    is_atom = order.data < dim + 2 * a_vals.size
+    atom_data[~is_atom] = 0.0
+    coupling_data[is_atom] = 0.0
+    pattern = (order.indices, order.indptr)
+    return (
+        sp.csr_matrix((atom_data, *pattern), shape=(dim, dim)),
+        sp.csr_matrix((coupling_data, *pattern), shape=(dim, dim)),
+        np.flatnonzero(order.data < dim),
+    )
 
 
 def build_sector_model(params: CircuitParams, config: EdConfig, parity: int) -> SectorModel:
@@ -326,64 +360,78 @@ def build_sector_model(params: CircuitParams, config: EdConfig, parity: int) -> 
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {config.n_atoms}")
     basis = build_basis(config, parity)
     atom, x = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
+    atom_static, coupling, diagonal = _one_pattern(basis.dim, _one_body(basis, atom, 0), _one_body(basis, x, 1))
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
-    photon_number.setflags(write=False)
+    for array in (photon_number, diagonal):
+        array.setflags(write=False)
     return SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_one_body(basis, atom, 0),
-        coupling=_one_body(basis, x, 1),
+        atom_static=atom_static,
+        coupling=coupling,
+        diagonal=diagonal,
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
 
 
 def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
-    """Sector Hamiltonian at the resonator inductance carried by params, joule."""
+    """Sector Hamiltonian at the resonator inductance carried by params, joule,
+    on the model's shared pattern: only its data array is new."""
     if (params.L_J, params.L_g, params.C_J) != model.atom_key:
         raise ValueError("sector model was built for different branch parameters")
     if params.N not in (None, model.config.n_atoms):
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {model.config.n_atoms}")
     derived = derive_linear(params)
     scale = hbar * derived.g / math.sqrt(model.config.n_atoms)
-    H = sp.diags(hbar * derived.omega_c * model.photon_number) + model.atom_static - scale * model.coupling
-    return H.tocsr()
+    atom = model.atom_static
+    # atom - scale * coupling to the bit, in one new array: -(s c) is exact
+    data = model.coupling.data * -scale
+    data += atom.data
+    data[model.diagonal] += hbar * derived.omega_c * model.photon_number
+    return sp.csr_matrix((data, atom.indices, atom.indptr), shape=atom.shape)
 
 
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
     Small sectors fall back to a dense solve; otherwise the thick-restart
-    Lanczos of :func:`_lanczos` runs from v0 when given, else from a seeded
-    random vector, and draws any fresh vector it needs from the same seeded
-    generator, so repeated calls agree bit for bit. Lanczos stops at
-    _RITZ_RTOL, not at machine precision, so the pairs depend on the start
-    vector to about 1e-13 relative; a sweep that starts each point from the
-    one before makes each row depend on that point by as much. Every pair
-    must pass an inf-norm residual check or ConvergenceError is raised; but
-    one start vector spans one direction per eigenspace, so a partner of an
-    exactly degenerate wanted level can be missed, [1, 2] returned for
-    diag(1, 1, 2, ...) at k = 2, and the check passes: each pair is exact.
+    Lanczos of :func:`_lanczos` runs from v0 when it is one vector. When v0
+    is a block of orthonormal columns, Lanczos starts from the sum of the k
+    lowest Ritz vectors of matrix on their span (one product of matrix with
+    the block and one small eigh); scan passes each sector's basis of
+    earlier eigenvectors, at most _KRYLOV_DIM + k vectors of its dimension.
+    Without v0 Lanczos starts from a seeded random vector. Any fresh vector
+    it needs comes from the same seeded generator, so repeated calls agree
+    bit for bit. Lanczos stops at _RITZ_RTOL, not at machine precision, so
+    the pairs depend on the start to about 1e-13 relative; a sweep that
+    starts each point from the ones before makes each row depend on them by
+    as much. Every pair must pass an inf-norm residual check or
+    ConvergenceError is raised; but one start vector spans one direction
+    per eigenspace, so a partner of an exactly degenerate wanted level can
+    be missed, [1, 2] returned for diag(1, 1, 2, ...) at k = 2, and the
+    check passes: each pair is exact.
     """
     dim = matrix.shape[0]
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k > dim:
         raise ValueError(f"requested {k} eigenpairs from a dimension-{dim} sector")
-    scale = np.abs(matrix).sum(axis=1).max()
+    matrix = matrix.tocsr()
+    # |H|_inf from the absolute values on the same pattern, not a copy of it
+    absolute = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
+    scale = absolute.sum(axis=1).max()
     if dim < max(2 * k + 2, _DENSE_FLOOR):
         w, v = np.linalg.eigh(matrix.toarray())
         w, v = w[:k], v[:, :k]
     else:
-        # a Ritz pair is accepted once its bound drops below the tolerance
-        # times max(eps^(2/3), |ritz|); entries of order 1e-21 J sit far
-        # under that floor, so work on a unit-normalized copy.
-        unit = scale or 1.0
         rng = np.random.default_rng(seed)
         if v0 is None:
             v0 = rng.uniform(-1.0, 1.0, size=dim)
-        w, v = _lanczos(matrix / unit, k, v0, _RITZ_RTOL, rng)
-        w = w * unit
+        elif v0.ndim == 2:
+            _, ritz = np.linalg.eigh(v0.T @ (matrix @ v0))
+            v0 = v0 @ ritz[:, :k].sum(axis=1)
+        w, v = _lanczos(matrix, k, v0, _RITZ_RTOL, rng, scale or 1.0)
     resid = matrix @ v - v * w
     worst = np.abs(resid).max()
     if worst > _RESIDUAL_RTOL * scale:
@@ -393,35 +441,44 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
     return w, v
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """w minus its projection on the orthonormal rows of basis, in two classical Gram-Schmidt
-    passes: (w, coefficients, norm after the first pass, norm after the second)."""
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """w minus its projection on the orthonormal rows of basis by classical Gram-Schmidt:
+    (w, coefficients, norm, invariant). A second pass runs only when the first keeps less
+    than 1/sqrt(2) of the norm (ARPACK's DGKS test, 0.717); invariant says the second
+    cancelled as much again, so what is left is rounding noise."""
+    before = math.sqrt(w @ w)
     h = basis @ w
     w -= h @ basis
-    first = math.sqrt(w @ w)
+    norm = math.sqrt(w @ w)
+    if norm > 0.717 * before:
+        return w, h, norm, False
     h2 = basis @ w
     w -= h2 @ basis
-    return w, h + h2, first, math.sqrt(w @ w)
+    second = math.sqrt(w @ w)
+    return w, h + h2, second, second <= 0.717 * norm
 
 
-def _lanczos(matrix, k: int, v0: np.ndarray, tol: float, rng: np.random.Generator):
+def _lanczos(matrix, k: int, v0: np.ndarray, tol: float, rng: np.random.Generator, scale: float):
     """k lowest eigenpairs of a symmetric matrix by thick-restart Lanczos (Wu & Simon,
     SIAM J. Matrix Anal. Appl. 22, 602 (2000)), ascending; vectors are columns.
 
     The basis holds m = max(_KRYLOV_DIM, 2 (k + _KEPT_EXTRA)) vectors, at
-    most the dimension, each orthogonalized fully against the ones before in
-    two passes. Once it is full, the projected matrix T (tridiagonal, with an
-    arrow from the kept vectors after a restart) gives Ritz pairs (theta_i,
-    s_i) with residual bound beta |s_m,i|, beta the norm of the next Lanczos
-    vector. The k lowest are accepted together when every bound is at most
-    tol max(eps^(2/3), |theta_i|), ARPACK's rule; otherwise the k +
+    most the dimension. Each new vector loses its local part first, alpha
+    and beta times the vector before (after a restart, the arrow from the
+    kept vectors), then is orthogonalized against the whole basis by
+    :func:`_orthogonalize`. Once the basis is full, the projected matrix T
+    (tridiagonal, with that arrow after a restart) gives Ritz pairs
+    (theta_i, s_i) with residual bound beta |s_m,i|, beta the norm of the
+    next Lanczos vector. The k lowest are accepted together when every
+    bound is at most tol max(eps^(2/3) scale, |theta_i|), ARPACK's rule on
+    the matrix divided by scale, its inf-norm; otherwise the k +
     _KEPT_EXTRA lowest Ritz vectors and the next Lanczos vector start the
-    basis again. When the second pass still removes about 30 % of the norm
-    or more, what is left is rounding noise: the Krylov space is invariant
-    (beta = 0), and a fresh vector from rng, orthogonalized against the
-    basis, continues it, so that a start vector that is already an
-    eigenvector still yields k pairs. Only matrix @ x and matrix.shape are
-    read. Raises ConvergenceError after _MAX_RESTARTS restarts.
+    basis again. When the new vector proves rounding noise, the Krylov
+    space is invariant (beta = 0), and a fresh vector from rng,
+    orthogonalized against the basis, continues it, so that a start vector
+    that is already an eigenvector still yields k pairs. Only matrix @ x
+    and matrix.shape are read. Raises ConvergenceError after _MAX_RESTARTS
+    restarts.
     """
     dim = matrix.shape[0]
     keep = k + _KEPT_EXTRA
@@ -429,18 +486,20 @@ def _lanczos(matrix, k: int, v0: np.ndarray, tol: float, rng: np.random.Generato
     Q = np.empty((m + 1, dim))
     Q[0] = v0 / math.sqrt(v0 @ v0)
     T = np.zeros((m, m))
-    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    floor = scale * np.finfo(float).eps ** (2.0 / 3.0)
     start = 0
     for _ in range(_MAX_RESTARTS + 1):
         for j in range(start, m):
-            w, h, first, beta = _orthogonalize(matrix @ Q[j], Q[: j + 1])
-            T[j, j] = h[j]
-            # ARPACK's test (dsaitr): a second pass that keeps less than
-            # 1/sqrt(2) of the norm was cancelling rounding noise
-            if beta <= 0.717 * first:
+            w = matrix @ Q[j]
+            T[j, j] = Q[j] @ w
+            local = 0 if j == start else j - 1
+            w -= T[j, local : j + 1] @ Q[local : j + 1]
+            w, h, beta, invariant = _orthogonalize(w, Q[: j + 1])
+            T[j, j] += h[j]
+            if invariant:
                 beta = 0.0
                 if j + 1 < m:
-                    w, _, _, norm = _orthogonalize(rng.uniform(-1.0, 1.0, size=dim), Q[: j + 1])
+                    w, _, norm, _ = _orthogonalize(rng.uniform(-1.0, 1.0, size=dim), Q[: j + 1])
                     Q[j + 1] = w / norm
                 continue
             Q[j + 1] = w / beta
@@ -472,7 +531,9 @@ class SectorEigen:
 def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None,
                  v0: np.ndarray | None = None) -> SectorEigen:
     """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default;
-    Lanczos starts from v0 when given, else from the vector config.seed draws."""
+    Lanczos starts from v0 when given (a vector, or orthonormal columns whose k lowest
+    Ritz vectors it sums, as :func:`lowest_eigenpairs` says), else from the vector
+    config.seed draws."""
     H = hamiltonian_at(model, params)
     k = min(model.config.n_eigenvalues if k is None else k, H.shape[0])
     w, v = lowest_eigenpairs(H, k, seed=model.config.seed, v0=v0)
@@ -508,8 +569,12 @@ def scan(params: CircuitParams, config: EdConfig, L_R0_values) -> EdScan:
     Both parity sectors are assembled once and solved at each L_R0 in
     turn, for only the eigenpairs the observables read: the two lowest
     even states and the lowest odd state, whatever config.n_eigenvalues
-    says. Lanczos starts each sector from its ground vector at the point
-    before, and from the config.seed vector only at the first point.
+    says. Each sector starts Lanczos from the config.seed vector at the
+    first point and, at every later point, from the sum of the k lowest
+    Ritz vectors of that point's H on an orthonormal basis of the
+    eigenvectors the sector returned before: the newest k and the
+    _KRYLOV_DIM directions before them, so the basis holds at most
+    _KRYLOV_DIM + k vectors of the sector's dimension per sector.
     transition_even is the gap to the second even state, transition_odd
     the gap to the lowest odd state, delta_eps the ground energy per
     branch relative to the photon zero point plus the lowest eigenvalue
@@ -537,17 +602,26 @@ def _scan_points(params: CircuitParams, config: EdConfig, L_R0_values):
     even_model = build_sector_model(params, config, 0)
     odd_model = build_sector_model(params, config, 1)
     N = config.n_atoms
-    even = odd = None
+    even_basis = odd_basis = None
     for L in L_vals:
         p = params.replace(L_R0=float(L))
-        even = solve_sector(even_model, p, k=2, v0=None if even is None else even.vectors[:, 0])
-        odd = solve_sector(odd_model, p, k=1, v0=None if odd is None else odd.vectors[:, 0])
+        even = solve_sector(even_model, p, k=2, v0=even_basis)
+        odd = solve_sector(odd_model, p, k=1, v0=odd_basis)
+        even_basis = _sweep_basis(even.vectors, even_basis)
+        odd_basis = _sweep_basis(odd.vectors, odd_basis)
         if odd.values[0] < even.values[0]:
             raise ConvergenceError("odd sector fell below the even ground state; cutoffs are too tight")
         E_g = float(even.values[0])
         zero_point = hbar * derive_linear(p).omega_c / 2.0
         yield (even.dim, odd.dim), (E_g, even.photon_number / N, even.values[1] - E_g,
                                     odd.values[0] - E_g, (E_g - zero_point) / N - eps_a0)
+
+
+def _sweep_basis(vectors: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Orthonormal columns spanning the new eigenvectors, then the first _KRYLOV_DIM columns of
+    basis, its newest directions: at most _KRYLOV_DIM + k columns for k vectors."""
+    block = vectors if basis is None else np.hstack([vectors, basis[:, :_KRYLOV_DIM]])
+    return np.linalg.qr(block)[0]
 
 
 def export_matrix(path: str, matrix: sp.spmatrix) -> str:

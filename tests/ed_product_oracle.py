@@ -7,7 +7,8 @@ and the total-excitation parity; it contains the exchange-odd states
 that ed's permutation-symmetric sector leaves out. Each branch hops on
 its own, so there are no multiplicity factors and no re-sorting. The
 module shares BasisIndex, _locate and the branch block with ed, and
-nothing else.
+nothing else; build_sector_model puts its matrices in ed.SectorModel's
+layout, one CSR pattern for both, without changing an entry.
 
 observables is the two-sector combine that ed.scan once went through,
 kept here so both oracles report a point the way the old scan did.
@@ -171,17 +172,39 @@ def reference_energy(params, config: ed.EdConfig) -> float:
     return float(np.linalg.eigvalsh(branch_block(params, config))[0])
 
 
+def _on_one_pattern(atom_static: sp.csr_matrix, coupling: sp.csr_matrix):
+    """Both matrices on the union of their entries and the diagonal, sharing one indices and one
+    indptr array, each entry's value unchanged, and the position of each row's diagonal entry:
+    the layout of ed.SectorModel."""
+    dim = atom_static.shape[0]
+    atom_static, coupling = atom_static.tocoo(), coupling.tocoo()
+    diag = np.arange(dim)
+    rows = np.concatenate([atom_static.row, coupling.row, diag])
+    cols = np.concatenate([atom_static.col, coupling.col, diag])
+    zeros_a, zeros_c, zeros_d = np.zeros(atom_static.nnz), np.zeros(coupling.nnz), np.zeros(dim)
+    atom = sp.csr_matrix((np.concatenate([atom_static.data, zeros_c, zeros_d]), (rows, cols)), shape=(dim, dim))
+    placed = sp.csr_matrix((np.concatenate([zeros_a, coupling.data, zeros_d]), (rows, cols)), shape=(dim, dim))
+    assert np.array_equal(placed.indices, atom.indices) and np.array_equal(placed.indptr, atom.indptr)
+    coupling = sp.csr_matrix((placed.data, atom.indices, atom.indptr), shape=(dim, dim))
+    diagonal = np.flatnonzero(atom.indices == np.repeat(diag, np.diff(atom.indptr)))
+    return atom, coupling, diagonal
+
+
 def build_sector_model(params, config: ed.EdConfig, parity: int) -> ed.SectorModel:
     """ed.build_sector_model on the product basis."""
     basis = build_basis(config, parity)
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
+    atom_static, coupling, diagonal = _on_one_pattern(
+        _atom_static_matrix(basis, branch_block(params, config)), _coupling_matrix(basis)
+    )
     return ed.SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=_atom_static_matrix(basis, branch_block(params, config)),
-        coupling=_coupling_matrix(basis),
+        atom_static=atom_static,
+        coupling=coupling,
+        diagonal=diagonal,
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
 

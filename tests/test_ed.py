@@ -458,6 +458,33 @@ def test_symmetric_sector_is_restriction_of_product_basis(reference, n_atoms, pe
         assert abs(embedded - H).max() <= 1e-14 * abs(H).sum(axis=1).max()
 
 
+def assembled_hamiltonian(model, params):
+    """The sector Hamiltonian assembled as sparse matrices, term by term: hamiltonian_at's slow path."""
+    d = derive_linear(params)
+    scale = hbar * d.g / math.sqrt(model.config.n_atoms)
+    return (sp.diags(hbar * d.omega_c * model.photon_number) + model.atom_static - scale * model.coupling).tocsr()
+
+
+@pytest.mark.parametrize("quartic", [True, False], ids=["quartic", "cosine"])
+@pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 8, 16), (2, 6, 12), (3, 4, 8)])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_hamiltonian_at_matches_the_assembled_sum(reference, n_atoms, per_mode, total, quartic, parity):
+    """One new data array on the shared pattern gives the term-by-term sum bit for bit,
+    in the same CSR arrays, so every matrix-vector product agrees too."""
+    params = reference.replace(N=n_atoms)
+    cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, quartic=quartic)
+    model = ed.build_sector_model(params, cfg, parity)
+    for name in ("indices", "indptr"):
+        assert np.shares_memory(getattr(model.coupling, name), getattr(model.atom_static, name))
+    for L in (0.30e-9, 0.60e-9):
+        p = params.replace(L_R0=L)
+        H, slow = ed.hamiltonian_at(model, p), assembled_hamiltonian(model, p)
+        assert abs(H - slow).max() == 0.0
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(H, name), getattr(slow, name)), name
+        assert np.shares_memory(H.indices, model.atom_static.indices)
+
+
 def test_atom_count_must_agree_with_params(reference):
     """N comes from the config; a params.N that says otherwise is an error, not ignored."""
     cfg = ed.EdConfig(n_atoms=3, per_mode_cutoff=4, total_cutoff=4)
@@ -769,12 +796,15 @@ def cold_scan(params, config, L_R0_values):
     [
         (1, 24, 48, (0.40, 0.44, 0.48, 0.53, 0.60, 0.70)),
         (2, 12, 24, (0.38, 0.42, 0.46, 0.50, 0.52, 0.60)),
+        (1, 24, 48, tuple(np.linspace(0.40, 0.70, 16))),
     ],
 )
 def test_warm_scan_matches_cold_oracle(reference, n_atoms, per_mode, total, L_nH):
     """Warm starts and Lanczos' stopping tolerance move no row off the cold ARPACK solve.
 
-    The points straddle each gap dip and reach into the superradiant side.
+    The points straddle each gap dip and reach into the superradiant side;
+    the 16-point sweep fills the even sector's basis of earlier
+    eigenvectors to its cap, so most of its starts draw on a full one.
     """
     params = reference.replace(N=n_atoms)
     config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total)
@@ -786,29 +816,44 @@ def test_warm_scan_matches_cold_oracle(reference, n_atoms, per_mode, total, L_nH
 
 
 @pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 24, 48), (2, 12, 24)])
-def test_scan_starts_each_sector_from_its_previous_ground_vector(reference, monkeypatch, n_atoms, per_mode, total):
+def test_scan_starts_each_point_from_the_ritz_vectors_of_its_sweep(reference, monkeypatch, n_atoms, per_mode, total):
     """Only a sector's first point starts from the seeded vector; every later point starts from
-    the ground vector the same sector returned at the point before, and every call stops at
-    the tolerance derived from the residual gate."""
-    calls = []
-    real_lanczos = ed._lanczos
+    the sum of the k lowest Ritz vectors of its own H on the sector's orthonormal basis of the
+    eigenvectors it returned: the newest k and at most _KRYLOV_DIM columns before them. Every
+    call stops at the tolerance derived from the residual gate."""
+    solves, starts = [], []
+    real_solve, real_lanczos = ed.solve_sector, ed._lanczos
 
-    def spy(matrix, k, v0, tol, rng):
-        w, v = real_lanczos(matrix, k, v0, tol, rng)
-        calls.append((v0.copy(), tol, v[:, np.argmin(w)]))
-        return w, v
+    def solve(model, params, k=None, v0=None):
+        eig = real_solve(model, params, k=k, v0=v0)
+        solves.append((ed.hamiltonian_at(model, params), k, v0, eig.vectors))
+        return eig
 
+    def spy(matrix, k, v0, tol, *args):
+        starts.append((v0.copy(), tol))
+        return real_lanczos(matrix, k, v0, tol, *args)
+
+    monkeypatch.setattr(ed, "solve_sector", solve)
     monkeypatch.setattr(ed, "_lanczos", spy)
     config = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, seed=5)
-    ed.scan(reference.replace(N=n_atoms), config, np.array([0.40e-9, 0.46e-9, 0.52e-9, 0.60e-9]))
-    assert len(calls) == 8
+    # enough points for the odd sector's basis (k = 1) to reach its cap
+    ed.scan(reference.replace(N=n_atoms), config, np.linspace(0.40e-9, 0.60e-9, ed._KRYLOV_DIM + 4))
+    assert len(starts) == len(solves) == 2 * (ed._KRYLOV_DIM + 4)
+    assert {tol for _, tol in starts} == {ed._RESIDUAL_RTOL * 1e-2}
     for parity in (0, 1):
-        sector = calls[parity::2]
-        dim = ed.build_basis(config, parity).dim
-        assert np.array_equal(sector[0][0], np.random.default_rng(5).uniform(-1.0, 1.0, size=dim))
-        for (_, _, previous), (v0, _, _) in zip(sector, sector[1:]):
-            assert np.array_equal(v0, previous)
-    assert {tol for _, tol, _ in calls} == {ed._RESIDUAL_RTOL * 1e-2}
+        sector, v0s = solves[parity::2], [v0 for v0, _ in starts[parity::2]]
+        H, k, first, _ = sector[0]
+        assert first is None
+        assert np.array_equal(v0s[0], np.random.default_rng(5).uniform(-1.0, 1.0, size=H.shape[0]))
+        for i, ((H, k, Q, _), v0) in enumerate(zip(sector[1:], v0s[1:]), start=1):
+            assert Q.shape[1] == min(i * k, ed._KRYLOV_DIM + k)
+            assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() < 1e-12
+            # the eigenvectors returned at the point before lie in the basis
+            before = sector[i - 1][3]
+            assert np.abs(before - Q @ (Q.T @ before)).max() < 1e-12
+            _, ritz = np.linalg.eigh(Q.T @ (H @ Q))
+            expected = Q @ ritz[:, :k].sum(axis=1)
+            assert np.abs(v0 - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 24, 48), (2, 12, 24)])

@@ -17,8 +17,10 @@ resonator inductance:
     H = hbar omega_c (n_ph + 1/2) + sum_j H_atom(j) - (hbar g / sqrt(N)) V
 
 with V = sum_j (a + a^dag)(b_j + b_j^dag). A sector model is therefore
-assembled once and swept over L_R0 by rescaling two coefficients; its
-pieces share one CSR pattern, so a point's H is one new data array.
+assembled once and swept over L_R0 by rescaling two coefficients. Both
+branch terms, whose off-diagonal supports are disjoint, sit in one CSR
+matrix with a mask of V's entries, 13 bytes per entry with int32
+indices, so a point's H is one new data array on that pattern.
 Both branch terms are one-body in the branches, and one embedding builds
 them in the symmetric sector: sum_j op(j) with op the dense branch block
 for the atom term, sum_j (a + a^dag) op(j) with op = b + b^dag for V.
@@ -33,12 +35,14 @@ quartic form.
 Each sector's lowest eigenpairs come from a thick-restart Lanczos of this
 module's own (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)) on
 scipy.sparse's CSR matrix-vector product, so ed loads scipy.sparse and
-neither ARPACK (scipy.sparse.linalg) nor scipy.linalg. A sweep seeds
-each point from the points before: every sector keeps an orthonormal
-basis of the eigenvectors it returned, at most _KRYLOV_DIM + k vectors
-of its dimension, and Lanczos starts from the sum of the k lowest Ritz
-vectors of the new H on it (eigenvector continuation: Frame et al., PRL
-121, 032501 (2018)); the first point starts from the config.seed vector.
+neither ARPACK (scipy.sparse.linalg) nor scipy.linalg. It runs at every
+sector size; a sector that fits in one basis is spanned whole, so its
+pairs are exact. A sweep seeds each point from the points before: every
+sector keeps an orthonormal basis of the eigenvectors it returned, at
+most _KRYLOV_DIM + k vectors of its dimension, and Lanczos starts from
+the sum of the k lowest Ritz vectors of the new H on it (eigenvector
+continuation: Frame et al., PRL 121, 032501 (2018)); the first point
+starts from the config.seed vector.
 """
 
 import math
@@ -52,9 +56,6 @@ from . import fock
 from .circuit import TWO_PI, CircuitParams, derive_linear
 from .constants import PHI0, hbar
 from .errors import ConfigError, ConvergenceError
-
-# Below this dimension a dense solve is cheaper.
-_DENSE_FLOOR = 24
 
 # Accepted eigenpair residual, relative to the Hamiltonian inf-norm.
 _RESIDUAL_RTOL = 1e-9
@@ -306,29 +307,29 @@ def _one_body(basis: BasisIndex, op: np.ndarray, photon_step: int) -> tuple[np.n
 class SectorModel:
     """L_R0-independent pieces of one parity sector.
 
-    photon_number is the diagonal n_ph + 1/2 (dimensionless), atom_static
-    the summed branch Hamiltonians (joule), coupling the bare V. Both
-    matrices hold one CSR pattern, the union of their entries and the
-    diagonal, in the same indices and indptr arrays, each with explicit
-    zeros where only the other has an entry; diagonal holds the position
-    of each row's diagonal entry in that pattern's data. The branch
-    parameters the model was built for are recorded so a sweep cannot
-    silently reuse it with different junctions.
+    photon_number is the diagonal n_ph + 1/2 (dimensionless). static
+    holds the summed branch Hamiltonians (joule) and the bare V on the
+    union of their entries and the diagonal, V where coupling_mask is
+    True; their off-diagonal supports are disjoint. diagonal holds the
+    position of each row's diagonal entry in static's data. With int32
+    indices that is 13 bytes per entry. The branch parameters the model
+    was built for are recorded so a sweep cannot silently reuse it with
+    different junctions.
     """
 
     config: EdConfig
     basis: BasisIndex
     photon_number: np.ndarray
-    atom_static: sp.csr_matrix
-    coupling: sp.csr_matrix
+    static: sp.csr_matrix
+    coupling_mask: np.ndarray
     diagonal: np.ndarray
     atom_key: tuple
 
 
 def _one_pattern(dim: int, atom: tuple, coupling: tuple):
-    """Two symmetric terms, each as _one_body gives it, as CSR matrices on one pattern, the
-    union of their entries and the diagonal, sharing indices and indptr (each explicit zero
-    where only the other has an entry), plus the data position of each row's diagonal."""
+    """Two symmetric terms, each as _one_body gives it, as one CSR matrix on the union of their
+    entries and the diagonal, the mask of the second term's entries in its data, and the data
+    position of each row's diagonal."""
     (a_rows, a_cols, a_vals, a_diag), (c_rows, c_cols, c_vals, _) = atom, coupling
     diag = np.arange(dim)
     # the diagonal, then both triangles of each term, every entry once; the CSR
@@ -341,16 +342,10 @@ def _one_pattern(dim: int, atom: tuple, coupling: tuple):
     )), shape=(dim, dim))
     if order.nnz != n:
         raise RuntimeError("sector terms hold a matrix entry twice")
-    # both data arrays from one gather, each zeroed where the other term sits
-    coupling_data = np.concatenate([a_diag, a_vals, a_vals, c_vals, c_vals])[order.data]
-    atom_data = coupling_data.copy()
-    is_atom = order.data < dim + 2 * a_vals.size
-    atom_data[~is_atom] = 0.0
-    coupling_data[is_atom] = 0.0
-    pattern = (order.indices, order.indptr)
+    data = np.concatenate([a_diag, a_vals, a_vals, c_vals, c_vals])[order.data]
     return (
-        sp.csr_matrix((atom_data, *pattern), shape=(dim, dim)),
-        sp.csr_matrix((coupling_data, *pattern), shape=(dim, dim)),
+        sp.csr_matrix((data, order.indices, order.indptr), shape=(dim, dim)),
+        order.data >= dim + 2 * a_vals.size,
         np.flatnonzero(order.data < dim),
     )
 
@@ -360,16 +355,16 @@ def build_sector_model(params: CircuitParams, config: EdConfig, parity: int) -> 
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {config.n_atoms}")
     basis = build_basis(config, parity)
     atom, x = _branch_terms(params, config.per_mode_cutoff + 1, config.quartic)
-    atom_static, coupling, diagonal = _one_pattern(basis.dim, _one_body(basis, atom, 0), _one_body(basis, x, 1))
+    static, coupling_mask, diagonal = _one_pattern(basis.dim, _one_body(basis, atom, 0), _one_body(basis, x, 1))
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
-    for array in (photon_number, diagonal):
+    for array in (photon_number, coupling_mask, diagonal):
         array.setflags(write=False)
     return SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=atom_static,
-        coupling=coupling,
+        static=static,
+        coupling_mask=coupling_mask,
         diagonal=diagonal,
         atom_key=(params.L_J, params.L_g, params.C_J),
     )
@@ -377,40 +372,40 @@ def build_sector_model(params: CircuitParams, config: EdConfig, parity: int) -> 
 
 def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
     """Sector Hamiltonian at the resonator inductance carried by params, joule,
-    on the model's shared pattern: only its data array is new."""
+    on the model's pattern: only its data array is new, static times -hbar g / sqrt(N)
+    where coupling_mask is set and static elsewhere, plus the photon diagonal."""
     if (params.L_J, params.L_g, params.C_J) != model.atom_key:
         raise ValueError("sector model was built for different branch parameters")
     if params.N not in (None, model.config.n_atoms):
         raise ValueError(f"params.N = {params.N} differs from n_atoms = {model.config.n_atoms}")
     derived = derive_linear(params)
     scale = hbar * derived.g / math.sqrt(model.config.n_atoms)
-    atom = model.atom_static
-    # atom - scale * coupling to the bit, in one new array: -(s c) is exact
-    data = model.coupling.data * -scale
-    data += atom.data
+    static = model.static
+    data = np.where(model.coupling_mask, static.data * -scale, static.data)
     data[model.diagonal] += hbar * derived.omega_c * model.photon_number
-    return sp.csr_matrix((data, atom.indices, atom.indptr), shape=atom.shape)
+    return sp.csr_matrix((data, static.indices, static.indptr), shape=static.shape)
 
 
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
-    Small sectors fall back to a dense solve; otherwise the thick-restart
-    Lanczos of :func:`_lanczos` runs from v0 when it is one vector. When v0
-    is a block of orthonormal columns, Lanczos starts from the sum of the k
-    lowest Ritz vectors of matrix on their span (one product of matrix with
-    the block and one small eigh); scan passes each sector's basis of
-    earlier eigenvectors, at most _KRYLOV_DIM + k vectors of its dimension.
-    Without v0 Lanczos starts from a seeded random vector. Any fresh vector
-    it needs comes from the same seeded generator, so repeated calls agree
-    bit for bit. Lanczos stops at _RITZ_RTOL, not at machine precision, so
-    the pairs depend on the start to about 1e-13 relative; a sweep that
-    starts each point from the ones before makes each row depend on them by
-    as much. Every pair must pass an inf-norm residual check or
-    ConvergenceError is raised; but one start vector spans one direction
-    per eigenspace, so a partner of an exactly degenerate wanted level can
-    be missed, [1, 2] returned for diag(1, 1, 2, ...) at k = 2, and the
-    check passes: each pair is exact.
+    The thick-restart Lanczos of :func:`_lanczos` runs at every dimension,
+    from v0 when it is one vector. When v0 is a block of orthonormal
+    columns, Lanczos starts from the sum of the k lowest Ritz vectors of
+    matrix on their span (one product of matrix with the block and one
+    small eigh); scan passes each sector's basis of earlier eigenvectors,
+    at most _KRYLOV_DIM + k vectors of its dimension. Without v0 Lanczos
+    starts from a seeded random vector. Any fresh vector it needs comes
+    from the same seeded generator, so repeated calls agree bit for bit.
+    Lanczos stops at _RITZ_RTOL, not at machine precision, so the pairs
+    depend on the start to about 1e-13 relative; a sweep that starts each
+    point from the ones before makes each row depend on them by as much.
+    Every pair must pass an inf-norm residual check or ConvergenceError is
+    raised. A matrix that fits in one basis is spanned whole and its pairs
+    are exact; on a larger one a start vector spans one direction per
+    eigenspace, so a partner of an exactly degenerate wanted level can be
+    missed, [1, 2] returned for diag(1, 1, 2, ...) at k = 2, and the check
+    passes: each pair is exact.
     """
     dim = matrix.shape[0]
     if k < 1:
@@ -421,17 +416,13 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
     # |H|_inf from the absolute values on the same pattern, not a copy of it
     absolute = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
     scale = absolute.sum(axis=1).max()
-    if dim < max(2 * k + 2, _DENSE_FLOOR):
-        w, v = np.linalg.eigh(matrix.toarray())
-        w, v = w[:k], v[:, :k]
-    else:
-        rng = np.random.default_rng(seed)
-        if v0 is None:
-            v0 = rng.uniform(-1.0, 1.0, size=dim)
-        elif v0.ndim == 2:
-            _, ritz = np.linalg.eigh(v0.T @ (matrix @ v0))
-            v0 = v0 @ ritz[:, :k].sum(axis=1)
-        w, v = _lanczos(matrix, k, v0, _RITZ_RTOL, rng, scale or 1.0)
+    rng = np.random.default_rng(seed)
+    if v0 is None:
+        v0 = rng.uniform(-1.0, 1.0, size=dim)
+    elif v0.ndim == 2:
+        _, ritz = np.linalg.eigh(v0.T @ (matrix @ v0))
+        v0 = v0 @ ritz[:, :k].sum(axis=1)
+    w, v = _lanczos(matrix, k, v0, _RITZ_RTOL, rng, scale or 1.0)
     resid = matrix @ v - v * w
     worst = np.abs(resid).max()
     if worst > _RESIDUAL_RTOL * scale:
@@ -462,16 +453,17 @@ def _lanczos(matrix, k: int, v0: np.ndarray, tol: float, rng: np.random.Generato
     """k lowest eigenpairs of a symmetric matrix by thick-restart Lanczos (Wu & Simon,
     SIAM J. Matrix Anal. Appl. 22, 602 (2000)), ascending; vectors are columns.
 
-    The basis holds m = max(_KRYLOV_DIM, 2 (k + _KEPT_EXTRA)) vectors, at
-    most the dimension. Each new vector loses its local part first, alpha
-    and beta times the vector before (after a restart, the arrow from the
-    kept vectors), then is orthogonalized against the whole basis by
-    :func:`_orthogonalize`. Once the basis is full, the projected matrix T
-    (tridiagonal, with that arrow after a restart) gives Ritz pairs
-    (theta_i, s_i) with residual bound beta |s_m,i|, beta the norm of the
-    next Lanczos vector. The k lowest are accepted together when every
-    bound is at most tol max(eps^(2/3) scale, |theta_i|), ARPACK's rule on
-    the matrix divided by scale, its inf-norm; otherwise the k +
+    The basis holds m = max(_KRYLOV_DIM, 2 (k + _KEPT_EXTRA)) vectors, or
+    the dimension when that is smaller, and then the first pass spans the
+    whole space and gives its exact pairs. Each new vector loses its local part first,
+    alpha and beta times the vector before (after a restart, the arrow
+    from the kept vectors), then is orthogonalized against the whole basis
+    by :func:`_orthogonalize`. Once the basis is full, the projected
+    matrix T (tridiagonal, with that arrow after a restart) gives Ritz
+    pairs (theta_i, s_i) with residual bound beta |s_m,i|, beta the norm
+    of the next Lanczos vector. The k lowest are accepted together when
+    every bound is at most tol max(eps^(2/3) scale, |theta_i|), ARPACK's
+    rule on the matrix divided by scale, its inf-norm; otherwise the k +
     _KEPT_EXTRA lowest Ritz vectors and the next Lanczos vector start the
     basis again. When the new vector proves rounding noise, the Krylov
     space is invariant (beta = 0), and a fresh vector from rng,

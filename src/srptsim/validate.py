@@ -278,12 +278,15 @@ CHECKS = {
 
 def check_results(names=None, seed: int = 0):
     """Run the named checks (all by default), yielding each result as its check finishes;
-    unknown names raise ConfigError before any check runs."""
+    unknown or repeated names raise ConfigError before any check runs."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {', '.join(unknown)}; known: {', '.join(CHECKS)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"repeated checks: {', '.join(repeated)}; name each check once")
     for name in names:
         rng = np.random.default_rng(seed)
         try:

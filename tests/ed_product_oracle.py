@@ -8,7 +8,8 @@ that ed's permutation-symmetric sector leaves out. Each branch hops on
 its own, so there are no multiplicity factors and no re-sorting. The
 module shares BasisIndex, _locate and the branch block with ed, and
 nothing else; build_sector_model puts its matrices in ed.SectorModel's
-layout, one CSR pattern for both, without changing an entry.
+layout, one CSR matrix for both with a mask of the coupling's entries,
+without changing an entry.
 
 observables is the two-sector combine that ed.scan once went through,
 kept here so both oracles report a point the way the old scan did.
@@ -173,21 +174,24 @@ def reference_energy(params, config: ed.EdConfig) -> float:
 
 
 def _on_one_pattern(atom_static: sp.csr_matrix, coupling: sp.csr_matrix):
-    """Both matrices on the union of their entries and the diagonal, sharing one indices and one
-    indptr array, each entry's value unchanged, and the position of each row's diagonal entry:
-    the layout of ed.SectorModel."""
+    """Both matrices as one, on the union of their entries and the diagonal, each entry's value
+    unchanged, with the mask of the coupling's entries and the position of each row's diagonal
+    entry: the layout of ed.SectorModel."""
     dim = atom_static.shape[0]
     atom_static, coupling = atom_static.tocoo(), coupling.tocoo()
     diag = np.arange(dim)
     rows = np.concatenate([atom_static.row, coupling.row, diag])
     cols = np.concatenate([atom_static.col, coupling.col, diag])
-    zeros_a, zeros_c, zeros_d = np.zeros(atom_static.nnz), np.zeros(coupling.nnz), np.zeros(dim)
-    atom = sp.csr_matrix((np.concatenate([atom_static.data, zeros_c, zeros_d]), (rows, cols)), shape=(dim, dim))
-    placed = sp.csr_matrix((np.concatenate([zeros_a, coupling.data, zeros_d]), (rows, cols)), shape=(dim, dim))
-    assert np.array_equal(placed.indices, atom.indices) and np.array_equal(placed.indptr, atom.indptr)
-    coupling = sp.csr_matrix((placed.data, atom.indices, atom.indptr), shape=(dim, dim))
-    diagonal = np.flatnonzero(atom.indices == np.repeat(diag, np.diff(atom.indptr)))
-    return atom, coupling, diagonal
+    zeros_d = np.zeros(dim)
+    static = sp.csr_matrix((np.concatenate([atom_static.data, coupling.data, zeros_d]), (rows, cols)),
+                           shape=(dim, dim))
+    # atom entries mark 1, coupling entries 3: a sum other than 0, 1 or 3 is an entry held twice
+    marks = sp.csr_matrix((np.concatenate([np.ones(atom_static.nnz), np.full(coupling.nnz, 3.0), zeros_d]),
+                           (rows, cols)), shape=(dim, dim))
+    assert np.array_equal(marks.indices, static.indices) and np.array_equal(marks.indptr, static.indptr)
+    assert np.isin(marks.data, (0.0, 1.0, 3.0)).all()
+    diagonal = np.flatnonzero(static.indices == np.repeat(diag, np.diff(static.indptr)))
+    return static, marks.data == 3.0, diagonal
 
 
 def build_sector_model(params, config: ed.EdConfig, parity: int) -> ed.SectorModel:
@@ -195,15 +199,15 @@ def build_sector_model(params, config: ed.EdConfig, parity: int) -> ed.SectorMod
     basis = build_basis(config, parity)
     photon_number = basis.occupations[:, 0].astype(float) + 0.5
     photon_number.setflags(write=False)
-    atom_static, coupling, diagonal = _on_one_pattern(
+    static, coupling_mask, diagonal = _on_one_pattern(
         _atom_static_matrix(basis, branch_block(params, config)), _coupling_matrix(basis)
     )
     return ed.SectorModel(
         config=config,
         basis=basis,
         photon_number=photon_number,
-        atom_static=atom_static,
-        coupling=coupling,
+        static=static,
+        coupling_mask=coupling_mask,
         diagonal=diagonal,
         atom_key=(params.L_J, params.L_g, params.C_J),
     )

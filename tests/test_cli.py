@@ -840,6 +840,15 @@ def test_validate_unknown_check_exits_2(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("only", ["vieta,vieta", "vieta,gaussian-cosine, vieta"])
+def test_validate_repeated_check_exits_2(capsys, only):
+    """A check named twice is refused before any check runs, not run twice."""
+    assert main(["validate", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "repeated checks: vieta" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("only", [",", " , ", ""])
 def test_validate_empty_only_list_exits_2(capsys, only):
     assert main(["validate", "--only", only]) == 2

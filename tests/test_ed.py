@@ -51,6 +51,17 @@ def index_of(basis, occupations):
     return pos, np.all(basis.occupations[pos] == occ, axis=1)
 
 
+def model_terms(model):
+    """The model's summed branch Hamiltonians and bare V as CSR matrices on its pattern, read
+    from static where coupling_mask is unset and set, each zero where the other term sits."""
+    static, mask = model.static, model.coupling_mask
+    return tuple(
+        sp.csr_matrix((np.where(mask == is_coupling, static.data, 0.0), static.indices, static.indptr),
+                      shape=static.shape)
+        for is_coupling in (False, True)
+    )
+
+
 def level_tuples(occupations):
     """Occupation rows (n_ph, k_0, ..., k_{R-1}) as (n_ph, nondecreasing branch levels)."""
     return [
@@ -230,7 +241,8 @@ def test_many_atoms_at_tight_cutoffs(reference):
     assert model.basis.dim == ed.count_sector_dimension(41, 2, 2, 0) == 5
     (vac, one), valid = index_of(model.basis, [[0, 40, 0, 0], [1, 39, 1, 0]])
     assert valid.all()
-    assert model.coupling[vac, one] == model.coupling[one, vac] == pytest.approx(math.sqrt(40), rel=1e-15)
+    _, coupling = model_terms(model)
+    assert coupling[vac, one] == coupling[one, vac] == pytest.approx(math.sqrt(40), rel=1e-15)
 
 
 def test_key_overflow_is_refused_before_enumerating(monkeypatch):
@@ -356,7 +368,7 @@ def test_decoupled_spectrum_is_sum_of_mode_spectra(reference):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=6, total_cutoff=12)
     model = ed.build_sector_model(reference, cfg, 0)
     d = derive_linear(reference)
-    H0 = sp.diags(hbar * d.omega_c * model.photon_number) + model.atom_static
+    H0 = sp.diags(hbar * d.omega_c * model.photon_number) + model_terms(model)[0]
     w_sector = np.linalg.eigvalsh(H0.toarray())
     mu, vec = np.linalg.eigh(quartic_block_oracle(reference, 7))
     parities = [int(round(np.sum(vec[:, k] ** 2 * (np.arange(7) % 2)))) for k in range(7)]
@@ -462,27 +474,35 @@ def assembled_hamiltonian(model, params):
     """The sector Hamiltonian assembled as sparse matrices, term by term: hamiltonian_at's slow path."""
     d = derive_linear(params)
     scale = hbar * d.g / math.sqrt(model.config.n_atoms)
-    return (sp.diags(hbar * d.omega_c * model.photon_number) + model.atom_static - scale * model.coupling).tocsr()
+    atom, coupling = model_terms(model)
+    return (sp.diags(hbar * d.omega_c * model.photon_number) + atom - scale * coupling).tocsr()
 
 
 @pytest.mark.parametrize("quartic", [True, False], ids=["quartic", "cosine"])
 @pytest.mark.parametrize("n_atoms, per_mode, total", [(1, 8, 16), (2, 6, 12), (3, 4, 8)])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_hamiltonian_at_matches_the_assembled_sum(reference, n_atoms, per_mode, total, quartic, parity):
-    """One new data array on the shared pattern gives the term-by-term sum bit for bit,
+    """One new data array on the model's pattern gives the term-by-term sum bit for bit,
     in the same CSR arrays, so every matrix-vector product agrees too."""
     params = reference.replace(N=n_atoms)
     cfg = ed.EdConfig(n_atoms=n_atoms, per_mode_cutoff=per_mode, total_cutoff=total, quartic=quartic)
     model = ed.build_sector_model(params, cfg, parity)
-    for name in ("indices", "indptr"):
-        assert np.shares_memory(getattr(model.coupling, name), getattr(model.atom_static, name))
+    assert model.coupling_mask.shape == model.static.data.shape
     for L in (0.30e-9, 0.60e-9):
         p = params.replace(L_R0=L)
         H, slow = ed.hamiltonian_at(model, p), assembled_hamiltonian(model, p)
         assert abs(H - slow).max() == 0.0
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(H, name), getattr(slow, name)), name
-        assert np.shares_memory(H.indices, model.atom_static.indices)
+        for name in ("indices", "indptr"):
+            assert np.shares_memory(getattr(H, name), getattr(model.static, name)), name
+
+
+def test_sector_model_takes_13_bytes_per_entry(reference):
+    """One float64 data array, int32 column indices and a one-byte coupling mask per entry."""
+    model = ed.build_sector_model(reference.replace(N=3), ed.EdConfig(n_atoms=3, per_mode_cutoff=16, total_cutoff=32), 0)
+    static = model.static
+    assert (static.data.nbytes + static.indices.nbytes + model.coupling_mask.nbytes) / static.nnz <= 13
 
 
 def test_atom_count_must_agree_with_params(reference):
@@ -532,11 +552,28 @@ def test_lowest_eigenpairs_attojoule_scale():
     assert np.abs(v.T @ v - np.eye(3)).max() < 1e-9
 
 
-def test_lowest_eigenpairs_dense_fallback():
-    C = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    w, v = ed.lowest_eigenpairs(C, 2)
-    assert w == pytest.approx([1.0, 2.0], rel=1e-12)
-    assert v.shape == (10, 2)
+def symmetric_20():
+    """A random symmetric 20 x 20 matrix."""
+    A = np.random.default_rng(8).standard_normal((20, 20))
+    return A + A.T
+
+
+@pytest.mark.parametrize("dense, k", [
+    (np.array([[2.5]]), 1),
+    (np.diag(np.concatenate([[1.0, 1.0], np.arange(2.0, 10.0)])), 2),
+    (symmetric_20(), 20),
+    (np.zeros((5, 5)), 3),
+], ids=["1x1", "degenerate-pair", "k-equals-dim", "zero"])
+def test_lowest_eigenpairs_below_one_basis(dense, k):
+    """A matrix smaller than one Lanczos basis is spanned whole: eigvalsh's k lowest, both partners
+    of a degenerate lowest pair included, orthonormal vectors, the same bits on every call."""
+    A = sp.csr_matrix(dense)
+    w, v = ed.lowest_eigenpairs(A, k, seed=2)
+    exact = np.linalg.eigvalsh(dense)[:k]
+    assert np.abs(w - exact).max() <= 1e-13 * np.abs(dense).sum(axis=1).max()
+    assert np.abs(v.T @ v - np.eye(k)).max() < 1e-12
+    w2, v2 = ed.lowest_eigenpairs(A, k, seed=2)
+    assert np.array_equal(w, w2) and np.array_equal(v, v2)
 
 
 def test_lowest_eigenpairs_validation():
@@ -551,7 +588,7 @@ def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monk
     """One 24-vector basis with no restart does not reach the Ritz tolerance here."""
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
     H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
-    assert H.shape[0] >= ed._DENSE_FLOOR
+    assert H.shape[0] > ed._KRYLOV_DIM
 
     monkeypatch.setattr(ed, "_MAX_RESTARTS", 0)
     with pytest.raises(ConvergenceError, match="Lanczos did not converge"):
@@ -561,7 +598,7 @@ def test_lowest_eigenpairs_raises_when_lanczos_does_not_converge(reference, monk
 def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
     cfg = ed.EdConfig(n_atoms=1, per_mode_cutoff=8, total_cutoff=16)
     H = ed.hamiltonian_at(ed.build_sector_model(reference, cfg, 0), reference)
-    assert H.shape[0] >= ed._DENSE_FLOOR
+    assert H.shape[0] > ed._KRYLOV_DIM
     real_lanczos = ed._lanczos
 
     def perturbed(*args):
@@ -760,10 +797,10 @@ def test_lanczos_requests_only_reported_pairs(reference, monkeypatch):
 
 
 def cold_eigenpairs(matrix, k, seed):
-    """The solve every scan point once took: the dense fallback below the floor, otherwise
+    """The solve every scan point once took: a dense solve below 24 states, otherwise
     ARPACK at machine precision (tol=0) from the seeded random vector."""
     dim = matrix.shape[0]
-    if dim < max(2 * k + 2, ed._DENSE_FLOOR):
+    if dim < max(2 * k + 2, 24):
         w, v = np.linalg.eigh(matrix.toarray())
         return w[:k], v[:, :k]
     unit = np.abs(matrix).sum(axis=1).max()

@@ -389,14 +389,14 @@ def hamiltonian_at(model: SectorModel, params: CircuitParams) -> sp.csr_matrix:
 def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray | None = None):
     """k smallest eigenpairs of a sparse symmetric matrix, verified.
 
-    The thick-restart Lanczos of :func:`_lanczos` runs at every dimension,
-    from v0 when it is one vector. When v0 is a block of orthonormal
-    columns, Lanczos starts from the sum of the k lowest Ritz vectors of
-    matrix on their span (one product of matrix with the block and one
-    small eigh); scan passes each sector's basis of earlier eigenvectors,
-    at most _KRYLOV_DIM + k vectors of its dimension. Without v0 Lanczos
-    starts from a seeded random vector. Any fresh vector it needs comes
-    from the same seeded generator, so repeated calls agree bit for bit.
+    The thick-restart Lanczos of :func:`_lanczos` runs at every dimension.
+    v0, when given, is a block of orthonormal columns, and Lanczos starts
+    from the sum of the k lowest Ritz vectors of matrix on their span (one
+    product of matrix with the block and one small eigh); scan passes each
+    sector's basis of earlier eigenvectors, at most _KRYLOV_DIM + k vectors
+    of its dimension. Without v0 Lanczos starts from a seeded random
+    vector. Any fresh vector it needs comes from the same seeded generator,
+    so repeated calls agree bit for bit.
     Lanczos stops at _RITZ_RTOL, not at machine precision, so the pairs
     depend on the start to about 1e-13 relative; a sweep that starts each
     point from the ones before makes each row depend on them by as much.
@@ -419,7 +419,7 @@ def lowest_eigenpairs(matrix: sp.spmatrix, k: int, seed: int = 0, v0: np.ndarray
     rng = np.random.default_rng(seed)
     if v0 is None:
         v0 = rng.uniform(-1.0, 1.0, size=dim)
-    elif v0.ndim == 2:
+    else:
         _, ritz = np.linalg.eigh(v0.T @ (matrix @ v0))
         v0 = v0 @ ritz[:, :k].sum(axis=1)
     w, v = _lanczos(matrix, k, v0, _RITZ_RTOL, rng, scale or 1.0)
@@ -523,9 +523,8 @@ class SectorEigen:
 def solve_sector(model: SectorModel, params: CircuitParams, k: int | None = None,
                  v0: np.ndarray | None = None) -> SectorEigen:
     """Lowest k eigenpairs of the sector at params, k = config.n_eigenvalues by default;
-    Lanczos starts from v0 when given (a vector, or orthonormal columns whose k lowest
-    Ritz vectors it sums, as :func:`lowest_eigenpairs` says), else from the vector
-    config.seed draws."""
+    Lanczos starts from v0 when given (orthonormal columns whose k lowest Ritz vectors
+    it sums, as :func:`lowest_eigenpairs` says), else from the vector config.seed draws."""
     H = hamiltonian_at(model, params)
     k = min(model.config.n_eigenvalues if k is None else k, H.shape[0])
     w, v = lowest_eigenpairs(H, k, seed=model.config.seed, v0=v0)

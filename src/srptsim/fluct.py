@@ -61,8 +61,7 @@ def renormalize(params: CircuitParams, solution: MeanFieldSolution) -> Renormali
     """
     if solution.kT != 0.0:
         raise ValueError("renormalization uses ground-state averages; solve at kT = 0")
-    b = _solution_branch(params, solution)
-    _, (cos_avg,) = b.thermal(solution.phi_th, 0.0, b.ops.cos_op)
+    cos_avg = _solution_branch(params, solution).state(solution.phi_th, 0.0)[2]
     E_J_bar = params.E_J * cos_avg
     L_J_bar = circuit.josephson_inductance(E_J_bar)
     v = 1.0 / params.L_g - 1.0 / L_J_bar
@@ -84,8 +83,7 @@ def stationarity_check(params: CircuitParams, solution: MeanFieldSolution):
     flux-periodic force in the equilibrium state, so it measures the truncation.
     A params whose circuit values differ from solution.params raises ValueError (:func:`_solution_branch`).
     """
-    b = _solution_branch(params, solution)
-    _, (psi, sin_avg) = b.thermal(solution.phi_th, solution.kT, b.ops.psi_op, b.ops.sin_op)
+    _, psi, _, sin_avg = _solution_branch(params, solution).state(solution.phi_th, solution.kT)
     photon = (1.0 / params.L_R0 + 1.0 / params.L_g) * solution.phi_th - psi / params.L_g
     junction = (psi - solution.phi_th) / params.L_g - (TWO_PI / PHI0) * params.E_J * sin_avg
     return photon, junction
@@ -166,7 +164,7 @@ def spectrum_scan(params: CircuitParams, L_R0_values, M: int = 60) -> FluctScan:
 def _scan_points(params: CircuitParams, L_R0_values, M: int):
     """The points of :func:`spectrum_scan`, each yielded once it is renormalized: (omega_c, omega_plus,
     omega_minus, omega_a_bar, g_bar, g_crit, delta_eps, phi_th) and its MeanFieldSolution."""
-    # each column is renormalized before the next one's eigensolves evict its tilt
+    # the sweep is lazy so that rows stream; renormalize reads the state mean field packaged
     for sol in meanfield._sweep(params, L_R0_values, 0.0, M):
         ren = renormalize(sol.params, sol)
         omega_c = derive_linear(sol.params).omega_c

@@ -20,10 +20,9 @@ from .constants import PHI0, hbar
 # with the ground state when averaging zero-temperature expectations.
 DEGENERACY_RTOL = 1e-12
 
-# Tilts whose spectrum (eigenvalues) or flux response, and decomposition (eigenvalues
-# and eigenvectors), each Branch keeps, the least recently read evicted first.
+# Tilts whose spectrum (eigenvalues), or (tilt, kT) pairs whose flux response or
+# state, each Branch keeps, the least recently read evicted first.
 SPECTRA_MEMO = 256
-DECOMPOSITIONS_MEMO = 4
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,9 @@ def gibbs_state(w: np.ndarray, kT: float) -> tuple[float, np.ndarray]:
     return float(w[0] - kT * np.log(total)), weights / total
 
 
-def _gibbs_average(w, v, operators, kT):
-    """Free energy and canonical expectations in the Gibbs state of H, from its eigendecomposition (w, v).
-
-    kT is in joule; F and the weights come from one :func:`gibbs_state` of w.
-    Returns (F, averages), the free energy of H and the expectation of each
-    operator in the tuple.
-    """
-    F, p = gibbs_state(w, kT)
-    return F, tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
+def _average(p, v, op):
+    """Expectation of op in the state of weights p on the eigenvector columns v."""
+    return float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real)
 
 
 def _static_response(w, Bv, p, kT):
@@ -155,18 +148,17 @@ class Branch:
 
     Mean field samples the same tilts many times: every scan at a kernel
     samples one phi lattice, across the branch's window, so the kT rows of a
-    phase grid and a solve after its sweep share tilts, and fluct
-    renormalizes each column at the tilt mean field just packaged. So each
-    kernel keeps three functools.lru_cache memos of its own, keyed by the
-    exact bits of phi and read-only: the eigvalsh spectra of the last
-    SPECTRA_MEMO = 256 tilts read by free_energy, M floats each; the eigh
-    decompositions of the last DECOMPOSITIONS_MEMO = 4 that thermal read or
-    flux_response missed, M^2 + M each; and the two floats (<psi>, chi) of the
-    last 256 (phi, kT) that flux_response read, mean field's Newton steps. A
-    repeated tilt runs no eigensolve and returns bit for bit what a fresh one
-    would; eigh's eigenvalues differ from eigvalsh's in the last bits, so the
-    spectra stay apart. At M = 60 a kernel holds at most 0.42 MB, keys and
-    headers included, 13 MB over the 32 kernels that :func:`branch` caches.
+    phase grid and a solve after its sweep share tilts, and fluct reads the
+    state of each tilt mean field packaged. So each kernel keeps three
+    functools.lru_cache memos of its own, keyed by the exact bits of phi,
+    each bounded by SPECTRA_MEMO = 256 and holding no matrix: the eigvalsh
+    spectra of the tilts free_energy read, M read-only floats each; the two
+    floats (<psi>, chi) of the (phi, kT) pairs flux_response read, mean
+    field's Newton steps; and the four of state, the packaged solutions. A
+    repeated read runs no eigensolve and returns bit for bit what a fresh
+    one would; eigh's eigenvalues differ from eigvalsh's in the last bits,
+    so the spectra stay apart. At M = 60 a kernel's memos hold at most 0.36 MB,
+    keys and headers included, 12 MB over the 32 kernels :func:`branch` caches.
     """
 
     ops: FockOperatorSet
@@ -176,10 +168,10 @@ class Branch:
     psi_levels: np.ndarray
 
     def __post_init__(self):
-        # this kernel's own memos, keyed by float(phi).hex(), so they are freed with it
+        # this kernel's own memos, keyed by float(phi).hex() (and kT), so they are freed with it
         object.__setattr__(self, "_spectrum", lru_cache(SPECTRA_MEMO)(partial(self._solve, "eigvalsh")))
-        object.__setattr__(self, "_decomposition", lru_cache(DECOMPOSITIONS_MEMO)(partial(self._solve, "eigh")))
         object.__setattr__(self, "_response", lru_cache(SPECTRA_MEMO)(self._flux_response))
+        object.__setattr__(self, "_state", lru_cache(SPECTRA_MEMO)(self._equilibrium))
 
     def _solve(self, solver, key):
         """numpy.linalg's solver of hamiltonian(phi), phi = float.fromhex(key), its arrays read-only."""
@@ -208,11 +200,17 @@ class Branch:
         # hex() tells -0.0 from 0.0, whose Hamiltonians may differ in the sign of a zero
         return gibbs_state(self._spectrum(float(phi).hex()), kT)[0]
 
-    def thermal(self, phi: float, kT: float, *operators: np.ndarray):
-        """(F, averages): free energy and the expectation of each operator, at most one eigensolve."""
+    def state(self, phi: float, kT: float) -> tuple[float, float, float, float]:
+        """(F, <psi>, <cos>, <sin>): the free energy, joule, and the Gibbs averages of psi and of
+        cos and sin of 2 pi psi / Phi0, from one eigh of the tilt; ValueErrors as free_energy's."""
         _check_temperature(kT)  # before the memo, as in free_energy
-        w, v = self._decomposition(float(phi).hex())
-        return _gibbs_average(w, v, operators, kT)
+        return self._state(float(phi).hex(), kT)
+
+    def _equilibrium(self, key, kT):
+        """state at phi = float.fromhex(key)."""
+        w, v = self._solve("eigh", key)
+        F, p = gibbs_state(w, kT)
+        return (F, *(_average(p, v, op) for op in (self.ops.psi_op, self.ops.cos_op, self.ops.sin_op)))
 
     def flux_response(self, phi: float, kT: float) -> tuple[float, float]:
         """(<psi>, chi): the branch flux and chi = d<psi>/dh, its static response to the tilt
@@ -222,11 +220,11 @@ class Branch:
 
     def _flux_response(self, key, kT):
         """flux_response at phi = float.fromhex(key); at kT = 0 chi's Kubo sum reads the ground multiplet's rows."""
-        w, v = self._decomposition(key)
+        w, v = self._solve("eigh", key)
         p = gibbs_state(w, kT)[1]
-        psi = float(p @ np.einsum("ij,ij->j", v.conj(), self.ops.psi_op @ v).real)
         rows = v if kT > 0.0 else v[:, p > 0.0]
-        return psi, _static_response(w, rows.conj().T @ self.ops.psi_op @ v, p, kT)
+        chi = _static_response(w, rows.conj().T @ self.ops.psi_op @ v, p, kT)
+        return _average(p, v, self.ops.psi_op), chi
 
     def susceptibility(self, kT: float) -> float:
         """Static response d<psi>/dh of the branch to a tilt -h psi at h = 0, henry.

@@ -139,11 +139,9 @@ def solve_sweep(
 
 
 def _sweep(params, L_R0_values, kT, M=60):
-    """:func:`solve_sweep`'s checks and scan, then an iterator that refines each column as it is read.
-
-    A caller that reads a column's tilt again before taking the next, as
-    fluct does, finds it in the kernel's decomposition memo.
-    """
+    """:func:`solve_sweep`'s checks and scan, then an iterator that refines each column as it is read,
+    so that a caller such as fluct can stream its rows; every packaged column's state stays in the
+    kernel's memo, in any order of reading."""
     L_vals = np.asarray(L_R0_values, dtype=float)
     if L_vals.ndim != 1 or L_vals.size == 0:
         raise ValueError("L_R0_values must be a non-empty 1d array")
@@ -251,8 +249,7 @@ def _refine(params, kT, M, phi, f, window, shared):
 
 def _package(params, phi_th, kT, M, converged, n_evaluations):
     """The solution at phi_th, from one evaluation of the free energy and <psi>."""
-    b = fock.branch(params, M)
-    F, (psi,) = b.thermal(phi_th, kT, b.ops.psi_op)
+    F, psi = fock.branch(params, M).state(phi_th, kT)[:2]
     psi = psi if phi_th else 0.0  # 0 by parity; the eigensolver's <psi> is rounding noise
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
     return MeanFieldSolution(

@@ -141,7 +141,7 @@ def _check_action_derivative(rng):
                 - meanfield.action_per_atom(phi - step, kT, p)
             ) / (2.0 * step)
             # Hellmann-Feynman: dA/dphi = (1/L_R0 + 1/L_g) phi - <psi> / L_g
-            _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+            psi = b.state(phi, kT)[1]
             res = (1.0 / p.L_R0 + 1.0 / p.L_g) * phi - psi / p.L_g
             scale = max(abs(fd), abs(res), PHI0 / p.L_J)
             worst = max(worst, abs(fd - res) / scale)

@@ -7,7 +7,9 @@ same weights. fock._static_response, with the weights of
 fock.gibbs_state, replaced both inside the package. oracle_weights and
 oracle_free_energy are the two functions that fock.gibbs_state merged,
 each exponentiating the spectrum on its own; gibbs_state must equal them
-bit for bit.
+bit for bit. gibbs_average is the generic Gibbs reader of any operators
+that fock.Branch.state, four fixed numbers from one memo, replaced; state
+must equal it bit for bit.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from srptsim.circuit import newton_root
-from srptsim.fock import DEGENERACY_RTOL
+from srptsim.fock import DEGENERACY_RTOL, gibbs_state
 
 
 def _check_temperature(kT):
@@ -40,6 +42,17 @@ def oracle_free_energy(w, kT):
     if kT == 0.0:
         return float(w[0])
     return float(w[0] - kT * np.log(np.sum(np.exp(-(w - w[0]) / kT))))
+
+
+def gibbs_average(w, v, operators, kT):
+    """Free energy and canonical expectations in the Gibbs state of H, from its eigendecomposition (w, v).
+
+    kT is in joule; F and the weights come from one :func:`gibbs_state` of w.
+    Returns (F, averages), the free energy of H and the expectation of each
+    operator in the tuple.
+    """
+    F, p = gibbs_state(w, kT)
+    return F, tuple(float(p @ np.einsum("ij,ij->j", v.conj(), op @ v).real) for op in operators)
 
 
 def level_susceptibility(kernel, kT):

@@ -142,8 +142,7 @@ def uniform_sweep_oracle(params: CircuitParams, L_R0_values, kT: float, M: int =
 def stationarity_residual(phi, kT, params: CircuitParams, M: int = 60) -> float:
     """dA/dphi of the per-branch free energy, ampere: by Hellmann-Feynman
     (1/L_R0 + 1/L_g) phi - <psi> / L_g, with <psi> from the kernel's Gibbs state."""
-    b = fock.branch(params, M)
-    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
+    psi = fock.branch(params, M).state(phi, kT)[1]
     u = 1.0 / params.L_R0 + 1.0 / params.L_g
     return u * phi - psi / params.L_g
 

@@ -615,11 +615,12 @@ def test_lowest_eigenpairs_gates_the_residual(reference, monkeypatch):
     (np.concatenate([[1.0, 1.0], np.arange(2.0, 50.0)]), [1.0, 1.0]),
 ], ids=["simple", "degenerate"])
 def test_lowest_eigenpairs_from_an_exact_eigenvector(diagonal, expected):
-    """A start vector that is already an eigenvector spans an invariant Krylov space at once,
-    as at a repeated point of a sweep; Lanczos continues from a fresh vector, orthogonal to it
-    and drawn from the seed, and still returns k orthonormal verified pairs, the same on every call."""
+    """A start that is already an eigenvector (a one-column block, whose Ritz sum is that column)
+    spans an invariant Krylov space at once, as at a repeated point of a sweep; Lanczos continues
+    from a fresh vector, orthogonal to it and drawn from the seed, and still returns k orthonormal
+    verified pairs, the same on every call."""
     A = sp.diags(diagonal).tocsr()
-    v0 = np.eye(A.shape[0])[0]
+    v0 = np.eye(A.shape[0])[:, :1]
     w, v = ed.lowest_eigenpairs(A, 2, seed=4, v0=v0)
     assert w == pytest.approx(expected, rel=1e-12)
     assert np.abs(v.T @ v - np.eye(2)).max() < 1e-12

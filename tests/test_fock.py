@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, logsumexp
 
-from kubo_oracle import level_susceptibility, oracle_free_energy, oracle_weights
+from kubo_oracle import gibbs_average, level_susceptibility, oracle_free_energy, oracle_weights
 from srptsim import meanfield
 from srptsim.circuit import TWO_PI, derive_linear
 from srptsim.constants import PHI0, h, hbar
 from srptsim.fock import (
-    DECOMPOSITIONS_MEMO,
     SPECTRA_MEMO,
+    Branch,
     _branch,
-    _gibbs_average,
     _static_response,
     atom_hamiltonian,
     branch,
@@ -57,8 +56,15 @@ def fresh_flux_response(b, phi, kT):
     w, v = np.linalg.eigh(b.hamiltonian(phi))
     p = gibbs_state(w, kT)[1]
     rows = v if kT > 0.0 else v[:, p > 0.0]
-    psi = _gibbs_average(w, v, (b.ops.psi_op,), kT)[1][0]
+    psi = gibbs_average(w, v, (b.ops.psi_op,), kT)[1][0]
     return psi, _static_response(w, rows.conj().T @ b.ops.psi_op @ v, p, kT)
+
+
+def fresh_state(b, phi, kT):
+    """(F, <psi>, <cos>, <sin>) at the tilt phi from a fresh eigh, by the generic Gibbs oracle."""
+    ops = (b.ops.psi_op, b.ops.cos_op, b.ops.sin_op)
+    F, averages = gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), ops, kT)
+    return (F, *averages)
 
 
 @pytest.fixture
@@ -226,19 +232,38 @@ def test_effective_hamiltonian_flux_behaviour(linear, reference):
     w_minus = np.linalg.eigvalsh(b.hamiltonian(-phi))
     assert np.allclose(w_plus, w_minus, rtol=1e-12)
     # a positive tilt pulls the branch flux to positive values
-    _, (mean_psi,) = b.thermal(phi, 0.0, b.ops.psi_op)
+    mean_psi = b.state(phi, 0.0)[1]
     assert mean_psi > 0.0
-    assert mean_psi == _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), 0.0)[1][0]
+    assert mean_psi == gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), 0.0)[1][0]
+
+
+def test_state_equals_the_gibbs_oracle(reference):
+    """state is the generic Gibbs reader at psi, cos and sin, bit for bit, at kT = 0 and above,
+    untilted and tilted both ways, and on a ground multiplet that is exactly degenerate."""
+    b = branch(reference, 40)
+    for phi in (0.0, -0.0, 0.07 * PHI0, -0.2 * PHI0):
+        for kT in (0.0, 1e-30, h * 20 * GHZ, h * 1e3 * GHZ):
+            assert b.state(phi, kT) == fresh_state(b, phi, kT)
+    # a three-level branch whose ground pair is degenerate: at kT = 0 both share the weight
+    ops = build_operators(derive_linear(reference), 3)
+    H = np.diag([0.0, 0.0, 1.0]) * h * GHZ
+    pair = Branch(ops=ops, H_atom=H, L_g=reference.L_g, levels=np.diag(H).copy(), psi_levels=ops.psi_op)
+    assert np.count_nonzero(gibbs_state(np.linalg.eigh(H)[0], 0.0)[1]) == 2
+    for kT in (0.0, h * 0.5 * GHZ):
+        assert pair.state(0.0, kT) == fresh_state(pair, 0.0, kT)
 
 
 def test_thermal_expectation_identity_and_parity(linear, reference):
+    """The Gibbs state is normalized, and the untilted branch's odd averages, <psi> and <sin>, vanish."""
     b = branch(reference, 30)
     eye = np.eye(30)
     psi_scale = math.sqrt(hbar * linear.Z_a / 2.0)
     for kT in (0.0, h * 5 * GHZ, h * 200 * GHZ):
-        _, (norm, psi) = b.thermal(0.0, kT, eye, b.ops.psi_op)
+        _, (norm, psi) = gibbs_average(*np.linalg.eigh(b.hamiltonian(0.0)), (eye, b.ops.psi_op), kT)
         assert norm == pytest.approx(1.0, rel=1e-12)
         assert abs(psi) < 1e-12 * psi_scale
+        _, psi, _, sin_avg = b.state(0.0, kT)
+        assert abs(psi) < 1e-12 * psi_scale and abs(sin_avg) < 1e-12
 
 
 def test_thermal_expectation_high_temperature_limit(reference):
@@ -246,36 +271,40 @@ def test_thermal_expectation_high_temperature_limit(reference):
     b = branch(reference, M)
     w = b.levels
     kT = 1e4 * (w[-1] - w[0])
-    _, (avg,) = b.thermal(0.0, kT, np.diag(np.arange(float(M))))
+    _, (avg,) = gibbs_average(*np.linalg.eigh(b.hamiltonian(0.0)), (np.diag(np.arange(float(M))),), kT)
     assert avg == pytest.approx((M - 1) / 2.0, rel=1e-3)
 
 
 def test_thermal_expectation_degenerate_ground():
     H = np.diag([0.0, 0.0, 1.0])
     A = np.diag([1.0, -1.0, 5.0])
-    assert _gibbs_average(*np.linalg.eigh(H), (A,), 0.0)[1][0] == pytest.approx(0.0, abs=1e-14)
+    assert gibbs_average(*np.linalg.eigh(H), (A,), 0.0)[1][0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_thermal_expectation_zero_temperature_continuity(reference):
     b = branch(reference, 30)
     number = np.diag(np.arange(30.0))
     gap = b.levels[1] - b.levels[0]
-    _, (cold,) = b.thermal(0.0, 1e-6 * gap, number)
-    _, (frozen,) = b.thermal(0.0, 0.0, number)
+    _, (cold,) = gibbs_average(*np.linalg.eigh(b.hamiltonian(0.0)), (number,), 1e-6 * gap)
+    _, (frozen,) = gibbs_average(*np.linalg.eigh(b.hamiltonian(0.0)), (number,), 0.0)
     assert cold == pytest.approx(frozen, abs=1e-10)
+    # and state's averages at a tilt, psi in units of its zero-point spread
+    cold, frozen = (np.array(b.state(0.05 * PHI0, kT)[1:]) for kT in (1e-6 * gap, 0.0))
+    scale = np.array([math.sqrt(hbar * b.ops.Z_a / 2.0), 1.0, 1.0])
+    assert cold / scale == pytest.approx(frozen / scale, abs=1e-10)
 
 
 def test_thermal_expectation_rejects_negative_temperature(reference):
     b = branch(reference, 5)
     with pytest.raises(ValueError):
-        b.thermal(0.0, -1.0, np.diag(np.arange(5.0)))
+        b.state(0.0, -1.0)
 
 
 def test_thermal_expectation_rejects_a_bare_operator(reference):
     # the rows of a matrix spread into operators are not operators
     b = branch(reference, 5)
     with pytest.raises(ValueError):
-        b.thermal(0.0, 0.0, *np.diag(np.arange(5.0)))
+        gibbs_average(*np.linalg.eigh(b.hamiltonian(0.0)), tuple(np.diag(np.arange(5.0))), 0.0)
 
 
 def test_free_energy_single_level(reference):
@@ -310,7 +339,7 @@ def test_free_energy_truncation_convergence(reference):
 def test_free_energy_matches_logsumexp_oracle(reference):
     """The shifted numpy sum against scipy's logsumexp on the same spectrum.
 
-    The free energy that comes with thermal averages is computed from the
+    The free energy that comes with state's averages is computed from the
     eigenvalues of eigh rather than eigvalsh, which differ in the last few
     digits, so it gets a looser bound.
     """
@@ -323,7 +352,7 @@ def test_free_energy_matches_logsumexp_oracle(reference):
             kT = h * kT_GHz * GHZ
             oracle = w[0] - kT * logsumexp(-(w - w[0]) / kT)
             assert b.free_energy(phi, kT) == pytest.approx(oracle, rel=1e-14, abs=0.0)
-            F, _ = b.thermal(phi, kT, b.ops.psi_op)
+            F = b.state(phi, kT)[0]
             assert F == pytest.approx(oracle, rel=1e-13, abs=0.0)
         weights = np.exp(-(w - w[0]) / (h * GHZ))
         assert 1 < np.count_nonzero(weights) < w.size // 2
@@ -338,21 +367,16 @@ def test_free_energy_zero_temperature_is_ground_energy(linear, reference):
 
 @pytest.mark.parametrize("kT_GHz", [0.0, 50.0])
 def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
-    """A tilt read again returns bit for bit what a fresh eigensolve gives, the memos
-    keep no more tilts than their bounds, and no cached array is writable; flux_response
-    included."""
+    """A tilt read again returns bit for bit what a fresh eigensolve gives, every memo keeps
+    no more entries than SPECTRA_MEMO, and no memo holds a matrix or a writable array."""
     kT = h * kT_GHz * GHZ
     _branch.cache_clear()
     b = branch(reference, 20)
-    ops = (b.ops.psi_op, b.ops.cos_op)
-    # more distinct tilts than either memo keeps, 0.0 and -0.0 among them
+    # more distinct tilts than any memo keeps, 0.0 and -0.0 among them
     distinct = np.concatenate([[0.0, -0.0], np.linspace(-0.2, 0.2, SPECTRA_MEMO + 30) * PHI0])
-    oracle = {}
-    for phi in distinct:
-        H = b.hamiltonian(phi)
-        oracle[float(phi).hex()] = (gibbs_state(np.linalg.eigvalsh(H), kT)[0],
-                                    _gibbs_average(*np.linalg.eigh(H), ops, kT),
-                                    fresh_flux_response(b, phi, kT))
+    oracle = {float(phi).hex(): (gibbs_state(np.linalg.eigvalsh(b.hamiltonian(phi)), kT)[0],
+                                 fresh_state(b, phi, kT), fresh_flux_response(b, phi, kT))
+              for phi in distinct}
     solves = {"eigvalsh": 0, "eigh": 0}
 
     def counting(name):
@@ -369,32 +393,29 @@ def test_tilt_memos_are_exact_and_bounded(reference, monkeypatch, kT_GHz):
     # each tilt twice in a shuffled order, every fifth call repeated at once
     sequence = np.random.default_rng(11).permutation(np.concatenate([distinct, distinct]))
     calls = [phi for i, phi in enumerate(sequence) for _ in range(1 + (i % 5 == 0))]
+    memos = (b._spectrum, b._response, b._state)
     for phi in calls:
-        F, thermal, response = oracle[float(phi).hex()]
+        F, state, response = oracle[float(phi).hex()]
         assert b.free_energy(phi, kT) == F
-        assert b.thermal(phi, kT, *ops) == thermal
+        assert b.state(phi, kT) == state
         assert b.flux_response(phi, kT) == response
-        assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
-        assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
-        assert b._response.cache_info().currsize <= SPECTRA_MEMO
-    # remembered tilts are not solved again, evicted ones are
+        assert all(memo.cache_info().currsize <= SPECTRA_MEMO for memo in memos)
+    # remembered tilts are not solved again, evicted ones are; each eigh is one memo's miss
     assert distinct.size < solves["eigvalsh"] < len(calls)
-    assert distinct.size < solves["eigh"] < len(calls)
-    assert distinct.size < b._response.cache_info().misses < len(calls)
-    assert b._spectrum.cache_info().currsize == SPECTRA_MEMO
-    assert b._decomposition.cache_info().currsize == DECOMPOSITIONS_MEMO
-    assert b._response.cache_info().currsize == SPECTRA_MEMO
-    # the latest tilts are the remembered ones: read back without a solve, none writable
-    latest = list(dict.fromkeys(float(phi).hex() for phi in reversed(calls)))
-    made, missed = dict(solves), b._response.cache_info().misses
-    responses = [b._response(key, kT) for key in latest[:SPECTRA_MEMO]]
-    assert responses == [oracle[key][2] for key in latest[:SPECTRA_MEMO]]
-    assert b._response.cache_info().misses == missed
-    cached = [*(b._spectrum(key) for key in latest[:SPECTRA_MEMO]),
-              *(a for key in latest[:DECOMPOSITIONS_MEMO] for a in b._decomposition(key))]
-    assert solves == made
-    assert len(cached) == SPECTRA_MEMO + 2 * DECOMPOSITIONS_MEMO
-    assert not any(a.flags.writeable for a in cached)
+    for memo in (b._response, b._state):
+        assert distinct.size < memo.cache_info().misses < len(calls)
+    assert solves["eigh"] == b._response.cache_info().misses + b._state.cache_info().misses
+    assert [memo.cache_info().currsize for memo in memos] == [SPECTRA_MEMO] * 3
+    # the latest tilts are the remembered ones: read back without a solve
+    latest = list(dict.fromkeys(float(phi).hex() for phi in reversed(calls)))[:SPECTRA_MEMO]
+    made, missed = dict(solves), [memo.cache_info().misses for memo in memos]
+    assert [b._state(key, kT) for key in latest] == [oracle[key][1] for key in latest]
+    assert [b._response(key, kT) for key in latest] == [oracle[key][2] for key in latest]
+    spectra = [b._spectrum(key) for key in latest]
+    assert solves == made and [memo.cache_info().misses for memo in memos] == missed
+    # the spectra are read-only vectors; the other two memos hold floats only
+    assert all(a.shape == (20,) and not a.flags.writeable for a in spectra)
+    assert all(type(x) is float for key in latest for x in (*b._state(key, kT), *b._response(key, kT)))
 
 
 def test_tilt_memos_under_concurrent_readers(reference):
@@ -405,15 +426,14 @@ def test_tilt_memos_under_concurrent_readers(reference):
     b = branch(reference, 10)
     tilts = np.linspace(-0.2, 0.2, SPECTRA_MEMO + 40) * PHI0
     oracle = {float(phi).hex(): (gibbs_state(np.linalg.eigvalsh(b.hamiltonian(phi)), kT)[0],
-                                 _gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT),
-                                 fresh_flux_response(b, phi, kT))
+                                 fresh_state(b, phi, kT), fresh_flux_response(b, phi, kT))
               for phi in tilts}
     wrong, errors = [], []
 
     def reader(seed):
         try:
             for phi in np.random.default_rng(seed).choice(tilts, size=300):
-                read = b.free_energy(phi, kT), b.thermal(phi, kT, b.ops.psi_op), b.flux_response(phi, kT)
+                read = b.free_energy(phi, kT), b.state(phi, kT), b.flux_response(phi, kT)
                 if read != oracle[float(phi).hex()]:
                     wrong.append(phi)
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
@@ -431,9 +451,7 @@ def test_tilt_memos_under_concurrent_readers(reference):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and wrong == []
-    assert b._spectrum.cache_info().currsize <= SPECTRA_MEMO
-    assert b._decomposition.cache_info().currsize <= DECOMPOSITIONS_MEMO
-    assert b._response.cache_info().currsize <= SPECTRA_MEMO
+    assert all(memo.cache_info().currsize <= SPECTRA_MEMO for memo in (b._spectrum, b._response, b._state))
 
 
 def test_branch_rejects_negative_temperature(reference):
@@ -441,11 +459,11 @@ def test_branch_rejects_negative_temperature(reference):
     with pytest.raises(ValueError):
         b.free_energy(0.0, -h * GHZ)
     with pytest.raises(ValueError):
-        b.thermal(0.0, -h * GHZ, b.ops.psi_op)
+        b.state(0.0, -h * GHZ)
     # gibbs_state and every reader of the kernel check the temperature
     for kT in (math.nan, math.inf, -math.inf, -1.0):
         for call in (lambda: gibbs_state(b.levels, kT), lambda: b.free_energy(0.0, kT),
-                     lambda: b.thermal(0.0, kT, b.ops.psi_op), lambda: b.flux_response(0.0, kT),
+                     lambda: b.state(0.0, kT), lambda: b.flux_response(0.0, kT),
                      lambda: b.susceptibility(kT)):
             with pytest.raises(ValueError, match="kT must be finite and non-negative"):
                 call()
@@ -453,8 +471,8 @@ def test_branch_rejects_negative_temperature(reference):
 
 @pytest.mark.parametrize("kT", [-1.0, math.nan, math.inf])
 def test_branch_rejects_a_bad_temperature_before_its_memos(reference, monkeypatch, kT):
-    """A bad kT raises at free_energy, thermal and flux_response before any memo is read: no
-    eigensolve runs."""
+    """A bad kT raises at free_energy, state and flux_response before any memo is read: no
+    eigensolve runs and no memo keeps an entry."""
     _branch.cache_clear()  # a fresh kernel, so that no memo is full and an entry would show
     b = branch(reference, 10)
     solves = []
@@ -463,12 +481,11 @@ def test_branch_rejects_a_bad_temperature_before_its_memos(reference, monkeypatc
     with pytest.raises(ValueError, match="kT must be finite and non-negative"):
         b.free_energy(0.0123, kT)
     with pytest.raises(ValueError, match="kT must be finite and non-negative"):
-        b.thermal(0.0456, kT, b.ops.psi_op)
+        b.state(0.0456, kT)
     with pytest.raises(ValueError, match="kT must be finite and non-negative"):
         b.flux_response(0.0789, kT)
     assert solves == []
-    assert b._spectrum.cache_info().currsize == b._decomposition.cache_info().currsize == 0
-    assert b._response.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in (b._spectrum, b._response, b._state)] == [0, 0, 0]
 
 
 def test_gibbs_state_equals_the_two_functions_it_merged(reference):
@@ -492,16 +509,16 @@ def test_branch_rejects_a_non_finite_tilt_before_its_memos(reference, monkeypatc
     _branch.cache_clear()  # a fresh kernel, so that no memo is full and an entry would show
     b = branch(reference, 10)
     b.free_energy(0.01 * PHI0, 0.0)
-    b.thermal(0.01 * PHI0, 0.0, b.ops.psi_op)
+    b.state(0.01 * PHI0, 0.0)
     b.flux_response(0.01 * PHI0, 0.0)
-    memos = (b._spectrum, b._decomposition, b._response)
+    memos = (b._spectrum, b._response, b._state)
     sizes = [memo.cache_info().currsize for memo in memos]
     solves = []
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, lambda a, name=name: solves.append(name))
     for kT in (0.0, h * 20 * GHZ):
         for call in (lambda: b.hamiltonian(phi), lambda: b.free_energy(phi, kT),
-                     lambda: b.thermal(phi, kT, b.ops.psi_op), lambda: b.flux_response(phi, kT),
+                     lambda: b.state(phi, kT), lambda: b.flux_response(phi, kT),
                      lambda: meanfield.action_per_atom(phi, kT, reference, M=10)):
             with pytest.raises(ValueError, match="phi must be finite"):
                 call()
@@ -527,10 +544,9 @@ def test_atom_spectrum_orthonormal(reference):
     assert np.all(np.diff(w) >= 0.0)
     assert b.free_energy(0.0, 0.0) == w[0]
     for kT in (0.0, h * 20 * GHZ, h * 1e3 * GHZ):
-        _, (one,) = b.thermal(0.0, kT, np.eye(40))
+        _, (one,) = gibbs_average(*np.linalg.eigh(b.H_atom), (np.eye(40),), kT)
         assert one == pytest.approx(1.0, rel=1e-12)
-    F, _ = b.thermal(0.0, 0.0, np.eye(40))
-    assert F == pytest.approx(w[0], rel=1e-13, abs=0.0)
+    assert b.state(0.0, 0.0)[0] == pytest.approx(w[0], rel=1e-13, abs=0.0)
 
 
 def test_branch_shared_across_resonator_sweeps(reference):
@@ -576,16 +592,14 @@ def test_susceptibility_matches_level_oracle(reference):
 def test_response_is_flux_derivative(reference):
     """chi of Branch.flux_response is d<psi>/dh by central differences, and susceptibility at phi = 0."""
     b = branch(reference, 60)
-    psi_op = b.ops.psi_op
     for kT in h * np.array([0.0, 20.0, 200.0]) * GHZ:
         _, chi = b.flux_response(0.0, kT)
         assert chi == pytest.approx(b.susceptibility(kT), rel=1e-12, abs=0.0)
         for phi in (0.05 * PHI0, 0.2 * PHI0):
             psi, chi = b.flux_response(phi, kT)
-            assert (psi,) == b.thermal(phi, kT, psi_op)[1]
+            assert psi == b.state(phi, kT)[1]
             dphi = 1e-4 * phi
-            _, (up,) = b.thermal(phi + dphi, kT, b.ops.psi_op)
-            _, (down,) = b.thermal(phi - dphi, kT, b.ops.psi_op)
+            up, down = b.state(phi + dphi, kT)[1], b.state(phi - dphi, kT)[1]
             assert chi == pytest.approx((up - down) / (2.0 * dphi / b.L_g), rel=1e-8)
 
 
@@ -598,6 +612,6 @@ def test_static_response_with_degenerate_levels():
     for kT in (0.05, 0.7, 30.0):
         w, v = np.linalg.eigh(H)
         chi = _static_response(w, v.T @ B @ v, gibbs_state(w, kT)[1], kT)
-        _, (up,) = _gibbs_average(*np.linalg.eigh(H - dh * B), (B,), kT)
-        _, (down,) = _gibbs_average(*np.linalg.eigh(H + dh * B), (B,), kT)
+        _, (up,) = gibbs_average(*np.linalg.eigh(H - dh * B), (B,), kT)
+        _, (down,) = gibbs_average(*np.linalg.eigh(H + dh * B), (B,), kT)
         assert chi == pytest.approx((up - down) / (2.0 * dh), rel=1e-8)

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 import kubo_oracle
+from kubo_oracle import gibbs_average
 from search_oracle import brent_refine, scan_then_refine, stationarity_residual, uniform_sweep_oracle
 from srptsim import fluct, fock, meanfield
 from srptsim.circuit import classical_minimum, constraint_slope, derive_linear, newton_root
@@ -55,10 +56,9 @@ def jittered(params, jitter):
 
 
 def mean_branch_flux(phi, kT, params, M=60):
-    """Thermal expectation of the branch flux at frozen resonator flux, weber."""
+    """Thermal expectation of the branch flux at frozen resonator flux, weber, by the Gibbs oracle."""
     b = fock.branch(params, M)
-    _, (psi,) = b.thermal(phi, kT, b.ops.psi_op)
-    return psi
+    return gibbs_average(*np.linalg.eigh(b.hamiltonian(phi)), (b.ops.psi_op,), kT)[1][0]
 
 
 def per_point_solve(params, kT, coarse_points=256):
@@ -394,7 +394,7 @@ def test_sweep_evaluations_sum_to_evaluations_made(reference, monkeypatch):
         return counted
 
     monkeypatch.setattr(fock.Branch, "free_energy", counting(fock.Branch.free_energy))
-    monkeypatch.setattr(fock.Branch, "thermal", counting(fock.Branch.thermal))
+    monkeypatch.setattr(fock.Branch, "state", counting(fock.Branch.state))
     monkeypatch.setattr(fock.Branch, "flux_response", counting(fock.Branch.flux_response))
     # the windows span 6.9x, one scan for all four columns
     L = np.array([0.05e-9, 0.25e-9, 0.45e-9, 1.0e-9])

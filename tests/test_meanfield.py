@@ -517,12 +517,15 @@ def test_certified_minimum_in_lowest_dense_cell(reference):
     The branch free energy does not depend on L_R0, so one scan across the
     widest window serves every column of a row; each column's minimum lies
     inside its own window. Every fourth row keeps the cost to five scans.
+    The spectra do not depend on kT either, so each tilt is diagonalized
+    once, and each row's free energy is kernel.free_energy's, bit for bit.
     """
     windows, u = windows_and_stiffness(reference, GRID_L)
     kernel = fock.branch(reference, 60)
     dense = np.linspace(0.0, windows.max(), 4096)
+    spectra = [np.linalg.eigvalsh(kernel.hamiltonian(x)) for x in dense]
     for j in range(0, GRID_KT.size, 4):
-        f = np.array([kernel.free_energy(x, float(GRID_KT[j])) for x in dense])
+        f = np.array([fock.gibbs_state(w, float(GRID_KT[j]))[0] for w in spectra])
         for i, sol in enumerate(grid_sweeps(reference)[j]):
             action = np.where(dense <= windows[i], u[i] * dense**2 / 2.0 + f, np.inf)
             k = int(np.argmin(action))
